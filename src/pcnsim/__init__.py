@@ -41,7 +41,6 @@ from .latency import (
     estimate_first_hop,
     estimate_next_hop,
     path_distribution,
-    probe_path,
 )
 from .metrics import (
     MetricsReport,
@@ -63,6 +62,6 @@ from .routing import (
     is_timelock_valid,
     reachability_subgraph,
 )
-from .sim import EventQueue, PaymentEngine, PaymentOutcome, sample_latency
+from .sim import EventQueue, PaymentEngine, PaymentOutcome, probe_batch, sample_latency
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import sys
 from .graph import (
     DEFAULT_REGION_RTT,
     RegionLatencyTable,
+    SnapshotError,
     convert_describegraph,
     load_snapshot,
 )
@@ -100,17 +101,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "convert":
-        with open(args.describegraph) as fh:
-            snapshot = convert_describegraph(json.load(fh))
-        with open(args.out, "w") as fh:
-            json.dump(snapshot, fh, indent=1)
+        try:
+            with open(args.describegraph) as fh:
+                snapshot = convert_describegraph(json.load(fh))
+            with open(args.out, "w") as fh:
+                json.dump(snapshot, fh, indent=1)
+        except (SnapshotError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}: {len(snapshot['nodes'])} nodes, {len(snapshot['edges'])} edges")
         return 0
 
     try:
         cfg = _load_config(args)
         graph = _load_graph(args)
-    except (ConfigError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ConfigError, SnapshotError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     table = _load_table(args.latency_table) if args.latency_table else DEFAULT_REGION_RTT

@@ -207,6 +207,8 @@ def load_snapshot(document: dict) -> FullGraph:
             cap_sat = int(raw["capacity_sat"])
         except (TypeError, KeyError, ValueError) as exc:
             raise SnapshotError(f"{name}: {exc}") from exc
+        if cap_sat < 0:
+            raise SnapshotError(f"{name}: negative capacity_sat {cap_sat}")
         if cid in g.channels:
             raise SnapshotError(f"{name}: duplicate channel_id {cid}")
         if n1 not in g.nodes or n2 not in g.nodes:
@@ -271,31 +273,46 @@ def convert_describegraph(dump: dict) -> dict:
     Field mapping: capacity (sat string) -> capacity_sat, fee_base_msat ->
     base_fee_msat, fee_rate_milli_msat (millionths) -> fee_rate_ppm,
     time_lock_delta and disabled pass through.  Nodes carry no region in an
-    LND dump, so regions are assigned later by assign_latencies.
+    LND dump, so regions are assigned later by assign_latencies.  A
+    malformed record raises SnapshotError naming it.
     """
-    nodes = [{"pub_key": n["pub_key"]} for n in dump.get("nodes", [])]
+    if not isinstance(dump, dict):
+        raise SnapshotError("describegraph dump must be a mapping")
+    nodes = []
+    for i, n in enumerate(dump.get("nodes", [])):
+        try:
+            nodes.append({"pub_key": n["pub_key"]})
+        except (TypeError, KeyError) as exc:
+            raise SnapshotError(f"nodes[{i}]: missing pub_key") from exc
     edges = []
-    for e in dump.get("edges", []):
-        rec = {
-            "channel_id": str(e["channel_id"]),
-            "node1_pub": e["node1_pub"],
-            "node2_pub": e["node2_pub"],
-            "capacity_sat": int(e["capacity"]),
-        }
-        for src_key, dst_key in (("node1_policy", "node1_policy"), ("node2_policy", "node2_policy")):
-            raw = e.get(src_key)
-            rec[dst_key] = (
-                None
-                if raw is None
-                else {
-                    "base_fee_msat": int(raw.get("fee_base_msat", 0)),
-                    "fee_rate_ppm": int(raw.get("fee_rate_milli_msat", 0)),
-                    "time_lock_delta": int(raw.get("time_lock_delta", 0)),
-                    "disabled": bool(raw.get("disabled", False)),
-                }
-            )
-        edges.append(rec)
+    for i, e in enumerate(dump.get("edges", [])):
+        try:
+            edges.append(_convert_edge(e))
+        except (TypeError, KeyError, ValueError, AttributeError) as exc:
+            raise SnapshotError(f"edges[{i}]: {exc!r}") from exc
     return {"nodes": nodes, "edges": edges}
+
+
+def _convert_edge(e: dict) -> dict:
+    rec = {
+        "channel_id": str(e["channel_id"]),
+        "node1_pub": e["node1_pub"],
+        "node2_pub": e["node2_pub"],
+        "capacity_sat": int(e["capacity"]),
+    }
+    for key in ("node1_policy", "node2_policy"):
+        raw = e.get(key)
+        rec[key] = (
+            None
+            if raw is None
+            else {
+                "base_fee_msat": int(raw.get("fee_base_msat", 0)),
+                "fee_rate_ppm": int(raw.get("fee_rate_milli_msat", 0)),
+                "time_lock_delta": int(raw.get("time_lock_delta", 0)),
+                "disabled": bool(raw.get("disabled", False)),
+            }
+        )
+    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,9 @@ from .latency import (
     Gaussian,
     InsufficientSamples,
     LatencyModel,
-    ProbeFailedEarly,
     aggregate_models,
     estimate_first_hop,
     estimate_next_hop,
-    probe_path,
 )
 from .metrics import (
     GroundTruth,
@@ -60,7 +58,7 @@ from .metrics import (
     report,
 )
 from .routing import Payment, RoutingParams, find_route, path_from_channels
-from .sim import PaymentEngine
+from .sim import TRAVERSALS_PER_EDGE, PaymentEngine, probe_batch
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +81,7 @@ class ScenarioConfig:
     base_seed: int = 0
     retry_attack: bool = True
     timelock_reduction: bool = True
-    traversal_weight: int = 6  # 4 replays the alternative per-hop weighting
+    traversal_weight: int = TRAVERSALS_PER_EDGE  # 4 replays the alternative per-hop weighting
     probes_per_path: int = 100
     probe_max_depth: int = 3
     max_estimates_per_channel: int = 3
@@ -286,13 +284,14 @@ def build_latency_model(
     """Run the probing campaign from every malicious vantage and aggregate.
 
     Probes run against the true graph but only ever fail at their crafted
-    hop, so balances are untouched.  Per channel only the closest few
-    vantage estimates are kept; farther ones add little beyond their noise.
+    hop, so balances are untouched; each probed path's probes are evaluated
+    at once by `probe_batch`.  Per channel only the closest few vantage
+    estimates are kept; farther ones add little beyond their noise.
     """
     estimates: list[EdgeLatencyEstimate] = []
     children = rng_seed_seq.spawn(len(malicious))
     for vantage, child in zip(sorted(malicious), children):
-        engine = PaymentEngine(graph, np.random.default_rng(child))
+        rng = np.random.default_rng(child)
         per_edge: dict[str, Gaussian] = {}
         for cid, channel_path in probe_plan(graph, vantage, cfg.probe_max_depth):
             if any(prefix not in per_edge for prefix in channel_path[:-1]):
@@ -300,15 +299,10 @@ def build_latency_model(
             path = path_from_channels(
                 graph, vantage, channel_path, PROBE_AMOUNT_MSAT, cfg.routing_params()
             )
-            samples = []
-            discarded = 0
-            for _ in range(cfg.probes_per_path):
-                try:
-                    samples.append(probe_path(vantage, path, engine))
-                except ProbeFailedEarly:
-                    discarded += 1
-            if discarded:
-                log.warning("%d probes to %s failed early", discarded, cid)
+            batch = probe_batch(graph, vantage, path, cfg.probes_per_path, rng)
+            samples = batch.samples_ms
+            if batch.discarded:
+                log.warning("%d probes to %s failed early", batch.discarded, cid)
             try:
                 if len(channel_path) == 1:
                     est = estimate_first_hop(samples, cfg.traversal_weight)

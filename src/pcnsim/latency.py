@@ -88,34 +88,6 @@ class LatencyModel:
         return g
 
 
-def probe_path(adversary_node: str, path, engine) -> float:
-    """Measure one failing probe over `path`, in milliseconds.
-
-    The payment is crafted to be rejected by the last node on the path, so
-    the adversary's add -> fail round trip covers exactly the path's edges.
-    Raises ProbeFailedEarly if some intermediate hop failed it first (that
-    sample must be discarded).
-    """
-    if not path.hops:
-        raise ValueError("probe path must contain at least one hop")
-    if path.hops[0].frm != adversary_node:
-        raise ValueError(f"probe path does not start at {adversary_node}")
-    target = path.hops[-1].to
-    outcome = engine.execute_payment(path, payment_id=engine.next_probe_id(), fail_at=target)
-    # a reject by the final node reports at_hop == len(hops); anything lower
-    # means some intermediary killed the probe first
-    expected_hop = len(path.hops)
-    if outcome.status != "failed" or outcome.failed_at_hop != expected_hop:
-        raise ProbeFailedEarly(
-            f"probe failed at hop {outcome.failed_at_hop}, wanted {expected_hop}"
-        )
-    return (outcome.completed_at - outcome.started_at) / 1e6
-
-
-class ProbeFailedEarly(RuntimeError):
-    """A probe payment died before reaching its intended failure hop."""
-
-
 def estimate_first_hop(samples_ms: list[float], traversal_weight: int) -> Gaussian:
     """Estimate the first edge of a one-hop probing path.
 

@@ -9,6 +9,12 @@ handshake after a fulfill is simulated for timeline completeness but gates
 nothing.  Each edge of a completed hop is therefore crossed exactly six
 times, which is the ground truth the adversarial timing model calibrates
 against.
+
+Probes (payments crafted to fail at their last hop) are evaluated in closed
+form by `probe_batch` rather than on the engine: they move no balances and
+their messages are strictly sequential, so one vectorised draw per probed
+path gives, draw for draw, the durations, failing hop and random-stream
+state of running each probe through `PaymentEngine.execute_payment`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import csv
 import heapq
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graph import Channel, FullGraph, NodeId
 from .routing import PaymentPath
@@ -30,8 +38,20 @@ REVOKE = "revoke_and_ack"
 FULFILL = "update_fulfill_htlc"
 FAIL = "update_fail_htlc"
 
-# per fully processed edge: add + 4 handshake messages + fulfill/fail back
-TRAVERSALS_PER_EDGE = 6
+# What one hop puts on its channel, strictly in sequence, before its
+# receiving node acts: the add, then the commitment/revocation handshake.
+# Each entry is (kind, sent by the side that opened the exchange).
+HOP_MESSAGES = (
+    (ADD, True),
+    (COMMIT, True),
+    (REVOKE, False),
+    (COMMIT, False),
+    (REVOKE, True),
+)
+HANDSHAKE = HOP_MESSAGES[1:]
+
+# per fully processed edge: the hop's messages plus the fulfill/fail back
+TRAVERSALS_PER_EDGE = len(HOP_MESSAGES) + 1
 
 
 class SchedulingError(RuntimeError):
@@ -145,7 +165,6 @@ class PaymentOutcome:
     failed_at_hop: int | None
     started_at: int
     completed_at: int
-    timeline: list[tuple[int, NodeId, str, str]] = field(default_factory=list)
     messages: list[MessageRecord] = field(default_factory=list)
 
 
@@ -175,10 +194,6 @@ class PaymentEngine:
         self.rng = rng
         self.behaviors = behaviors or {}
         self.queue = EventQueue()
-        self._probe_counter = itertools.count()
-
-    def next_probe_id(self) -> str:
-        return f"probe-{next(self._probe_counter):06d}"
 
     def _behavior(self, node: NodeId) -> NodeBehavior:
         return self.behaviors.get(node, HONEST)
@@ -202,19 +217,14 @@ class PaymentEngine:
     def _handshake(self, run: _PaymentRun, channel: Channel, initiator: NodeId,
                    responder: NodeId, then=None) -> None:
         """commitment_signed/revoke_and_ack exchange, strictly sequential."""
-        seq = [
-            (COMMIT, initiator, responder),
-            (REVOKE, responder, initiator),
-            (COMMIT, responder, initiator),
-            (REVOKE, initiator, responder),
-        ]
 
         def send_next(i: int):
-            if i == len(seq):
+            if i == len(HANDSHAKE):
                 if then is not None:
                     then()
                 return
-            kind, frm, to = seq[i]
+            kind, by_initiator = HANDSHAKE[i]
+            frm, to = (initiator, responder) if by_initiator else (responder, initiator)
             self._send(run, channel, frm, to, kind, on_delivery=lambda: send_next(i + 1))
 
         send_next(0)
@@ -234,18 +244,10 @@ class PaymentEngine:
         """
         if not path.hops:
             raise ValueError("payment path must contain at least one hop")
-        for hop in path.hops:
-            ch = self.graph.channels.get(hop.channel)
-            if ch is None or {hop.frm, hop.to} != {ch.u, ch.v}:
-                raise ValueError(f"hop {hop} does not match the graph")
-            if hop.forward_amount_msat <= 0:
-                raise ValueError("forward amounts must be positive")
+        _check_hops(self.graph, path)
         run = _PaymentRun(path, payment_id)
         run.started_at = self.queue.now
-        sender = path.hops[0].frm
-        first = self.graph.channels[path.hops[0].channel]
-        bal = first.policy_from(sender).balance_msat
-        if bal is None or bal < path.hops[0].forward_amount_msat:
+        if not _can_forward(self.graph, path.hops[0].frm, path.hops[0]):
             run.status = "failed"
             run.failed_at_hop = 0
             run.completed_at = self.queue.now
@@ -306,10 +308,7 @@ class PaymentEngine:
         if view.is_final:
             self._fulfill(run, hop_index)
             return
-        nxt = hops[hop_index + 1]
-        out_channel = self.graph.channels[nxt.channel]
-        bal = out_channel.policy_from(node).balance_msat
-        if bal is None or bal < nxt.forward_amount_msat:
+        if not _can_forward(self.graph, node, hops[hop_index + 1]):
             self._reject(run, hop_index, at_hop=hop_index + 1)
             return
         self._start_hop(run, hop_index + 1, fail_at)
@@ -355,20 +354,92 @@ class PaymentEngine:
         in_policy.balance_msat += amount_msat
 
     def _finish(self, run: _PaymentRun) -> PaymentOutcome:
-        timeline = []
-        for m in sorted(run.messages, key=lambda m: (m.sent_at, m.delivered_at, m.kind)):
-            timeline.append((m.sent_at, m.frm, "sent", m.kind))
-            timeline.append((m.delivered_at, m.to, "recv", m.kind))
-        timeline.sort(key=lambda row: row[0])
         return PaymentOutcome(
             payment_id=run.payment_id,
             status=run.status,
             failed_at_hop=run.failed_at_hop,
             started_at=run.started_at,
             completed_at=run.completed_at,
-            timeline=timeline,
             messages=run.messages,
         )
+
+
+def _check_hops(graph: FullGraph, path: PaymentPath) -> None:
+    for hop in path.hops:
+        ch = graph.channels.get(hop.channel)
+        if ch is None or {hop.frm, hop.to} != {ch.u, ch.v}:
+            raise ValueError(f"hop {hop} does not match the graph")
+        if hop.forward_amount_msat <= 0:
+            raise ValueError("forward amounts must be positive")
+
+
+def _can_forward(graph: FullGraph, node: NodeId, hop) -> bool:
+    """Whether `node` holds enough balance on hop's channel to send its add."""
+    bal = graph.channels[hop.channel].policy_from(node).balance_msat
+    return bal is not None and bal >= hop.forward_amount_msat
+
+
+# ---------------------------------------------------------------------------
+# probes in closed form
+
+
+@dataclass(frozen=True)
+class ProbeBatch:
+    """n probes of one path, crafted to be rejected by its last node."""
+
+    hop_count: int
+    failed_at_hop: int  # as the engine reports it; the same for every probe
+    durations_ms: list[float]  # add-to-fail round trip of each probe, in order
+
+    @property
+    def samples_ms(self) -> list[float]:
+        """Durations of the probes that failed at the last hop: only these
+        time the whole path.  The others are discarded."""
+        return self.durations_ms if self.failed_at_hop == self.hop_count else []
+
+    @property
+    def discarded(self) -> int:
+        return len(self.durations_ms) - len(self.samples_ms)
+
+
+def probe_batch(graph: FullGraph, vantage: NodeId, path: PaymentPath, n: int,
+                rng) -> ProbeBatch:
+    """Run `n` probes from `vantage` over `path`, each failed by the path's
+    last node, with one vectorised draw.
+
+    Equivalent, draw for draw, to `n` sequential
+    `PaymentEngine(graph, rng).execute_payment(path, pid, fail_at=last node)`
+    calls on an engine with no behaviours.  Such a probe moves no balance,
+    so every probe stops at the same hop k, found by the checks `_act` makes
+    in order; its messages are strictly sequential: the hop messages on
+    channels 0..k, then one fail back on each of channels k..0.  A normal
+    draw with per-element parameters consumes the random stream exactly as
+    the engine's scalar draws do, and latencies are clamped as
+    `sample_latency` clamps them.
+    """
+    hops = path.hops
+    if not hops:
+        raise ValueError("probe path must contain at least one hop")
+    if hops[0].frm != vantage:
+        raise ValueError(f"probe path does not start at {vantage}")
+    _check_hops(graph, path)
+    if not _can_forward(graph, vantage, hops[0]):
+        return ProbeBatch(len(hops), 0, [0.0] * n)
+    target = hops[-1].to
+    k = 0
+    while hops[k].to != target and _can_forward(graph, hops[k].to, hops[k + 1]):
+        k += 1
+    channels = [graph.channels[hop.channel] for hop in hops[: k + 1]]
+    for ch in channels:
+        if ch.latency is None:
+            raise ValueError(f"channel {ch.id} has no latency assigned")
+    sequence = [ch for ch in channels for _ in HOP_MESSAGES] + channels[::-1]
+    mean = np.array([ch.latency.mean for ch in sequence])
+    std = np.array([ch.latency.std for ch in sequence])
+    ms = rng.normal(mean, std, size=(n, len(sequence)))
+    ns = np.maximum(LATENCY_FLOOR_NS, np.rint(ms * NS_PER_MS)).astype(np.int64)
+    durations = ns.sum(axis=1) / NS_PER_MS
+    return ProbeBatch(len(hops), k + 1, durations.tolist())
 
 
 TIMELINE_CSV_FIELDS = ["time_ns", "payment_id", "from_node", "to_node", "channel_id", "kind"]

@@ -71,6 +71,19 @@ class TestLoadSnapshot:
         with pytest.raises(SnapshotError, match="nodes\\[1\\]"):
             load_snapshot(snapshot_doc([node("A"), {"wat": 1}], []))
 
+    def test_negative_capacity_names_record(self):
+        with pytest.raises(SnapshotError, match="edges\\[1\\]: negative capacity_sat"):
+            load_snapshot(
+                snapshot_doc([node("A"), node("B")],
+                             [edge("c0", "A", "B", 10), edge("c1", "A", "B", -5)])
+            )
+
+    def test_malformed_describegraph_names_record(self):
+        with pytest.raises(SnapshotError, match="mapping"):
+            convert_describegraph([])
+        with pytest.raises(SnapshotError, match="edges\\[0\\]"):
+            convert_describegraph({"nodes": [], "edges": [{"channel_id": "7"}]})
+
     def test_duplicate_channel_id(self):
         with pytest.raises(SnapshotError, match="duplicate"):
             load_snapshot(

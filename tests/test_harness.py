@@ -327,3 +327,27 @@ class TestCli:
     def test_bad_synthetic_spec(self, tmp_path, capsys):
         code = cli.main(["run", "--synthetic", "wat", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("document, message", [
+        ({"nodes": [{"pub_key": "A"}, {"region": "EU"}], "edges": []}, "nodes[1]: missing pub_key"),
+        ([{"pub_key": "A"}], "must be a mapping"),
+        ({"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
+          "edges": [{"channel_id": "c0", "node1_pub": "A", "node2_pub": "B",
+                     "capacity_sat": -5}]},
+         "edges[0]: negative capacity_sat -5"),
+    ], ids=["node-without-pub-key", "top-level-list", "negative-capacity"])
+    def test_malformed_snapshot_clean_error(self, tmp_path, capsys, document, message):
+        snap = tmp_path / "snapshot.json"
+        snap.write_text(json.dumps(document))
+        code = cli.main(["run", "--snapshot", str(snap), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_convert_malformed_clean_error(self, tmp_path, capsys):
+        src = tmp_path / "describegraph.json"
+        src.write_text(json.dumps([{"pub_key": "A"}]))
+        out = tmp_path / "snapshot.json"
+        assert cli.main(["convert", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

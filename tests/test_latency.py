@@ -14,11 +14,10 @@ from pcnsim.latency import (
     estimate_next_hop,
     load_estimates,
     path_distribution,
-    probe_path,
     save_estimates,
 )
 from pcnsim.routing import path_from_channels
-from pcnsim.sim import PaymentEngine
+from pcnsim.sim import probe_batch
 from conftest import make_graph, split_balances
 
 
@@ -178,45 +177,44 @@ def probing_fixture():
 class TestProbePath:
     def test_one_hop_roundtrip_six_traversals(self):
         g = probing_fixture()
-        engine = PaymentEngine(g, np.random.default_rng(0))
         path = path_from_channels(g, "a", ["e0"], 1000)
-        assert probe_path("a", path, engine) == 60.0
+        assert probe_batch(g, "a", path, 1, np.random.default_rng(0)).samples_ms == [60.0]
 
     def test_repeated_probes_identical(self):
         g = probing_fixture()
-        engine = PaymentEngine(g, np.random.default_rng(0))
         path = path_from_channels(g, "a", ["e0", "e1"], 1000)
-        assert {probe_path("a", path, engine) for _ in range(5)} == {105.0}
+        batch = probe_batch(g, "a", path, 5, np.random.default_rng(0))
+        assert len(batch.samples_ms) == 5
+        assert set(batch.samples_ms) == {105.0}
 
     def test_empty_path_rejected(self):
         g = probing_fixture()
-        engine = PaymentEngine(g, np.random.default_rng(0))
 
         class Empty:
             hops = ()
 
         with pytest.raises(ValueError):
-            probe_path("a", Empty(), engine)
+            probe_batch(g, "a", Empty(), 1, np.random.default_rng(0))
 
     def test_wrong_start_rejected(self):
         g = probing_fixture()
-        engine = PaymentEngine(g, np.random.default_rng(0))
         path = path_from_channels(g, "b", ["e1"], 1000)
         with pytest.raises(ValueError):
-            probe_path("a", path, engine)
+            probe_batch(g, "a", path, 1, np.random.default_rng(0))
 
 
 class TestNoiselessRecovery:
     def test_iterative_chain_recovers_exact_means(self):
         g = probing_fixture()
-        engine = PaymentEngine(g, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
         t = 6
         n = 5
         estimates = {}
         for channels, true_mean in [(["e0"], 10.0), (["e0", "e1"], 7.5),
                                     (["e0", "e1", "e2"], 30.0)]:
             path = path_from_channels(g, "a", channels, 1000)
-            samples = [probe_path("a", path, engine) for _ in range(n)]
+            samples = probe_batch(g, "a", path, n, rng).samples_ms
+            assert len(samples) == n
             if len(channels) == 1:
                 est = estimate_first_hop(samples, t)
             else:

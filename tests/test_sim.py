@@ -10,13 +10,16 @@ from pcnsim.sim import (
     ADD,
     FAIL,
     FULFILL,
+    TRAVERSALS_PER_EDGE,
     EventQueue,
     HopView,
     NodeBehavior,
     PaymentEngine,
     SchedulingError,
+    probe_batch,
     sample_latency,
 )
+from pcnsim.latency import TRAVERSAL_WEIGHT_DEFAULT
 from conftest import make_graph, split_balances
 
 MS = 1_000_000  # ns
@@ -239,3 +242,119 @@ class TestConservationProperty:
             fail_at = t if i % 3 == 0 else None
             engine.execute_payment(path, f"p{i}", fail_at=fail_at)
         g.check_conservation()
+
+
+def assert_probes_match_engine(graph, vantage, channels, n, seed):
+    """probe_batch against n sequential engine probes from equal generators."""
+    path = path_from_channels(graph, vantage, channels, 1000)
+    target = path.hops[-1].to
+    engine_rng = np.random.default_rng(seed)
+    engine = PaymentEngine(graph, engine_rng)
+    outcomes = [engine.execute_payment(path, f"probe-{i}", fail_at=target) for i in range(n)]
+    batch_rng = np.random.default_rng(seed)
+    batch = probe_batch(graph, vantage, path, n, batch_rng)
+
+    assert all(o.status == "failed" for o in outcomes)
+    assert [o.failed_at_hop for o in outcomes] == [batch.failed_at_hop] * n
+    assert [(o.completed_at - o.started_at) / 1e6 for o in outcomes] == batch.durations_ms
+    kept = [o for o in outcomes if o.failed_at_hop == len(path.hops)]
+    assert batch.discarded == n - len(kept)
+    assert batch.samples_ms == [(o.completed_at - o.started_at) / 1e6 for o in kept]
+    assert batch_rng.bit_generator.state == engine_rng.bit_generator.state
+    return batch
+
+
+# per-direction balances: none, enough only for the last hop (1000 msat,
+# no fee), or plenty; forward amounts grow by about 1000 msat of fees per hop
+BALANCES = (None, 0, 1_500) + (10**9,) * 5
+
+
+@st.composite
+def probed_graphs(draw):
+    names = ["a", "b", "c", "d", "e"][: draw(st.integers(2, 5))]
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=7,
+    ))
+    rows = []
+    for i, (u, v) in enumerate(pairs):
+        mean = draw(st.one_of(st.floats(0.0, 1.5), st.floats(0.0, 200.0)))
+        std = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+        rows.append((f"e{i}", u, v, {"latency_ms": mean, "sigma_ms": std}))
+    g = make_graph(sorted(set(names)), rows)
+    for ch in g.channels.values():
+        ch.policy_uv.balance_msat = draw(st.sampled_from(BALANCES))
+        ch.policy_vu.balance_msat = draw(st.sampled_from(BALANCES))
+    # a walk may revisit nodes, including the target before its last hop
+    e0 = g.channels["e0"]
+    vantage = node = draw(st.sampled_from([e0.u, e0.v]))
+    channels = []
+    for _ in range(draw(st.integers(1, 5))):
+        ch = draw(st.sampled_from(sorted(g.channels_at(node), key=lambda c: c.id)))
+        channels.append(ch.id)
+        node = ch.other_end(node)
+    return g, vantage, channels
+
+
+class TestProbeBatch:
+    """The closed-form probes are the engine's probes, draw for draw."""
+
+    def test_traversals_match_estimator_default(self):
+        assert TRAVERSALS_PER_EDGE == TRAVERSAL_WEIGHT_DEFAULT == 6
+
+    def test_noisy_path_matches_engine(self):
+        g = split_balances(make_graph(
+            ["a", "b", "c", "d"],
+            [("e0", "a", "b", {"sigma_ms": 4.0}), ("e1", "b", "c", {"sigma_ms": 9.0}),
+             ("e2", "c", "d", {"latency_ms": 80.0, "sigma_ms": 25.0})],
+        ))
+        batch = assert_probes_match_engine(g, "a", ["e0", "e1", "e2"], 20, seed=3)
+        assert batch.failed_at_hop == 3 and batch.discarded == 0
+        assert len(set(batch.samples_ms)) > 1
+
+    def test_first_hop_shortfall_discards_all_without_draws(self, line_graph):
+        line_graph.channels["e0"].policy_uv.balance_msat = 0
+        batch = assert_probes_match_engine(line_graph, "a", ["e0", "e1"], 4, seed=0)
+        assert batch.failed_at_hop == 0
+        assert batch.discarded == 4 and batch.samples_ms == []
+
+    def test_mid_path_shortfall_discards_all(self, line_graph):
+        line_graph.channels["e1"].policy_uv.balance_msat = 0
+        batch = assert_probes_match_engine(line_graph, "a", ["e0", "e1", "e2"], 4, seed=0)
+        assert batch.failed_at_hop == 1
+        assert batch.discarded == 4
+        assert batch.durations_ms == [60.0] * 4  # one hop forward, one fail back
+
+    def test_small_means_hit_the_clamp(self):
+        g = split_balances(make_graph(
+            ["a", "b", "c"],
+            [("e0", "a", "b", {"latency_ms": 0.2, "sigma_ms": 0.5}),
+             ("e1", "b", "c", {"latency_ms": 0.0})],
+        ))
+        batch = assert_probes_match_engine(g, "a", ["e0", "e1"], 10, seed=5)
+        assert min(batch.samples_ms) >= 12.0  # every traversal at least 1 ms
+        assert 12.0 in batch.samples_ms
+
+    def test_target_on_the_way_rejects_early(self, line_graph):
+        batch = assert_probes_match_engine(line_graph, "a", ["e0", "e1", "e1"], 3, seed=0)
+        assert batch.failed_at_hop == 1 and batch.discarded == 3
+
+    def test_missing_latency_rejected(self, line_graph):
+        line_graph.channels["e1"].latency = None
+        path = path_from_channels(line_graph, "a", ["e0", "e1"], 1000)
+        with pytest.raises(ValueError, match="no latency"):
+            probe_batch(line_graph, "a", path, 2, np.random.default_rng(0))
+
+    def test_invalid_hops_rejected(self, line_graph):
+        path = path_from_channels(line_graph, "a", ["e0"], 1000)
+        for hop in (dataclasses.replace(path.hops[0], channel="e2"),
+                    dataclasses.replace(path.hops[0], forward_amount_msat=0)):
+            bad = dataclasses.replace(path, hops=(hop,))
+            with pytest.raises(ValueError):
+                probe_batch(line_graph, "a", bad, 2, np.random.default_rng(0))
+
+    @given(case=probed_graphs(), n=st.integers(1, 6), seed=st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs_match_engine(self, case, n, seed):
+        g, vantage, channels = case
+        assert_probes_match_engine(g, vantage, channels, n, seed)
