@@ -11,38 +11,28 @@ Example:
 """
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pcnsim.graph import load_snapshot
-from pcnsim.harness import (
-    ScenarioConfig,
-    ablation_summary,
-    generate_synthetic_graph,
-    run_experiment,
-)
+from pcnsim.cli import INPUT_ERRORS, add_graph_options, load_graph
+from pcnsim.harness import ScenarioConfig, ablation_summary, run_experiment
 
 
 def main():
     p = argparse.ArgumentParser(description=__doc__)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--snapshot")
-    src.add_argument("--synthetic", help="kind:n")
+    add_graph_options(p)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--payments", type=int, default=500)
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--amount", type=int, default=1000)
     args = p.parse_args()
 
-    if args.snapshot:
-        with open(args.snapshot) as fh:
-            graph = load_snapshot(json.load(fh))
-    else:
-        kind, _, n = args.synthetic.partition(":")
-        graph = generate_synthetic_graph(kind, int(n))
+    try:
+        graph = load_graph(args)
+    except INPUT_ERRORS as exc:
+        p.error(str(exc))
     cfg = ScenarioConfig(
         scenario="central",
         m=args.m,

@@ -12,21 +12,18 @@ Example:
 
 import argparse
 import csv
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pcnsim.graph import load_snapshot
-from pcnsim.harness import ScenarioConfig, generate_synthetic_graph, run_experiment
+from pcnsim.cli import INPUT_ERRORS, add_graph_options, load_graph
+from pcnsim.harness import ScenarioConfig, run_experiment
 
 
-def parse_args():
+def main():
     p = argparse.ArgumentParser(description=__doc__)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--snapshot")
-    src.add_argument("--synthetic", help="kind:n, e.g. scale-free:200")
+    add_graph_options(p)
     p.add_argument("--m", type=int, nargs="+", default=[1, 2, 4, 8])
     p.add_argument("--scenarios", nargs="+", default=["central", "random"])
     p.add_argument("--amounts", type=int, nargs="+", default=[1000])
@@ -35,17 +32,11 @@ def parse_args():
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=20)
     p.add_argument("--out", required=True)
-    return p.parse_args()
-
-
-def main():
-    args = parse_args()
-    if args.snapshot:
-        with open(args.snapshot) as fh:
-            graph = load_snapshot(json.load(fh))
-    else:
-        kind, _, n = args.synthetic.partition(":")
-        graph = generate_synthetic_graph(kind, int(n))
+    args = p.parse_args()
+    try:
+        graph = load_graph(args)
+    except INPUT_ERRORS as exc:
+        p.error(str(exc))
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for scenario in args.scenarios:

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import NodeId, PublicGraph
-from .latency import LatencyModel
+from .latency import LatencyModel, normal_logpdf
 from .routing import RoutingParams, TraversalRules, cheapest_edge, feasible_endpoints
 from .sim import HopView, NodeBehavior
 
@@ -299,15 +299,10 @@ def estimate_endpoint(
     anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
     edge_candidates = _search_edges(params)
 
-    def loglik(mean: float, var: float) -> float:
-        s = max(math.sqrt(var), floor)
-        z = (delta_ms - mean) / s
-        return -0.5 * z * z - math.log(s) - 0.5 * math.log(2.0 * math.pi)
-
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean
     var0 = t_weight * g0.variance
-    ll0 = loglik(mean0, var0)
+    ll0 = normal_logpdf(delta_ms, mean0, math.sqrt(var0), floor)
     best_ll: dict[NodeId, float] = {anchor: ll0}
     queue: deque[tuple[NodeId, float, float, int, int, frozenset[NodeId], float]] = deque(
         [(anchor, mean0, var0, seed, 0, frozenset({obs.observer, anchor}), ll0)]
@@ -324,7 +319,7 @@ def estimate_endpoint(
             g_e = model.edge_gaussian(ch.id)
             mean_n = mean_c + t_weight * g_e.mean
             var_n = var_c + t_weight * g_e.variance
-            ll_n = loglik(mean_n, var_n)
+            ll_n = normal_logpdf(delta_ms, mean_n, math.sqrt(var_n), floor)
             if ll_n <= ll_cur:
                 continue  # only increasing likelihood
             if ll_n > best_ll.get(nb, -math.inf):

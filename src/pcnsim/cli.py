@@ -31,14 +31,24 @@ from .harness import (
 log = logging.getLogger(__name__)
 
 
+# What a malformed input file or option raises; `main` and the experiment
+# scripts turn these into an `error:` line and exit code 2.
+INPUT_ERRORS = (ConfigError, SnapshotError, OSError, json.JSONDecodeError, TypeError)
+
+
+def add_graph_options(parser: argparse.ArgumentParser) -> None:
+    """The --snapshot / --synthetic choice that `load_graph` reads."""
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--snapshot", help="snapshot JSON file")
+    src.add_argument("--synthetic", help="synthetic topology as kind:n, e.g. scale-free:200")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pcnsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment")
-    src = run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--snapshot", help="snapshot JSON file")
-    src.add_argument("--synthetic", help="synthetic topology as kind:n, e.g. scale-free:200")
+    add_graph_options(run)
     run.add_argument("--config", help="JSON file with ScenarioConfig fields")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, help="override base_seed")
@@ -75,7 +85,8 @@ def _load_config(args) -> ScenarioConfig:
     return ScenarioConfig(**fields)
 
 
-def _load_graph(args):
+def load_graph(args):
+    """Base graph from the options `add_graph_options` defines."""
     if args.snapshot:
         with open(args.snapshot) as fh:
             return load_snapshot(json.load(fh))
@@ -85,14 +96,28 @@ def _load_graph(args):
     return generate_synthetic_graph(kind, int(n))
 
 
+_TABLE_COLUMNS = ("region_a", "region_b", "rtt_mean_ms", "rtt_std_ms")
+
+
 def _load_table(path) -> RegionLatencyTable:
+    """Region table from a CSV; a malformed row raises ConfigError naming it."""
     import csv
 
+    rows = []
     with open(path, newline="") as fh:
-        rows = [
-            (r["region_a"], r["region_b"], float(r["rtt_mean_ms"]), float(r["rtt_std_ms"]))
-            for r in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        for r in reader:
+            where = f"{path} line {reader.line_num}"
+            missing = [col for col in _TABLE_COLUMNS if r.get(col) is None]
+            if missing:
+                raise ConfigError(f"{where}: missing {', '.join(missing)}")
+            try:
+                mean, std = float(r["rtt_mean_ms"]), float(r["rtt_std_ms"])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            if not (mean >= 0 and std >= 0):
+                raise ConfigError(f"{where}: round-trip time must be non-negative")
+            rows.append((r["region_a"], r["region_b"], mean, std))
     return RegionLatencyTable.from_rows(rows)
 
 
@@ -114,11 +139,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args)
-        graph = _load_graph(args)
-    except (ConfigError, SnapshotError, OSError, json.JSONDecodeError, TypeError) as exc:
+        graph = load_graph(args)
+        table = _load_table(args.latency_table) if args.latency_table else DEFAULT_REGION_RTT
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    table = _load_table(args.latency_table) if args.latency_table else DEFAULT_REGION_RTT
     if len(graph.rejections) > 0:
         print(f"snapshot: {len(graph.rejections)} channel records rejected")
 

@@ -15,7 +15,6 @@ import copy
 import logging
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
 import numpy as np
 
 from .latency import Gaussian
@@ -449,17 +448,107 @@ def public_view(g: FullGraph) -> PublicGraph:
     return pub
 
 
+# Each (nodes, sources) float64 array of the batched Brandes pass stays at
+# or below 256 KiB; wider batches raise peak memory without running faster.
+_BRANDES_CELLS = 32768
+# Neighbour slots taken one at a time; higher-degree rows share one
+# segmented sum for the rest, which beats a slot per remaining neighbour.
+_BRANDES_SLOTS = 8
+
+
 def betweenness_ranking(g: PublicGraph | FullGraph) -> list[NodeId]:
     """Nodes by descending shortest-path betweenness, ties by ascending id.
 
-    Unit edge weights; parallel channels collapse to a single edge.
+    Unit edge weights; parallel channels collapse to a single edge.  Scores
+    are rounded to 10 significant digits before sorting: exactly tied nodes
+    (symmetric positions in a grid, say) come out of the float summation
+    a few ulps apart, in an order set by the summation order rather than by
+    the graph, and the rounding makes such ties fall back to the node id.
     """
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.nodes)
-    for ch in g.channels.values():
-        nxg.add_edge(ch.u, ch.v)
-    scores = nx.betweenness_centrality(nxg, normalized=False)
-    return sorted(g.nodes, key=lambda n: (-scores.get(n, 0.0), n))
+    ids = sorted(g.nodes)
+    scores = _betweenness_scores(ids, g.channels.values())
+    rounded = [float(f"{s:.9e}") for s in scores]
+    order = sorted(range(len(ids)), key=lambda i: (-rounded[i], ids[i]))
+    return [ids[i] for i in order]
+
+
+def _betweenness_scores(ids: list[NodeId], channels) -> np.ndarray:
+    """Unnormalised betweenness of each node in `ids` (Brandes 2001).
+
+    All sources of a batch are searched at once, one BFS level at a time,
+    in (nodes, sources) arrays: a forward pass counts shortest paths
+    (`sigma`) level by level, a backward pass accumulates dependencies with
+    delta(v) += sigma(v) * sum over successors w of (1 + delta(w)) / sigma(w).
+    Every unordered pair is counted from both ends, so the sum is halved.
+    """
+    n = len(ids)
+    index = {node: i for i, node in enumerate(ids)}
+    pairs = {
+        (min(a, b), max(a, b))
+        for a, b in ((index[ch.u], index[ch.v]) for ch in channels)
+    }
+    ends = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    degree = np.bincount(src, minlength=n)
+    # Renumber rows by descending degree, so that the j-th neighbour slot
+    # exists for a prefix of the rows: slot j lists, for rows 0..len-1, the
+    # row of their j-th neighbour (`rank` is a neighbour's j within its row).
+    by_degree = np.argsort(-degree, kind="stable")
+    row = np.empty(n, dtype=np.int64)
+    row[by_degree] = np.arange(n)
+    src, dst = row[src], row[dst]
+    edge_order = np.lexsort((dst, src))
+    src, dst = src[edge_order], dst[edge_order]
+    degree = degree[by_degree]
+    rank = np.arange(len(src)) - (np.cumsum(degree) - degree)[src]
+    slots = [
+        dst[rank == j] for j in range(min(_BRANDES_SLOTS, int(degree.max(initial=0))))
+    ]
+    # Neighbours past the last slot belong to a few hubs; one gather and
+    # one segmented sum cover them all.
+    beyond = rank >= _BRANDES_SLOTS
+    rest = dst[beyond]
+    rest_start = np.flatnonzero(rank[beyond] == _BRANDES_SLOTS)
+
+    def spread(x: np.ndarray) -> np.ndarray:
+        """y[v] = sum of x over the neighbours of v."""
+        y = np.zeros_like(x)
+        for slot in slots:
+            y[: len(slot)] += x[slot]
+        y[: len(rest_start)] += np.add.reduceat(x[rest], rest_start, axis=0)
+        return y
+
+    total = np.zeros(n)
+    width = max(1, _BRANDES_CELLS // max(n, 1))
+    for first in range(0, n, width):
+        sources = np.arange(first, min(first + width, n))
+        total += _brandes_batch(spread, n, sources)
+    scores = np.empty(n)
+    scores[by_degree] = total / 2.0
+    return scores
+
+
+def _brandes_batch(spread, n: int, sources: np.ndarray) -> np.ndarray:
+    """Summed dependencies of every row on the given source rows."""
+    sigma = np.zeros((n, len(sources)))
+    sigma[sources, np.arange(len(sources))] = 1.0
+    levels = [sigma > 0]  # levels[d]: the rows at distance d from each source
+    frontier = sigma
+    while True:
+        reach = spread(frontier)
+        new = (reach > 0) & (sigma == 0)
+        if not new.any():
+            break
+        levels.append(new)
+        frontier = np.where(new, reach, 0.0)
+        sigma += frontier
+    delta = np.zeros_like(sigma)
+    # Sources (distance 0) take no dependency, so the walk stops at 1.
+    for d in range(len(levels) - 1, 1, -1):
+        coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d])
+        delta += np.where(levels[d - 1], sigma * spread(coeff), 0.0)
+    return delta.sum(axis=1)
 
 
 def copy_graph(g: FullGraph) -> FullGraph:

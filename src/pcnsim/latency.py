@@ -46,11 +46,16 @@ class Gaussian:
         return self.std * self.std
 
     def logpdf(self, x: float, sigma_floor: float = 0.0) -> float:
-        s = max(self.std, sigma_floor)
-        if s <= 0:
-            raise ValueError("degenerate Gaussian needs a sigma floor")
-        z = (x - self.mean) / s
-        return -0.5 * z * z - math.log(s) - 0.5 * math.log(2.0 * math.pi)
+        return normal_logpdf(x, self.mean, self.std, sigma_floor)
+
+
+def normal_logpdf(x: float, mean: float, std: float, sigma_floor: float = 0.0) -> float:
+    """Log-density of N(mean, max(std, sigma_floor)^2) at x."""
+    s = max(std, sigma_floor)
+    if s <= 0:
+        raise ValueError("degenerate Gaussian needs a sigma floor")
+    z = (x - mean) / s
+    return -0.5 * z * z - math.log(s) - 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

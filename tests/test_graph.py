@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcnsim.graph import (
     DEFAULT_REGION_RTT,
@@ -8,6 +8,7 @@ from pcnsim.graph import (
     Node,
     RegionLatencyTable,
     SnapshotError,
+    _betweenness_scores,
     assign_latencies,
     betweenness_ranking,
     convert_describegraph,
@@ -16,6 +17,7 @@ from pcnsim.graph import (
     public_view,
     serialize_snapshot,
 )
+from pcnsim.harness import generate_synthetic_graph
 from conftest import make_graph, split_balances
 from oracles import brute_betweenness
 
@@ -292,3 +294,56 @@ class TestBetweenness:
         oracle = brute_betweenness(g)
         expected = sorted(names, key=lambda x: (-oracle[x], x))
         assert betweenness_ranking(public_view(g)) == expected
+
+    @pytest.mark.parametrize("side, expected", [
+        (3, ["n04", "n01", "n03", "n05", "n07", "n00", "n02", "n06", "n08"]),
+        (4, ["n05", "n06", "n09", "n10", "n01", "n02", "n04", "n07",
+             "n08", "n11", "n13", "n14", "n00", "n03", "n12", "n15"]),
+    ])
+    def test_grid_ties_by_node_id(self, side, expected):
+        # Nodes in symmetric positions are exactly tied, but float summation
+        # leaves some of them a few ulps apart: networkx scores n03 below n01
+        # in the 3x3 grid, the numpy pass scores n05 below n09 in the 4x4 one.
+        names = [f"n{i:02d}" for i in range(side * side)]
+        rows = [(f"h{i}", names[i], names[i + 1])
+                for i in range(side * side) if (i + 1) % side]
+        rows += [(f"v{i}", names[i], names[i + side]) for i in range(side * (side - 1))]
+        g = make_graph(names, rows)
+        assert betweenness_ranking(public_view(g)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+    )))
+    @example((2, []))
+    @example((2, [(0, 1), (1, 0), (0, 1)]))
+    @example((7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]))
+    def test_matches_bruteforce_with_tie_rule(self, graph_spec):
+        n, pairs = graph_spec
+        names = [f"n{i}" for i in range(n)]
+        rows = [(f"c{k}", names[a], names[b]) for k, (a, b) in enumerate(pairs) if a != b]
+        g = make_graph(names, rows)
+        assert betweenness_ranking(public_view(g)) == _tie_rule_ranking(brute_betweenness(g))
+
+    @pytest.mark.parametrize("n, seed", [(15, 9), (30, 3), (30, 21), (200, 11), (1000, 11)])
+    def test_matches_networkx_on_scale_free(self, n, seed):
+        import networkx as nx
+
+        g = generate_synthetic_graph("scale-free", n, seed=seed)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(g.nodes)
+        nxg.add_edges_from((ch.u, ch.v) for ch in g.channels.values())
+        scores = nx.betweenness_centrality(nxg, normalized=False)
+        assert betweenness_ranking(g) == _tie_rule_ranking(scores)
+        # summation order differs, so scores agree to float64 rounding only
+        ids = sorted(g.nodes)
+        np.testing.assert_allclose(
+            _betweenness_scores(ids, g.channels.values()),
+            [scores[x] for x in ids], rtol=1e-12, atol=1e-9,
+        )
+
+
+def _tie_rule_ranking(scores):
+    """Descending score rounded to 10 significant digits, ties by id."""
+    return sorted(scores, key=lambda x: (-float(f"{scores[x]:.9e}"), x))

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,3 +354,37 @@ class TestCli:
         assert cli.main(["convert", str(src), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("table, message", [
+        ("region,rtt\nEU,40\n", "line 2: missing region_a"),
+        ("region_a,region_b,rtt_mean_ms,rtt_std_ms\nEU,NA,40,5\nEU,EU,abc,3\n",
+         "line 3: could not convert string to float: 'abc'"),
+        (None, "No such file or directory"),
+    ], ids=["missing-column", "non-numeric-rtt", "missing-file"])
+    def test_malformed_latency_table_clean_error(self, tmp_path, capsys, table, message):
+        path = tmp_path / "rtt.csv"
+        if table is not None:
+            path.write_text(table)
+        code = cli.main([
+            "run", "--synthetic", "path:3", "--latency-table", str(path),
+            "--out", str(tmp_path / "r"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "rtt.csv" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("script, extra", [
+        ("sweep_adversary_size.py", ["--out", "unused"]),
+        ("ablation_shadow_routes.py", []),
+    ])
+    def test_scripts_reject_synthetic_without_size(self, tmp_path, script, extra):
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        proc = subprocess.run(
+            [sys.executable, str(path), "--synthetic", "scale-free", *extra],
+            cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "error: --synthetic wants kind:n, got 'scale-free'" in proc.stderr
+        assert "Traceback" not in proc.stderr
