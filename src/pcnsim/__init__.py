@@ -54,6 +54,7 @@ from .metrics import (
 from .routing import (
     Payment,
     PaymentPath,
+    RouteSearch,
     RoutingParams,
     edge_weight,
     find_route,

@@ -57,7 +57,14 @@ from .metrics import (
     recall,
     report,
 )
-from .routing import Payment, RoutingParams, find_route, path_from_channels
+from .routing import (
+    Payment,
+    PaymentPath,
+    RouteSearch,
+    RoutingParams,
+    find_route,
+    path_from_channels,
+)
 from .sim import TRAVERSALS_PER_EDGE, PaymentEngine, probe_batch
 
 log = logging.getLogger(__name__)
@@ -348,6 +355,30 @@ def build_latency_model(
 # single run
 
 
+def _route_workload(
+    g_pub: PublicGraph,
+    workload: list[tuple[NodeId, NodeId, int]],
+    params: RoutingParams,
+) -> list[PaymentPath | None]:
+    """`find_route` for every payment, in workload order.
+
+    Routes depend only on the public graph, the destination and the amount,
+    and no payment changes the public graph, so the payments to one
+    (destination, amount) share one resumable search.  One search is alive
+    at a time, which keeps memory at a single search's state.
+    """
+    groups: dict[tuple[NodeId, int], list[int]] = {}
+    for i, (_, t, amount) in enumerate(workload):
+        groups.setdefault((t, amount), []).append(i)
+    paths: list[PaymentPath | None] = [None] * len(workload)
+    for (t, amount), indices in groups.items():
+        search = RouteSearch(g_pub, t, amount, params)
+        for i in indices:
+            paths[i] = find_route(g_pub, Payment(workload[i][0], t, amount), params, search=search)
+        del search
+    return paths
+
+
 def run_single(
     base_graph: FullGraph,
     cfg: ScenarioConfig,
@@ -374,9 +405,9 @@ def run_single(
     truth: GroundTruth = {}
     unrouted = 0
     outcomes = []
-    for i, (s, t, amount) in enumerate(workload):
+    paths = _route_workload(g_pub, workload, params)
+    for i, ((s, t, amount), path) in enumerate(zip(workload, paths)):
         pid = f"p{amount_sat}s{seed}n{i:05d}"
-        path = find_route(g_pub, Payment(s, t, amount), params)
         if path is None:
             unrouted += 1
             continue

@@ -5,6 +5,11 @@ amounts are exact: the last edge carries the payment amount and every edge
 before it adds the downstream forwarder's fee.  Edge selection minimizes
 fee(a) + a * timelock_delta * risk_factor, the weight most deployed client
 software uses.
+
+The search for one (destination, amount, lock budget) is a `RouteSearch`
+that pauses as soon as the requested source settles and resumes from there
+for the next source, so payments to the same destination and amount share
+one search instead of each running its own.
 """
 
 from __future__ import annotations
@@ -159,23 +164,57 @@ def is_timelock_valid(path: PaymentPath, max_timelock: int, g: PublicGraph | Ful
     return True
 
 
-def _forward_amounts(path: PaymentPath, amount_msat: int, g) -> list[int]:
-    """f_i per hop from the recursion f_last = amount, f_{i-1} = f_i + fee(e_i, f_i)."""
-    amounts = [0] * len(path.hops)
+def _forward_amounts(policies: list[DirectedPolicy], amount_msat: int) -> list[int]:
+    """f_i per hop from the recursion f_last = amount, f_{i-1} = f_i + fee(e_i, f_i),
+    where policies[i] is the forwarding policy of hop i."""
+    amounts = [0] * len(policies)
     f = amount_msat
-    for i in range(len(path.hops) - 1, -1, -1):
+    for i in range(len(policies) - 1, -1, -1):
         amounts[i] = f
         if i > 0:
-            policy = g.channels[path.hops[i].channel].policy_from(path.hops[i].frm)
-            f = f + policy.fee_msat(f)
+            f = f + policies[i].fee_msat(f)
     return amounts
+
+
+def _hop_policies(path: PaymentPath, g) -> list[DirectedPolicy]:
+    return [g.channels[h.channel].policy_from(h.frm) for h in path.hops]
+
+
+def _build_path(
+    rows: list[tuple[ChannelId, NodeId, NodeId, int, int]],
+    max_timelock: int | None,
+    final_cltv_delta: int,
+) -> PaymentPath:
+    """Hops from (channel, frm, to, forward amount, delta) rows in payment order.
+
+    The remaining timelock counts down from the budget by each hop's delta;
+    the budget defaults to the summed deltas plus the final delta.
+    """
+    remaining = (
+        max_timelock
+        if max_timelock is not None
+        else sum(r[4] for r in rows) + final_cltv_delta
+    )
+    hops = []
+    for cid, frm, to, amount, delta in rows:
+        hops.append(
+            Hop(
+                channel=cid,
+                frm=frm,
+                to=to,
+                forward_amount_msat=amount,
+                remaining_timelock=remaining,
+            )
+        )
+        remaining -= delta
+    return PaymentPath(hops=tuple(hops))
 
 
 def is_capacity_valid(path: PaymentPath, amount_msat: int, g: PublicGraph | FullGraph) -> bool:
     """cap(e_i) >= f_i for every hop (vacuously true for an empty path)."""
     if not path.hops:
         return True
-    for hop, f in zip(path.hops, _forward_amounts(path, amount_msat, g)):
+    for hop, f in zip(path.hops, _forward_amounts(_hop_policies(path, g), amount_msat)):
         if g.channels[hop.channel].capacity_msat < f:
             return False
     return True
@@ -185,8 +224,9 @@ def is_balance_valid(path: PaymentPath, amount_msat: int, g_full: FullGraph) -> 
     """bal(e_i, from_i -> to_i) >= f_i for every hop."""
     if not path.hops:
         return True
-    for hop, f in zip(path.hops, _forward_amounts(path, amount_msat, g_full)):
-        bal = g_full.channels[hop.channel].policy_from(hop.frm).balance_msat
+    policies = _hop_policies(path, g_full)
+    for policy, f in zip(policies, _forward_amounts(policies, amount_msat)):
+        bal = policy.balance_msat
         if bal is None or bal < f:
             return False
     return True
@@ -200,87 +240,122 @@ def total_route_delta(path: PaymentPath, g) -> int:
 # route search
 
 
+class RouteSearch:
+    """Backward Dijkstra from one destination for one amount and lock budget.
+
+    `route(source)` pops nodes until `source` settles and then pauses.  The
+    order in which nodes settle does not depend on the source, so a search
+    resumed for the next source holds exactly the state a fresh search
+    would hold when that source settles: every source gets the route
+    `find_route` would give it.
+    """
+
+    def __init__(
+        self,
+        g: PublicGraph,
+        dest: NodeId,
+        amount_msat: int,
+        params: RoutingParams | None = None,
+        max_timelock: int | None = None,
+    ):
+        if dest not in g.nodes:
+            raise KeyError(f"destination {dest!r} missing from graph")
+        self.g = g
+        self.dest = dest
+        self.amount_msat = amount_msat
+        self.params = params or RoutingParams()
+        self.max_timelock = max_timelock
+        # state per node: (weight from node to dest, hops), the amount the
+        # node must receive, and the timelock consumed downstream of it
+        self.best: dict[NodeId, tuple[float, int]] = {dest: (0.0, 0)}
+        self.req_in: dict[NodeId, int] = {dest: amount_msat}
+        self.consumed: dict[NodeId, int] = {dest: 0}
+        self.succ: dict[NodeId, tuple[ChannelId, NodeId, int, int]] = {}
+        self.heap: list[tuple[float, int, NodeId]] = [(0.0, 0, dest)]
+        self.settled: set[NodeId] = set()
+
+    def route(self, source: NodeId) -> PaymentPath | None:
+        """Cheapest capacity-valid route from `source`, or None."""
+        g, params, max_timelock = self.g, self.params, self.max_timelock
+        best, req_in, consumed, succ = self.best, self.req_in, self.consumed, self.succ
+        heap, settled = self.heap, self.settled
+        while source not in settled and heap:
+            w_u, hops_u, u = heapq.heappop(heap)
+            if u in settled:
+                continue
+            settled.add(u)
+            # u's channels are relaxed even when u is the source: a later
+            # source resumes from here and never pops u again
+            amount_over_edge = req_in[u]
+            delta_u = consumed[u]
+            for ch in g.channels_at(u):
+                x = ch.other_end(u)
+                if x in settled:
+                    continue
+                policy = ch.policy_from(x)  # x would forward toward u
+                w_e = edge_weight(amount_over_edge, policy, params)
+                if math.isinf(w_e):
+                    continue
+                if ch.capacity_msat < amount_over_edge:
+                    continue
+                delta_x = delta_u + policy.timelock_delta
+                if (
+                    max_timelock is not None
+                    and delta_x + params.final_cltv_delta > max_timelock
+                ):
+                    continue
+                cand = (w_u + w_e, hops_u + 1)
+                if x in best and best[x] <= cand:
+                    continue
+                best[x] = cand
+                req_in[x] = amount_over_edge + policy.fee_msat(amount_over_edge)
+                consumed[x] = delta_x
+                succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
+                heapq.heappush(heap, (cand[0], cand[1], x))
+        # the loop stops once the source settles or the heap runs dry, and
+        # a source with a successor was pushed, so it has settled
+        if source not in succ:
+            return None
+        # walk successor pointers source -> dest
+        rows: list[tuple[ChannelId, NodeId, NodeId, int, int]] = []
+        node = source
+        while node != self.dest:
+            cid, nxt, amount, delta = succ[node]
+            rows.append((cid, node, nxt, amount, delta))
+            node = nxt
+        return _build_path(rows, max_timelock, params.final_cltv_delta)
+
+
 def find_route(
-    g: PublicGraph, payment: Payment, params: RoutingParams | None = None
+    g: PublicGraph,
+    payment: Payment,
+    params: RoutingParams | None = None,
+    search: RouteSearch | None = None,
 ) -> PaymentPath | None:
     """Cheapest capacity-valid route, or None.
 
     Backward Dijkstra from the destination; tie-breaks on (weight,
     hop count, node id) for deterministic replay.  When the payment carries
     a max_timelock, edges whose accumulated deltas plus the final delta
-    would exceed it are not taken.
+    would exceed it are not taken.  `search` resumes a `RouteSearch` built
+    for this graph, destination, amount, lock budget and params; without
+    one a fresh search runs.
     """
     params = params or RoutingParams()
     if payment.source not in g.nodes or payment.dest not in g.nodes:
         raise KeyError("payment endpoints missing from graph")
-    # state per node: (weight from node to dest, hops, amount the node must
-    # receive, timelock consumed downstream of the node)
-    best: dict[NodeId, tuple[float, int]] = {payment.dest: (0.0, 0)}
-    req_in: dict[NodeId, int] = {payment.dest: payment.amount_msat}
-    consumed: dict[NodeId, int] = {payment.dest: 0}
-    succ: dict[NodeId, tuple[ChannelId, NodeId, int, int]] = {}
-    heap: list[tuple[float, int, NodeId]] = [(0.0, 0, payment.dest)]
-    settled: set[NodeId] = set()
-    while heap:
-        w_u, hops_u, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        if u == payment.source:
-            break
-        amount_over_edge = req_in[u]
-        delta_u = consumed[u]
-        for ch in g.channels_at(u):
-            x = ch.other_end(u)
-            if x in settled:
-                continue
-            policy = ch.policy_from(x)  # x would forward toward u
-            w_e = edge_weight(amount_over_edge, policy, params)
-            if math.isinf(w_e):
-                continue
-            if ch.capacity_msat < amount_over_edge:
-                continue
-            delta_x = delta_u + policy.timelock_delta
-            if (
-                payment.max_timelock is not None
-                and delta_x + params.final_cltv_delta > payment.max_timelock
-            ):
-                continue
-            cand = (w_u + w_e, hops_u + 1)
-            if x in best and best[x] <= cand:
-                continue
-            best[x] = cand
-            req_in[x] = amount_over_edge + policy.fee_msat(amount_over_edge)
-            consumed[x] = delta_x
-            succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
-            heapq.heappush(heap, (cand[0], cand[1], x))
-    if payment.source not in succ:
-        return None
-    # walk successor pointers source -> dest
-    raw: list[tuple[ChannelId, NodeId, NodeId, int, int]] = []
-    node = payment.source
-    while node != payment.dest:
-        cid, nxt, amount, delta = succ[node]
-        raw.append((cid, node, nxt, amount, delta))
-        node = nxt
-    if payment.max_timelock is not None:
-        budget = payment.max_timelock
-    else:
-        budget = sum(r[4] for r in raw) + params.final_cltv_delta
-    hops = []
-    remaining = budget
-    for cid, frm, to, amount, delta in raw:
-        hops.append(
-            Hop(
-                channel=cid,
-                frm=frm,
-                to=to,
-                forward_amount_msat=amount,
-                remaining_timelock=remaining,
-            )
-        )
-        remaining -= delta
-    return PaymentPath(hops=tuple(hops))
+    if search is None:
+        search = RouteSearch(g, payment.dest, payment.amount_msat, params, payment.max_timelock)
+    elif (
+        search.g is not g
+        or search.dest != payment.dest
+        or search.amount_msat != payment.amount_msat
+        or search.max_timelock != payment.max_timelock
+        or search.params != params
+    ):
+        raise ValueError("route search was built for another graph, destination, "
+                         "amount, lock budget or params")
+    return search.route(payment.source)
 
 
 def path_from_channels(
@@ -299,39 +374,21 @@ def path_from_channels(
     and fixtures, where the path is chosen rather than searched.
     """
     params = params or RoutingParams()
-    seq: list[tuple[ChannelId, NodeId, NodeId, int]] = []
+    ends: list[tuple[ChannelId, NodeId, NodeId]] = []
+    policies: list[DirectedPolicy] = []
     node = start
     for cid in channel_ids:
         ch = g.channels[cid]
         nxt = ch.other_end(node)
-        seq.append((cid, node, nxt, ch.policy_from(node).timelock_delta))
+        ends.append((cid, node, nxt))
+        policies.append(ch.policy_from(node))
         node = nxt
-    amounts = [0] * len(seq)
-    f = amount_msat
-    for i in range(len(seq) - 1, -1, -1):
-        amounts[i] = f
-        if i > 0:
-            cid, frm, _, _ = seq[i]
-            f = f + g.channels[cid].policy_from(frm).fee_msat(f)
-    budget = (
-        max_timelock
-        if max_timelock is not None
-        else sum(d for _, _, _, d in seq) + params.final_cltv_delta
-    )
-    hops = []
-    remaining = budget
-    for (cid, frm, to, delta), amount in zip(seq, amounts):
-        hops.append(
-            Hop(
-                channel=cid,
-                frm=frm,
-                to=to,
-                forward_amount_msat=amount,
-                remaining_timelock=remaining,
-            )
-        )
-        remaining -= delta
-    return PaymentPath(hops=tuple(hops))
+    amounts = _forward_amounts(policies, amount_msat)
+    rows = [
+        (cid, frm, to, amount, policy.timelock_delta)
+        for (cid, frm, to), amount, policy in zip(ends, amounts, policies)
+    ]
+    return _build_path(rows, max_timelock, params.final_cltv_delta)
 
 
 # ---------------------------------------------------------------------------

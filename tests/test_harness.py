@@ -19,6 +19,8 @@ from pcnsim.harness import (
     run_single,
 )
 from pcnsim import cli
+from pcnsim.graph import public_view
+from pcnsim.routing import Payment, RouteSearch, RoutingParams, find_route
 from conftest import make_graph, split_balances
 
 
@@ -220,6 +222,54 @@ class TestRunSingle:
         assert not rec.estimates[("timing", "source")]
         assert not rec.estimates[("first_spy", "source")]
         assert rec.estimates[("timing", "destination")]
+
+
+class TestWorkloadRouting:
+    """run_single shares one search per (destination, amount) and routes every
+    payment as a fresh per-payment search would."""
+
+    def bridged_graph(self):
+        # two rings joined by a 1 sat bridge that no 100 sat payment can cross
+        left, right = ["a", "b", "c", "d", "e"], ["v", "w", "x", "y", "z"]
+        rows = [(f"l{i}", left[i], left[(i + 1) % 5]) for i in range(5)]
+        rows += [(f"r{i}", right[i], right[(i + 1) % 5]) for i in range(5)]
+        rows += [("lx", "a", "c"), ("rx", "w", "z"), ("bridge", "e", "v", {"capacity_sat": 1})]
+        return make_graph(left + right, rows)
+
+    @pytest.mark.parametrize("mode", ["per-amount", "mixed"])
+    def test_routes_match_fresh_search(self, mode):
+        g = self.bridged_graph()
+        cfg = tiny_cfg(scenario="random", payments_per_run=80, workload_mode=mode,
+                       amounts_sat=(100, 1_000))
+        seed, amount_sat = 4, 100
+        rec = run_single(g, cfg, amount_sat, seed)
+        # the workload stream run_single draws from
+        root = np.random.SeedSequence(entropy=(seed, amount_sat))
+        workload = generate_workload(g, cfg, np.random.default_rng(root.spawn(5)[4]), amount_sat)
+        pub, params = public_view(g), cfg.routing_params()
+        fresh = [find_route(pub, Payment(s, t, amount), params) for s, t, amount in workload]
+        assert 0 < sum(p is None for p in fresh) < len(fresh)
+        assert len({(t, amount) for _, t, amount in workload}) < len(workload)
+        routed = {f"p{amount_sat}s{seed}n{i:05d}": p for i, p in enumerate(fresh) if p is not None}
+        assert set(rec.truth) == set(routed)
+        for pid, path in routed.items():
+            assert rec.truth[pid].path_nodes == tuple(path.nodes())
+        assert rec.unrouted == len(fresh) - len(routed)
+
+    def test_search_for_another_payment_rejected(self):
+        pub = public_view(self.bridged_graph())
+        payment = Payment("a", "c", 5_000, max_timelock=200)
+        for search in (
+            RouteSearch(pub, "d", 5_000, max_timelock=200),
+            RouteSearch(pub, "c", 6_000, max_timelock=200),
+            RouteSearch(pub, "c", 5_000),
+            RouteSearch(pub, "c", 5_000, RoutingParams(risk_factor=0.0), max_timelock=200),
+            RouteSearch(public_view(self.bridged_graph()), "c", 5_000, max_timelock=200),
+        ):
+            with pytest.raises(ValueError):
+                find_route(pub, payment, search=search)
+        same = RouteSearch(pub, "c", 5_000, max_timelock=200)
+        assert find_route(pub, payment, search=same) == find_route(pub, payment)
 
 
 class TestRunExperiment:

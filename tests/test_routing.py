@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcnsim.graph import Channel, DirectedPolicy, FullGraph, Node, public_view
 from pcnsim.routing import (
     Payment,
     PaymentPath,
+    RouteSearch,
     RoutingParams,
     edge_weight,
     find_route,
@@ -263,6 +265,71 @@ class TestRouteOracle:
             assert is_capacity_valid(path, amount, g)
             seq = [(g.channels[h.channel], h.frm) for h in path.hops]
             assert [h.forward_amount_msat for h in path.hops] == path_amounts(g, seq, amount)
+
+
+# capacities from one that starves even a 1 sat payment after a hop's fees
+# to ones no test amount reaches
+CAPACITIES_SAT = (1, 2, 45, 1_000, 10**6)
+
+
+@st.composite
+def resumed_searches(draw):
+    """A graph, one (destination, amount, lock budget) and a source sequence."""
+    names = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=14,
+    ))  # a repeated pair is a parallel channel; a name in no pair is unreachable
+    mixed = draw(st.booleans())
+    rows = []
+    for i, (u, v) in enumerate(pairs):
+        over = {"capacity_sat": draw(st.sampled_from(CAPACITIES_SAT))}
+        for side in ("uv", "vu"):
+            over[f"enabled_{side}"] = draw(st.sampled_from((True, True, True, False)))
+            if mixed:
+                over[f"base_fee_{side}"] = draw(st.integers(0, 3_000))
+                over[f"rate_ppm_{side}"] = draw(st.sampled_from((0, 10, 5_000)))
+                over[f"delta_{side}"] = draw(st.integers(0, 144))
+        rows.append((f"c{i}", u, v, over))
+    g = public_view(make_graph(names, rows))
+    dest = draw(st.sampled_from(names))
+    amount = draw(st.sampled_from((1_000, 40_000, 900_000)))
+    max_timelock = draw(st.one_of(st.none(), st.integers(40, 300)))
+    others = [n for n in names if n != dest]
+    sources = draw(st.lists(st.sampled_from(others), min_size=1, max_size=12))
+    return g, dest, amount, max_timelock, sources
+
+
+class TestRouteSearch:
+    """A search resumed for source after source routes like a fresh one."""
+
+    def check_resumed(self, g, dest, amount, max_timelock, sources):
+        search = RouteSearch(g, dest, amount, PARAMS, max_timelock)
+        for s in sources:
+            payment = Payment(s, dest, amount, max_timelock)
+            assert find_route(g, payment, PARAMS, search=search) == find_route(g, payment, PARAMS)
+
+    @given(case=resumed_searches())
+    @settings(max_examples=300, deadline=None)
+    @example(case=(
+        public_view(make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c")])),
+        "a", 1_000, None, ["b", "d", "c", "b", "d"],
+    ))
+    def test_matches_fresh_search(self, case):
+        self.check_resumed(*case)
+
+    def test_source_relaxed_before_pausing(self):
+        # d - a - b is cheaper than d - c - b; pausing at a without relaxing
+        # a's channels would leave b routed over c, or not at all
+        g = public_view(make_graph(
+            ["a", "b", "c", "d"],
+            [("da", "a", "d", {"base_fee": 0}), ("ab", "a", "b", {"base_fee": 0}),
+             ("dc", "c", "d", {"base_fee": 0}), ("cb", "b", "c", {"base_fee": 500})],
+        ))
+        search = RouteSearch(g, "d", 1_000, PARAMS)
+        assert search.route("a").nodes() == ["a", "d"]
+        assert search.route("b").nodes() == ["b", "a", "d"]
+        self.check_resumed(g, "d", 1_000, None, ["a", "b", "c"])
 
 
 class TestReachability:
