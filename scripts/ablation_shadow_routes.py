@@ -31,18 +31,18 @@ def main():
 
     try:
         graph = load_graph(args)
+        cfg = ScenarioConfig(
+            scenario="central",
+            m=args.m,
+            amounts_sat=(args.amount,),
+            payments_per_run=args.payments,
+            repetitions=args.seeds,
+            probes_per_path=20,
+            max_estimates_per_channel=2,
+            report_ablation=True,
+        )
     except INPUT_ERRORS as exc:
         p.error(str(exc))
-    cfg = ScenarioConfig(
-        scenario="central",
-        m=args.m,
-        amounts_sat=(args.amount,),
-        payments_per_run=args.payments,
-        repetitions=args.seeds,
-        probes_per_path=20,
-        max_estimates_per_channel=2,
-        report_ablation=True,
-    )
     result = run_experiment(graph, cfg)
     delta = ablation_summary(result)
     if delta is None:

@@ -35,13 +35,8 @@ def main():
     args = p.parse_args()
     try:
         graph = load_graph(args)
-    except INPUT_ERRORS as exc:
-        p.error(str(exc))
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for scenario in args.scenarios:
-        for m in args.m:
-            cfg = ScenarioConfig(
+        configs = [
+            ScenarioConfig(
                 scenario=scenario,
                 m=m,
                 amounts_sat=tuple(args.amounts),
@@ -51,16 +46,24 @@ def main():
                 probes_per_path=args.probes,
                 max_estimates_per_channel=2,
             )
-            result = run_experiment(graph, cfg)
-            for agg in result.aggregate:
-                rows.append(agg)
-                print(
-                    f"{scenario} m={m} amount={agg['amount_sat']} "
-                    f"{agg['estimator']}/{agg['target']}: F1={agg['f1_mean']:.3f} "
-                    f"compromised={agg['compromised_mean']:.3f}"
-                )
-            for failure in result.failures:
-                print(f"FAILED: {failure}", file=sys.stderr)
+            for scenario in args.scenarios
+            for m in args.m
+        ]
+    except INPUT_ERRORS as exc:
+        p.error(str(exc))
+    os.makedirs(args.out, exist_ok=True)
+    rows = []
+    for cfg in configs:
+        result = run_experiment(graph, cfg)
+        for agg in result.aggregate:
+            rows.append(agg)
+            print(
+                f"{cfg.scenario} m={cfg.m} amount={agg['amount_sat']} "
+                f"{agg['estimator']}/{agg['target']}: F1={agg['f1_mean']:.3f} "
+                f"compromised={agg['compromised_mean']:.3f}"
+            )
+        for failure in result.failures:
+            print(f"FAILED: {failure}", file=sys.stderr)
     out_file = os.path.join(args.out, "sweep.csv")
     with open(out_file, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

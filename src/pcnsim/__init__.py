@@ -22,7 +22,6 @@ from .graph import (
     init_balances,
     load_snapshot,
     public_view,
-    serialize_snapshot,
 )
 from .harness import (
     ScenarioConfig,
@@ -58,10 +57,6 @@ from .routing import (
     RoutingParams,
     edge_weight,
     find_route,
-    is_balance_valid,
-    is_capacity_valid,
-    is_timelock_valid,
-    reachability_subgraph,
 )
 from .sim import EventQueue, PaymentEngine, PaymentOutcome, probe_batch, sample_latency
 

@@ -214,22 +214,10 @@ def _walk_setup(obs: Observation, g: PublicGraph, cfg: AdversaryConfig):
         if cfg.timelock_reduction_enabled:
             budget = obs.timelock_blocks - channel.policy_from(obs.observer).timelock_delta
             budget = max(budget, 0)
-        rules = TraversalRules(
-            direction="from-anchor",
-            apply_fees=True,
-            check_capacity=True,
-            timelock_budget=budget,
-        )
-        return anchor, obs.amount_msat, rules
+        return anchor, obs.amount_msat, TraversalRules("from-anchor", budget)
     policy = channel.policy_from(anchor)
     seed = obs.amount_msat + policy.fee_msat(obs.amount_msat)
-    rules = TraversalRules(
-        direction="toward-anchor",
-        apply_fees=True,
-        check_capacity=True,
-        timelock_budget=None,
-    )
-    return anchor, seed, rules
+    return anchor, seed, TraversalRules("toward-anchor")
 
 
 def _search_edges(params: RoutingParams):

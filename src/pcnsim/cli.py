@@ -70,7 +70,10 @@ def _load_config(args) -> ScenarioConfig:
     fields = {}
     if args.config:
         with open(args.config) as fh:
-            fields = {k: v for k, v in json.load(fh).items() if not k.startswith("_")}
+            document = json.load(fh)
+        if not isinstance(document, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+        fields = {k: v for k, v in document.items() if not k.startswith("_")}
     for key in ("amounts_sat", "node_list"):
         if key in fields and isinstance(fields[key], list):
             fields[key] = tuple(fields[key])

@@ -51,11 +51,6 @@ class DirectedPolicy:
         if self.balance_msat is not None and self.balance_msat < 0:
             raise ValueError("balance must be non-negative")
 
-    @property
-    def fee_rate(self) -> float:
-        """Dimensionless proportional fee rate."""
-        return self.fee_rate_ppm / 1_000_000
-
     def fee_msat(self, amount_msat: int) -> int:
         """Forwarding fee: base_fee + floor(amount * rate), exact in msat."""
         return self.base_fee_msat + (amount_msat * self.fee_rate_ppm) // 1_000_000
@@ -236,36 +231,6 @@ def load_snapshot(document: dict) -> FullGraph:
     return g
 
 
-def serialize_snapshot(g: FullGraph | PublicGraph) -> dict:
-    """Inverse of load_snapshot on the retained channel set."""
-    nodes = [
-        {"pub_key": n.id, **({"region": n.region} if n.region else {})}
-        for n in g.nodes.values()
-    ]
-    edges = []
-    for ch in g.channels.values():
-        edges.append(
-            {
-                "channel_id": ch.id,
-                "node1_pub": ch.u,
-                "node2_pub": ch.v,
-                "capacity_sat": ch.capacity_msat // MSAT_PER_SAT,
-                "node1_policy": _policy_doc(ch.policy_uv),
-                "node2_policy": _policy_doc(ch.policy_vu),
-            }
-        )
-    return {"nodes": nodes, "edges": edges}
-
-
-def _policy_doc(p: DirectedPolicy) -> dict:
-    return {
-        "base_fee_msat": p.base_fee_msat,
-        "fee_rate_ppm": p.fee_rate_ppm,
-        "time_lock_delta": p.timelock_delta,
-        "disabled": not p.enabled,
-    }
-
-
 def convert_describegraph(dump: dict) -> dict:
     """Map an LND `describegraph` dump onto the snapshot schema.
 
@@ -318,14 +283,12 @@ def _convert_edge(e: dict) -> dict:
 # balances and latencies
 
 
-def init_balances(g: FullGraph, policy: str = "half") -> FullGraph:
+def init_balances(g: FullGraph) -> FullGraph:
     """Split each channel's capacity into directional balances.
 
-    "half" gives each side capacity//2; an odd msat goes to the
-    lexicographically smaller endpoint so runs are reproducible.
+    Each side gets capacity//2; an odd msat goes to the lexicographically
+    smaller endpoint so runs are reproducible.
     """
-    if policy != "half":
-        raise ValueError(f"unknown balance policy {policy!r}")
     for ch in g.channels.values():
         half = ch.capacity_msat // 2
         ch.policy_uv.balance_msat = ch.capacity_msat - half

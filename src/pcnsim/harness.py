@@ -103,12 +103,38 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.scenario != "list" and self.m < 1:
             raise ConfigError("m must be >= 1")
-        if not self.amounts_sat:
-            raise ConfigError("amounts must be non-empty")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        if not isinstance(self.node_list, (tuple, list)) or not all(
+            isinstance(n, str) for n in self.node_list
+        ):
+            raise ConfigError(f"node_list must be a list of node ids, got {self.node_list!r}")
+        if (
+            not isinstance(self.amounts_sat, (tuple, list))
+            or not self.amounts_sat
+            or not all(isinstance(a, int) and a >= 1 for a in self.amounts_sat)
+        ):
+            raise ConfigError(
+                f"amounts_sat must be a non-empty list of positive integers, "
+                f"got {self.amounts_sat!r}"
+            )
+        for name, low in (
+            ("payments_per_run", 1),
+            ("repetitions", 1),
+            ("traversal_weight", 1),
+            ("probes_per_path", 0),
+            ("probe_max_depth", 0),
+            ("max_estimates_per_channel", 0),
+        ):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.workload_mode not in ("per-amount", "mixed"):
             raise ConfigError(f"unknown workload mode {self.workload_mode!r}")
+        try:
+            self.routing_params()
+        except ValueError as exc:
+            raise ConfigError(
+                f"{exc}: risk_factor={self.risk_factor!r}, "
+                f"final_cltv_delta={self.final_cltv_delta!r}"
+            ) from exc
 
     def routing_params(self) -> RoutingParams:
         return RoutingParams(
@@ -335,20 +361,7 @@ def build_latency_model(
     for cid in sorted(by_channel):
         group = sorted(by_channel[cid], key=lambda e: (e.hop_distance, e.source_vantage))
         kept.extend(group[: cfg.max_estimates_per_channel])
-    model = aggregate_models(kept, traversal_weight=cfg.traversal_weight)
-    # The cross-vantage spread is zero whenever a channel was probed from a
-    # single vantage, which would collapse density ranking to nearest-mean.
-    # The probes did measure per-traversal spread, so keep it in that case.
-    grouped: dict[str, list[EdgeLatencyEstimate]] = {}
-    for est in kept:
-        grouped.setdefault(est.channel, []).append(est)
-    for cid, group in grouped.items():
-        agg = model.edges[cid]
-        if agg.std == 0.0:
-            weights = [1.0 / e.hop_distance for e in group]
-            sigma = sum(w * e.estimate.std for w, e in zip(weights, group)) / sum(weights)
-            model.edges[cid] = Gaussian(agg.mean, sigma)
-    return model, kept
+    return aggregate_models(kept, traversal_weight=cfg.traversal_weight), kept
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +403,7 @@ def run_single(
     root = np.random.SeedSequence(entropy=(seed, amount_sat))
     ss_latency, ss_scenario, ss_probe, ss_engine, ss_workload = root.spawn(5)
     g = copy_graph(base_graph)
-    init_balances(g, "half")
+    init_balances(g)
     assign_latencies(g, latency_table, int(ss_latency.generate_state(1)[0]))
     adv_cfg = build_scenario(g, cfg, int(ss_scenario.generate_state(1)[0]))
     g_pub = public_view(g)

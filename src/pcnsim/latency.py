@@ -9,7 +9,6 @@ several vantage points into one model, weighting by reciprocal hop distance.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,10 +17,8 @@ log = logging.getLogger(__name__)
 
 # Every hop of an htlc add/settle round trip crosses its edge six times:
 # the add itself, the four commitment/revocation handshake messages, and the
-# returning fulfill (or fail).  4 is kept available as an alternative
-# weighting for sensitivity runs.
+# returning fulfill (or fail).
 TRAVERSAL_WEIGHT_DEFAULT = 6
-TRAVERSAL_WEIGHT_ALT = 4
 
 MEAN_FLOOR_MS = 1.0
 
@@ -44,9 +41,6 @@ class Gaussian:
     @property
     def variance(self) -> float:
         return self.std * self.std
-
-    def logpdf(self, x: float, sigma_floor: float = 0.0) -> float:
-        return normal_logpdf(x, self.mean, self.std, sigma_floor)
 
 
 def normal_logpdf(x: float, mean: float, std: float, sigma_floor: float = 0.0) -> float:
@@ -145,14 +139,16 @@ def estimate_next_hop(
 def aggregate_models(
     estimates: list[EdgeLatencyEstimate],
     traversal_weight: int = TRAVERSAL_WEIGHT_DEFAULT,
-    default: Gaussian = Gaussian(125.0, 25.0),
 ) -> LatencyModel:
     """Merge per-vantage estimates into one model.
 
     Per channel the estimates are combined by an arithmetic mean weighted
     with the reciprocal hop distance of the measuring vantage; the merged
-    sigma is the weighted spread of the per-vantage means (a single estimate
-    therefore yields sigma 0).
+    sigma is the weighted spread of the per-vantage means.  That spread is
+    zero whenever a channel was probed from a single vantage, which would
+    collapse density ranking to nearest-mean; the probes did measure the
+    per-traversal spread, so a zero spread is replaced by the same weighted
+    mean of the estimates' sigmas.
     """
     by_channel: dict[str, list[EdgeLatencyEstimate]] = {}
     for est in estimates:
@@ -160,75 +156,41 @@ def aggregate_models(
     edges: dict[str, Gaussian] = {}
     for cid in sorted(by_channel):
         group = by_channel[cid]
-        if len(group) == 1:
-            # weighting by w/w would only round; a lone estimate passes
-            # through unchanged (its spread over one mean is zero)
-            edges[cid] = Gaussian(group[0].estimate.mean, 0.0)
-            continue
         weights = [1.0 / e.hop_distance for e in group]
         wsum = sum(weights)
-        mu = sum(w * e.estimate.mean for w, e in zip(weights, group)) / wsum
-        var = sum(w * (e.estimate.mean - mu) ** 2 for w, e in zip(weights, group)) / wsum
-        edges[cid] = Gaussian(mu, math.sqrt(var))
-    return LatencyModel(edges=edges, traversal_weight=traversal_weight, default=default)
+        if len(group) == 1:
+            # weighting by w/w would only round the mean; its spread over
+            # one mean is zero
+            mu, sigma = group[0].estimate.mean, 0.0
+        else:
+            mu = sum(w * e.estimate.mean for w, e in zip(weights, group)) / wsum
+            var = sum(w * (e.estimate.mean - mu) ** 2 for w, e in zip(weights, group)) / wsum
+            sigma = math.sqrt(var)
+        if sigma == 0.0:
+            sigma = sum(w * e.estimate.std for w, e in zip(weights, group)) / wsum
+        edges[cid] = Gaussian(mu, sigma)
+    return LatencyModel(edges=edges, traversal_weight=traversal_weight)
 
 
 def path_distribution(
     model: LatencyModel,
     edge_ids: list[str],
     weights: list[int] | None = None,
-    mode: str = "independent",
 ) -> Gaussian:
     """Gaussian of the total time a message exchange spends on `edge_ids`.
 
     Each edge i is crossed weights[i] times (default: the model's traversal
-    weight).  In "independent" mode the crossings are independent samples,
-    so the variance scales linearly with the weight; "scaled" treats the
-    weight as a deterministic multiplier (variance scales quadratically).
+    weight).  The crossings are independent samples, so the variance scales
+    linearly with the weight.
     """
     if weights is None:
         weights = [model.traversal_weight] * len(edge_ids)
     if len(weights) != len(edge_ids):
         raise ValueError("one weight per edge required")
-    if mode not in ("independent", "scaled"):
-        raise ValueError(f"unknown mode {mode!r}")
     mean = 0.0
     variance = 0.0
     for cid, t in zip(edge_ids, weights):
         g = model.edge_gaussian(cid)
         mean += t * g.mean
-        if mode == "independent":
-            variance += t * g.variance
-        else:
-            variance += t * t * g.variance
+        variance += t * g.variance
     return Gaussian(mean, math.sqrt(variance))
-
-
-ESTIMATE_CSV_FIELDS = ["channel_id", "mu_ms", "sigma_ms", "samples", "vantage", "distance"]
-
-
-def save_estimates(path, estimates: list[EdgeLatencyEstimate]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ESTIMATE_CSV_FIELDS)
-        for e in estimates:
-            w.writerow(
-                [e.channel, repr(e.estimate.mean), repr(e.estimate.std),
-                 e.sample_count, e.source_vantage, e.hop_distance]
-            )
-
-
-def load_estimates(path) -> list[EdgeLatencyEstimate]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                EdgeLatencyEstimate(
-                    channel=row["channel_id"],
-                    estimate=Gaussian(float(row["mu_ms"]), float(row["sigma_ms"])),
-                    sample_count=int(row["samples"]),
-                    source_vantage=row["vantage"],
-                    hop_distance=int(row["distance"]),
-                )
-            )
-    return out

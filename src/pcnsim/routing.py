@@ -87,14 +87,6 @@ class PaymentPath:
         return [h.to for h in self.hops[:-1]]
 
 
-@dataclass(frozen=True)
-class ReachabilitySubgraph:
-    kind: str  # "capacity" | "balance" | "timelock"
-    anchor: NodeId
-    direction: str  # "from-anchor" | "toward-anchor"
-    members: frozenset[NodeId]
-
-
 def edge_weight(amount_msat: int, policy: DirectedPolicy, params: RoutingParams) -> float:
     """Routing weight of forwarding `amount_msat` under `policy`."""
     if amount_msat <= 0:
@@ -149,19 +141,7 @@ def cheapest_edge(
 
 
 # ---------------------------------------------------------------------------
-# validity predicates
-
-
-def is_timelock_valid(path: PaymentPath, max_timelock: int, g: PublicGraph | FullGraph) -> bool:
-    """Literal check: every hop's delta covers the budget left after its
-    predecessors, delta(e_i) >= max_timelock - sum(delta(e_j), j < i)."""
-    consumed = 0
-    for hop in path.hops:
-        delta = g.channels[hop.channel].policy_from(hop.frm).timelock_delta
-        if delta < max_timelock - consumed:
-            return False
-        consumed += delta
-    return True
+# path construction
 
 
 def _forward_amounts(policies: list[DirectedPolicy], amount_msat: int) -> list[int]:
@@ -174,10 +154,6 @@ def _forward_amounts(policies: list[DirectedPolicy], amount_msat: int) -> list[i
         if i > 0:
             f = f + policies[i].fee_msat(f)
     return amounts
-
-
-def _hop_policies(path: PaymentPath, g) -> list[DirectedPolicy]:
-    return [g.channels[h.channel].policy_from(h.frm) for h in path.hops]
 
 
 def _build_path(
@@ -208,32 +184,6 @@ def _build_path(
         )
         remaining -= delta
     return PaymentPath(hops=tuple(hops))
-
-
-def is_capacity_valid(path: PaymentPath, amount_msat: int, g: PublicGraph | FullGraph) -> bool:
-    """cap(e_i) >= f_i for every hop (vacuously true for an empty path)."""
-    if not path.hops:
-        return True
-    for hop, f in zip(path.hops, _forward_amounts(_hop_policies(path, g), amount_msat)):
-        if g.channels[hop.channel].capacity_msat < f:
-            return False
-    return True
-
-
-def is_balance_valid(path: PaymentPath, amount_msat: int, g_full: FullGraph) -> bool:
-    """bal(e_i, from_i -> to_i) >= f_i for every hop."""
-    if not path.hops:
-        return True
-    policies = _hop_policies(path, g_full)
-    for policy, f in zip(policies, _forward_amounts(policies, amount_msat)):
-        bal = policy.balance_msat
-        if bal is None or bal < f:
-            return False
-    return True
-
-
-def total_route_delta(path: PaymentPath, g) -> int:
-    return sum(g.channels[h.channel].policy_from(h.frm).timelock_delta for h in path.hops)
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +342,20 @@ def path_from_channels(
 
 
 # ---------------------------------------------------------------------------
-# reachability
+# candidate-path walks
 
 
 @dataclass(frozen=True)
 class TraversalRules:
     """Feasibility rules for walking candidate payment paths.
 
-    Shared by reachability, the anonymity-set reduction, the endpoint
-    estimators' candidate search and their brute-force test oracles, so all
-    of them agree on what a feasible path is.
+    Shared by the anonymity-set reduction and the endpoint estimators'
+    candidate search, so both agree on what a feasible path is: fees are
+    applied, every edge must have capacity for the amount it carries, and
+    downstream the consumed time-lock deltas stay within the budget.
     """
 
     direction: str  # "from-anchor" | "toward-anchor"
-    apply_fees: bool = True
-    check_capacity: bool = True
-    check_balance: bool = False
     timelock_budget: int | None = None
 
     def step(self, node: NodeId, channel: Channel, amount: int, delta_used: int):
@@ -421,18 +369,9 @@ class TraversalRules:
             policy = channel.policy_from(node)
             if not policy.enabled:
                 return None
-            if self.apply_fees:
-                nxt = forwarded_amount(policy, amount)
-                if nxt is None:
-                    return None
-            else:
-                nxt = amount
-            if self.check_capacity and channel.capacity_msat < nxt:
+            nxt = forwarded_amount(policy, amount)
+            if nxt is None or channel.capacity_msat < nxt:
                 return None
-            if self.check_balance:
-                bal = policy.balance_msat
-                if bal is None or bal < nxt:
-                    return None
             if self.timelock_budget is None:
                 return nxt, 0
             delta = delta_used + policy.timelock_delta
@@ -444,16 +383,9 @@ class TraversalRules:
         # walk just crossed.  `amount` is what arrived at `node`.
         other = channel.other_end(node)
         policy = channel.policy_from(other)
-        if not policy.enabled:
+        if not policy.enabled or channel.capacity_msat < amount:
             return None
-        if self.check_capacity and channel.capacity_msat < amount:
-            return None
-        if self.check_balance:
-            bal = policy.balance_msat
-            if bal is None or bal < amount:
-                return None
-        nxt = amount + policy.fee_msat(amount) if self.apply_fees else amount
-        return nxt, 0
+        return amount + policy.fee_msat(amount), 0
 
 
 def feasible_endpoints(
@@ -469,9 +401,8 @@ def feasible_endpoints(
     Exhaustive DFS over simple paths.  Feasibility is path-level, so states
     from different paths are never merged; a node joins the set as soon as
     one prefix reaching it satisfies every constraint.  A lock budget or
-    tight capacities bound the search depth; without either this is
-    enumeration-scale machinery for fixtures and diagnostics (the route
-    search and the estimators carry their own incremental checks).
+    tight capacities bound the search depth; without either the walk
+    enumerates every simple path.
     """
     members = {anchor}
     stack = [(anchor, amount_msat, 0, frozenset({anchor}) | forbidden)]
@@ -487,44 +418,3 @@ def feasible_endpoints(
             members.add(nxt_node)
             stack.append((nxt_node, state[0], state[1], visited | {nxt_node}))
     return frozenset(members)
-
-
-def _all_edges(g, node, _amount):
-    return g.channels_at(node)
-
-
-def reachability_subgraph(
-    g: PublicGraph | FullGraph,
-    anchor: NodeId,
-    amount_msat: int,
-    max_timelock: int | None,
-    kind: str,
-    direction: str = "from-anchor",
-) -> ReachabilitySubgraph:
-    """Nodes reachable from/to `anchor` under one validity notion.
-
-    `amount_msat` is the amount arriving at the anchor on the observed edge;
-    walking away from the anchor it shrinks by fees, walking toward it it
-    grows.  For kind "timelock", fees are ignored and crossings accumulate
-    time-lock deltas against `max_timelock`; upstream traversal carries no
-    timelock constraint since the sender's budget is unknown from below.
-    """
-    if kind not in ("capacity", "balance", "timelock"):
-        raise ValueError(f"unknown reachability kind {kind!r}")
-    if direction not in ("from-anchor", "toward-anchor"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if anchor not in g.nodes:
-        raise KeyError(anchor)
-    rules = TraversalRules(
-        direction=direction,
-        apply_fees=(kind != "timelock"),
-        check_capacity=(kind == "capacity"),
-        check_balance=(kind == "balance"),
-        timelock_budget=(
-            max_timelock if kind == "timelock" and direction == "from-anchor" else None
-        ),
-    )
-    members = feasible_endpoints(g, anchor, amount_msat, rules, _all_edges)
-    return ReachabilitySubgraph(
-        kind=kind, anchor=anchor, direction=direction, members=members
-    )

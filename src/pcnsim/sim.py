@@ -58,37 +58,25 @@ class SchedulingError(RuntimeError):
     """An event was scheduled before the current simulation time."""
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    fire_at: int
-    sequence: int
-    action: object
-
-    def key(self):
-        return (self.fire_at, self.sequence)
-
-
 class EventQueue:
-    """Min-heap of events ordered by (fire_at, insertion sequence)."""
+    """Min-heap of (fire_at, insertion sequence, action) tuples."""
 
     def __init__(self, start_ns: int = 0):
         self.now = start_ns
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, object]] = []
         self._seq = itertools.count()
 
-    def schedule(self, fire_at: int, action) -> SimEvent:
+    def schedule(self, fire_at: int, action) -> None:
         if fire_at < self.now:
             raise SchedulingError(f"cannot schedule at {fire_at} < now {self.now}")
-        ev = SimEvent(fire_at=fire_at, sequence=next(self._seq), action=action)
-        heapq.heappush(self._heap, (ev.fire_at, ev.sequence, ev))
-        return ev
+        heapq.heappush(self._heap, (fire_at, next(self._seq), action))
 
-    def next_event(self) -> SimEvent | None:
+    def next_event(self):
+        """Action of the earliest event, or None; the clock moves to its time."""
         if not self._heap:
             return None
-        _, _, ev = heapq.heappop(self._heap)
-        self.now = ev.fire_at
-        return ev
+        self.now, _, action = heapq.heappop(self._heap)
+        return action
 
     def __len__(self):
         return len(self._heap)
@@ -253,11 +241,8 @@ class PaymentEngine:
             run.completed_at = self.queue.now
             return self._finish(run)
         self._start_hop(run, 0, fail_at)
-        while True:
-            ev = self.queue.next_event()
-            if ev is None:
-                break
-            ev.action()
+        while (action := self.queue.next_event()) is not None:
+            action()
         assert run.status is not None, "payment did not complete"
         return self._finish(run)
 

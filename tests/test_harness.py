@@ -20,6 +20,7 @@ from pcnsim.harness import (
 )
 from pcnsim import cli
 from pcnsim.graph import public_view
+from pcnsim.latency import aggregate_models
 from pcnsim.routing import Payment, RouteSearch, RoutingParams, find_route
 from conftest import make_graph, split_balances
 
@@ -177,6 +178,25 @@ class TestBuildLatencyModel:
         assert vantages == {"n000", "n003"}
         assert len(model.edges) == 6
 
+    def test_model_is_aggregate_of_kept_estimates(self):
+        # one definition: the campaign's model is exactly aggregate_models of
+        # the estimates it keeps, single-vantage channels included
+        g = split_balances(generate_synthetic_graph("ring", 6))
+        from pcnsim.graph import assign_latencies, RegionLatencyTable
+
+        assign_latencies(g, RegionLatencyTable(), rng_seed=0)
+        cfg = tiny_cfg(probes_per_path=5, probe_max_depth=2, traversal_weight=4)
+        model, kept = build_latency_model(
+            g, frozenset({"n000", "n003"}), cfg, np.random.SeedSequence(3)
+        )
+        vantages_per_channel = {}
+        for est in kept:
+            vantages_per_channel.setdefault(est.channel, set()).add(est.source_vantage)
+        single = [cid for cid, vs in vantages_per_channel.items() if len(vs) == 1]
+        assert single and len(single) < len(vantages_per_channel)
+        assert all(model.edges[cid].std > 0 for cid in single)
+        assert model == aggregate_models(kept, traversal_weight=cfg.traversal_weight)
+
     def test_noisy_sigma_retained(self):
         g = split_balances(
             make_graph(["a", "b"], [("e0", "a", "b", {"latency_ms": 50.0, "sigma_ms": 10.0})])
@@ -330,6 +350,13 @@ class TestEmitResults:
         assert len(lines) > 5
 
 
+# a valid config that runs in well under a second on path:4
+SMALL_RUN = {
+    "amounts_sat": [100], "payments_per_run": 5, "repetitions": 1,
+    "probes_per_path": 3, "probe_max_depth": 1,
+}
+
+
 class TestCli:
     def test_convert_roundtrip(self, tmp_path, capsys):
         dump = {
@@ -397,6 +424,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("document", [
+        [1, 2],
+        {**SMALL_RUN, "amounts_sat": 5},
+        {**SMALL_RUN, "amounts_sat": [0]},
+        {**SMALL_RUN, "amounts_sat": ["10"]},
+        {**SMALL_RUN, "traversal_weight": 0},
+        {**SMALL_RUN, "probes_per_path": -1},
+        {**SMALL_RUN, "payments_per_run": 0},
+        {**SMALL_RUN, "risk_factor": -1},
+        {**SMALL_RUN, "final_cltv_delta": -3},
+        {**SMALL_RUN, "scenario": "list", "node_list": "n001"},
+    ], ids=[
+        "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
+        "zero-traversal-weight", "negative-probes", "zero-payments",
+        "negative-risk-factor", "negative-final-cltv-delta", "node-list-not-a-list",
+    ])
+    def test_malformed_config_clean_error(self, tmp_path, capsys, document):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(document))
+        code = cli.main([
+            "run", "--synthetic", "path:4", "--config", str(cfg_file),
+            "--out", str(tmp_path / "r"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r").exists()
+
     def test_convert_malformed_clean_error(self, tmp_path, capsys):
         src = tmp_path / "describegraph.json"
         src.write_text(json.dumps([{"pub_key": "A"}]))
@@ -424,17 +478,31 @@ class TestCli:
         assert err.startswith("error: ") and message in err and "rtt.csv" in err
         assert not (tmp_path / "r").exists()
 
+    @staticmethod
+    def run_script(cwd, script, *args):
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        return subprocess.run(
+            [sys.executable, str(path), *args],
+            cwd=cwd,
+            capture_output=True, text=True, timeout=120,
+        )
+
     @pytest.mark.parametrize("script, extra", [
         ("sweep_adversary_size.py", ["--out", "unused"]),
         ("ablation_shadow_routes.py", []),
     ])
     def test_scripts_reject_synthetic_without_size(self, tmp_path, script, extra):
-        path = Path(__file__).resolve().parent.parent / "scripts" / script
-        proc = subprocess.run(
-            [sys.executable, str(path), "--synthetic", "scale-free", *extra],
-            cwd=tmp_path,
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = self.run_script(tmp_path, script, "--synthetic", "scale-free", *extra)
         assert proc.returncode == 2
         assert "error: --synthetic wants kind:n, got 'scale-free'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("script, extra", [
+        ("sweep_adversary_size.py", ["--out", "unused"]),
+        ("ablation_shadow_routes.py", []),
+    ])
+    def test_scripts_reject_malformed_config(self, tmp_path, script, extra):
+        proc = self.run_script(tmp_path, script, "--synthetic", "path:4", "--payments", "0", *extra)
+        assert proc.returncode == 2
+        assert "error: payments_per_run must be >= 1, got 0" in proc.stderr
         assert "Traceback" not in proc.stderr

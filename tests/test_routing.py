@@ -7,18 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from pcnsim.graph import Channel, DirectedPolicy, FullGraph, Node, public_view
 from pcnsim.routing import (
     Payment,
-    PaymentPath,
     RouteSearch,
     RoutingParams,
+    TraversalRules,
     edge_weight,
+    feasible_endpoints,
     find_route,
     forwarded_amount,
-    is_balance_valid,
-    is_capacity_valid,
-    is_timelock_valid,
     path_from_channels,
-    reachability_subgraph,
-    total_route_delta,
 )
 from conftest import make_graph, split_balances
 from oracles import brute_reduced_set, brute_route, path_amounts
@@ -68,65 +64,16 @@ def msat_graph(channels):
 
 
 class TestValidity:
-    def two_hop(self, caps=(110, 100), balances=None):
+    def test_fee_recursion_amounts(self):
         p_fee10 = DirectedPolicy(base_fee_msat=10, timelock_delta=40)
         g = msat_graph(
             [
-                ("e0", "a", "b", caps[0], DirectedPolicy(timelock_delta=40), DirectedPolicy()),
-                ("e1", "b", "c", caps[1], p_fee10, DirectedPolicy()),
+                ("e0", "a", "b", 110, DirectedPolicy(timelock_delta=40), DirectedPolicy()),
+                ("e1", "b", "c", 100, p_fee10, DirectedPolicy()),
             ]
         )
-        if balances:
-            g.channels["e0"].policy_uv.balance_msat = balances[0]
-            g.channels["e0"].policy_vu.balance_msat = caps[0] - balances[0]
-            g.channels["e1"].policy_uv.balance_msat = balances[1]
-            g.channels["e1"].policy_vu.balance_msat = caps[1] - balances[1]
         path = path_from_channels(g, "a", ["e0", "e1"], 100)
-        return g, path
-
-    def test_fee_recursion_amounts(self):
-        g, path = self.two_hop()
         assert [h.forward_amount_msat for h in path.hops] == [110, 100]
-
-    def test_capacity_valid_true(self):
-        g, path = self.two_hop()
-        assert is_capacity_valid(path, 100, g)
-
-    def test_capacity_valid_false(self):
-        g, path = self.two_hop(caps=(109, 100))
-        assert not is_capacity_valid(path, 100, g)
-
-    def test_balance_valid_false(self):
-        g, path = self.two_hop(balances=(109, 100))
-        assert not is_balance_valid(path, 100, g)
-
-    def test_balance_valid_true(self):
-        g, path = self.two_hop(caps=(200, 150), balances=(110, 100))
-        assert is_balance_valid(path, 100, g)
-
-    def test_empty_path_vacuous(self):
-        g, _ = self.two_hop()
-        empty = PaymentPath(hops=())
-        assert is_capacity_valid(empty, 5, g)
-        assert is_balance_valid(empty, 5, g)
-
-    def test_timelock_single_hop_boundary(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b", {"delta": 40})])
-        path = path_from_channels(g, "a", ["e0"], 100, max_timelock=40)
-        assert is_timelock_valid(path, 40, g)
-        assert not is_timelock_valid(path, 41, g)
-
-    def test_timelock_two_hops(self):
-        g = make_graph(["a", "b", "c"], [("e0", "a", "b", {"delta": 10}), ("e1", "b", "c", {"delta": 10})])
-        path = path_from_channels(g, "a", ["e0", "e1"], 100, max_timelock=25)
-        # first hop: 10 < 25 - 0
-        assert not is_timelock_valid(path, 25, g)
-        assert is_timelock_valid(path, 10, g)
-
-    def test_timelock_zero_budget_always_true(self):
-        g = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
-        path = path_from_channels(g, "a", ["e0", "e1"], 100, max_timelock=0)
-        assert is_timelock_valid(path, 0, g)
 
 
 class TestFindRoute:
@@ -174,14 +121,16 @@ class TestFindRoute:
         # budget 100 cannot absorb direct's 100 + final 40
         tight = find_route(pub, Payment("s", "t", 1000, max_timelock=100))
         assert [h.channel for h in tight.hops] == ["sm", "mt"]
-        assert total_route_delta(tight, pub) + PARAMS.final_cltv_delta <= 100
+        deltas = [pub.channels[h.channel].policy_from(h.frm).timelock_delta for h in tight.hops]
+        assert sum(deltas) + PARAMS.final_cltv_delta <= 100
 
     def test_remaining_timelock_decreases(self):
         g = make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")])
         path = find_route(public_view(g), Payment("a", "d", 1000))
         remaining = [h.remaining_timelock for h in path.hops]
         assert remaining == sorted(remaining, reverse=True)
-        assert remaining[0] == total_route_delta(path, g) + PARAMS.final_cltv_delta
+        deltas = [g.channels[h.channel].policy_from(h.frm).timelock_delta for h in path.hops]
+        assert remaining[0] == sum(deltas) + PARAMS.final_cltv_delta
         # after the last hop's delta, exactly the final delta remains
         last_delta = g.channels[path.hops[-1].channel].policy_from(path.hops[-1].frm).timelock_delta
         assert remaining[-1] - last_delta == PARAMS.final_cltv_delta
@@ -262,9 +211,10 @@ class TestRouteOracle:
             path = find_route(g, Payment(s, t, amount), PARAMS)
             if path is None:
                 continue
-            assert is_capacity_valid(path, amount, g)
             seq = [(g.channels[h.channel], h.frm) for h in path.hops]
             assert [h.forward_amount_msat for h in path.hops] == path_amounts(g, seq, amount)
+            for hop in path.hops:
+                assert g.channels[hop.channel].capacity_msat >= hop.forward_amount_msat
 
 
 # capacities from one that starves even a 1 sat payment after a hop's fees
@@ -332,33 +282,31 @@ class TestRouteSearch:
         self.check_resumed(g, "d", 1_000, None, ["a", "b", "c"])
 
 
+def all_channels(g, node, _amount):
+    return g.channels_at(node)
+
+
+def reachable(g, anchor, amount, direction="from-anchor", budget=None):
+    """`feasible_endpoints` over every channel at each node."""
+    return feasible_endpoints(g, anchor, amount, TraversalRules(direction, budget), all_channels)
+
+
 class TestReachability:
     def test_amount_exceeds_all_caps(self):
         g = make_graph(["a", "b", "c"], [("e0", "a", "b", {"capacity_sat": 1}),
                                          ("e1", "b", "c", {"capacity_sat": 1})])
-        sub = reachability_subgraph(public_view(g), "a", 5_000_000, None, "capacity")
-        assert sub.members == {"a"}
+        assert reachable(public_view(g), "a", 5_000_000) == {"a"}
 
     def test_tiny_amount_reaches_all(self):
         g = make_graph(["a", "b", "c", "d"],
                        [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")])
-        sub = reachability_subgraph(public_view(g), "a", 200_000, None, "capacity")
-        assert sub.members == {"a", "b", "c", "d"}
+        assert reachable(public_view(g), "a", 200_000) == {"a", "b", "c", "d"}
 
     def test_timelock_budget_limits_depth(self):
         g = make_graph(["a", "b", "c", "d"],
                        [("e0", "a", "b", {"delta": 40}), ("e1", "b", "c", {"delta": 40}),
                         ("e2", "c", "d", {"delta": 40})], base_fee=0, rate_ppm=0)
-        sub = reachability_subgraph(public_view(g), "a", 1000, 80, "timelock")
-        assert sub.members == {"a", "b", "c"}
-
-    def test_balance_subset_of_capacity(self):
-        g = split_balances(random_graph(3))
-        pub = public_view(g)
-        for anchor in sorted(g.nodes)[:3]:
-            cap = reachability_subgraph(pub, anchor, 400_000_000, None, "capacity").members
-            bal = reachability_subgraph(g, anchor, 400_000_000, None, "balance").members
-            assert bal <= cap <= frozenset(g.nodes)
+        assert reachable(public_view(g), "a", 1000, budget=80) == {"a", "b", "c"}
 
     def test_bottleneck_fixture_matches_bruteforce(self):
         # a - b - c - d plus a detour a - e - d; b-c is a 3 sat bottleneck
@@ -371,12 +319,12 @@ class TestReachability:
         ]
         amount = 500_000
         pub = public_view(make_graph(["a", "b", "c", "d", "e"], rows, base_fee=100, rate_ppm=0))
-        got = reachability_subgraph(pub, "a", amount, None, "capacity").members
+        got = reachable(pub, "a", amount)
         assert got == brute_reduced_set(pub, "a", amount, "from-anchor", None)
         assert got == {"a", "b", "c", "d", "e"}  # c is reachable around the bottleneck
         # without the detour the bottleneck cuts c and d off
         pub2 = public_view(make_graph(["a", "b", "c", "d"], rows[:3], base_fee=100, rate_ppm=0))
-        got2 = reachability_subgraph(pub2, "a", amount, None, "capacity").members
+        got2 = reachable(pub2, "a", amount)
         assert got2 == brute_reduced_set(pub2, "a", amount, "from-anchor", None)
         assert got2 == {"a", "b"}
 
@@ -390,7 +338,5 @@ class TestReachability:
         pub = public_view(g)
         # anchor b received 900 msat; edge into b must carry 900 (cap 1000 ok);
         # edge a-b above needs 900 + fee, over its 1000 msat capacity? no: 1000 >= 900
-        sub = reachability_subgraph(pub, "b", 900, None, "capacity", "toward-anchor")
-        assert sub.members == {"b", "a", "c"}
-        sub2 = reachability_subgraph(pub, "b", 1_500, None, "capacity", "toward-anchor")
-        assert sub2.members == {"b", "c"}  # a-b cap 1000 msat < 1500
+        assert reachable(pub, "b", 900, "toward-anchor") == {"b", "a", "c"}
+        assert reachable(pub, "b", 1_500, "toward-anchor") == {"b", "c"}  # a-b cap 1000 msat < 1500

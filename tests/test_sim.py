@@ -30,7 +30,7 @@ class TestEventQueue:
         q = EventQueue()
         q.schedule(5, "second")  # scheduled first, same time
         q.schedule(5, "third")
-        popped = [q.next_event().action for _ in range(2)]
+        popped = [q.next_event() for _ in range(2)]
         assert popped == ["second", "third"]
 
     def test_empty_returns_none(self):
@@ -51,14 +51,14 @@ class TestEventQueue:
             q.schedule(t, i)
             scheduled.append((t, i))
         popped = []
-        while (ev := q.next_event()) is not None:
-            popped.append((ev.fire_at, ev.action))
+        while (action := q.next_event()) is not None:
+            popped.append((q.now, action))
         assert popped == sorted(scheduled)  # sequence follows schedule order
 
     def test_clock_advances(self):
         q = EventQueue()
         q.schedule(7, "a")
-        q.next_event()
+        assert q.next_event() == "a"
         assert q.now == 7
 
 
