@@ -47,15 +47,16 @@ def main():
     delta = ablation_summary(result)
     if delta is None:
         print("no destination observations collected")
-        return
-    print(
-        f"destination estimator with vs without timelock reduction "
-        f"(m={args.m}, {args.seeds} seeds): "
-        f"precision delta {delta[0]:+.4f}, recall delta {delta[1]:+.4f}"
-    )
+    else:
+        print(
+            f"destination estimator with vs without timelock reduction "
+            f"(m={args.m}, {args.seeds} seeds): "
+            f"precision delta {delta[0]:+.4f}, recall delta {delta[1]:+.4f}"
+        )
     for failure in result.failures:
         print(f"FAILED: {failure}", file=sys.stderr)
+    return 1 if result.failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -53,6 +53,7 @@ def main():
         p.error(str(exc))
     os.makedirs(args.out, exist_ok=True)
     rows = []
+    failures = []
     for cfg in configs:
         result = run_experiment(graph, cfg)
         for agg in result.aggregate:
@@ -62,15 +63,18 @@ def main():
                 f"{agg['estimator']}/{agg['target']}: F1={agg['f1_mean']:.3f} "
                 f"compromised={agg['compromised_mean']:.3f}"
             )
-        for failure in result.failures:
-            print(f"FAILED: {failure}", file=sys.stderr)
-    out_file = os.path.join(args.out, "sweep.csv")
-    with open(out_file, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {out_file} ({len(rows)} rows)")
+        failures += result.failures
+    if rows:
+        out_file = os.path.join(args.out, "sweep.csv")
+        with open(out_file, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+        print(f"wrote {out_file} ({len(rows)} rows)")
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

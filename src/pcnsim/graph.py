@@ -170,8 +170,27 @@ def _parse_policy(raw, record_name: str) -> DirectedPolicy:
             timelock_delta=int(raw.get("time_lock_delta", 0)),
             enabled=not bool(raw.get("disabled", False)),
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SnapshotError(f"malformed policy in {record_name}: {exc}") from exc
+
+
+def _records(document: dict, key: str) -> list:
+    """The document's list of node or edge records (none if absent)."""
+    records = document.get(key, [])
+    if not isinstance(records, list):
+        raise SnapshotError(f"{key} must be a list, got {type(records).__name__}")
+    return records
+
+
+def _text(raw, key: str, record_name: str) -> str:
+    """A record's required non-empty string field."""
+    try:
+        value = raw[key]
+    except (TypeError, KeyError) as exc:
+        raise SnapshotError(f"{record_name}: missing {key}") from exc
+    if not isinstance(value, str) or not value:
+        raise SnapshotError(f"{record_name}: {key} must be a non-empty string, got {value!r}")
+    return value
 
 
 def load_snapshot(document: dict) -> FullGraph:
@@ -184,23 +203,21 @@ def load_snapshot(document: dict) -> FullGraph:
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
     g = FullGraph()
-    for i, raw in enumerate(document.get("nodes", [])):
+    for i, raw in enumerate(_records(document, "nodes")):
         name = f"nodes[{i}]"
-        try:
-            pub_key = raw["pub_key"]
-        except (TypeError, KeyError) as exc:
-            raise SnapshotError(f"{name}: missing pub_key") from exc
-        if not pub_key:
-            raise SnapshotError(f"{name}: empty pub_key")
-        g.add_node(Node(id=pub_key, region=raw.get("region")))
-    for i, raw in enumerate(document.get("edges", [])):
+        pub_key = _text(raw, "pub_key", name)
+        region = raw.get("region")
+        if region is not None and not isinstance(region, str):
+            raise SnapshotError(f"{name}: region must be a string, got {region!r}")
+        g.add_node(Node(id=pub_key, region=region))
+    for i, raw in enumerate(_records(document, "edges")):
         name = f"edges[{i}]"
+        cid = _text(raw, "channel_id", name)
+        n1, n2 = _text(raw, "node1_pub", name), _text(raw, "node2_pub", name)
         try:
-            cid = raw["channel_id"]
-            n1, n2 = raw["node1_pub"], raw["node2_pub"]
             cap_sat = int(raw["capacity_sat"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise SnapshotError(f"{name}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SnapshotError(f"{name}: bad capacity_sat: {exc!r}") from exc
         if cap_sat < 0:
             raise SnapshotError(f"{name}: negative capacity_sat {cap_sat}")
         if cid in g.channels:
@@ -238,21 +255,18 @@ def convert_describegraph(dump: dict) -> dict:
     base_fee_msat, fee_rate_milli_msat (millionths) -> fee_rate_ppm,
     time_lock_delta and disabled pass through.  Nodes carry no region in an
     LND dump, so regions are assigned later by assign_latencies.  A
-    malformed record raises SnapshotError naming it.
+    malformed record raises SnapshotError naming it; edge endpoints pass
+    through, and load_snapshot checks them.
     """
     if not isinstance(dump, dict):
         raise SnapshotError("describegraph dump must be a mapping")
-    nodes = []
-    for i, n in enumerate(dump.get("nodes", [])):
-        try:
-            nodes.append({"pub_key": n["pub_key"]})
-        except (TypeError, KeyError) as exc:
-            raise SnapshotError(f"nodes[{i}]: missing pub_key") from exc
+    nodes = [{"pub_key": _text(n, "pub_key", f"nodes[{i}]")}
+             for i, n in enumerate(_records(dump, "nodes"))]
     edges = []
-    for i, e in enumerate(dump.get("edges", [])):
+    for i, e in enumerate(_records(dump, "edges")):
         try:
             edges.append(_convert_edge(e))
-        except (TypeError, KeyError, ValueError, AttributeError) as exc:
+        except (TypeError, KeyError, ValueError, AttributeError, OverflowError) as exc:
             raise SnapshotError(f"edges[{i}]: {exc!r}") from exc
     return {"nodes": nodes, "edges": edges}
 

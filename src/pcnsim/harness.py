@@ -11,6 +11,7 @@ families against the ground truth.  Every run is a pure function of
 from __future__ import annotations
 
 import logging
+import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -238,10 +239,7 @@ def generate_synthetic_graph(
     elif kind == "ring":
         edges = [(i, (i + 1) % n) for i in range(n)]
     elif kind == "scale-free":
-        import networkx as nx
-
-        ba = nx.barabasi_albert_graph(n, min(2, n - 1), seed=seed)
-        edges = sorted(tuple(sorted(e)) for e in ba.edges())
+        edges = sorted(_preferential_attachment(n, min(2, n - 1), seed))
     else:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
     g = FullGraph()
@@ -260,6 +258,26 @@ def generate_synthetic_graph(
             )
         )
     return g
+
+
+def _preferential_attachment(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """Barabasi-Albert edges (a, b) with a < b: a star on m + 1 nodes, then
+    each new node links to m distinct nodes drawn in proportion to degree.
+
+    Draw for draw the algorithm of `networkx.barabasi_albert_graph`, so a
+    seed gives the same graph as there.
+    """
+    rng = random.Random(seed)
+    edges = [(0, leaf) for leaf in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))  # each node once per edge end
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        edges += [(t, source) for t in targets]
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return edges
 
 
 # ---------------------------------------------------------------------------

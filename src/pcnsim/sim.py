@@ -10,6 +10,15 @@ nothing.  Each edge of a completed hop is therefore crossed exactly six
 times, which is the ground truth the adversarial timing model calibrates
 against.
 
+`PaymentEngine.execute_payment` is one loop over an `EventQueue` of plain
+records, one per message in flight: (phase, hop index, position in the
+phase's script, sender, receiver, sent_at).  A phase is the script the
+message belongs to: the hop messages going forward, the fulfill or fail
+going back, or the settlement handshake.  Delivering a record logs it as a
+`MessageRecord`, then sends the next message of its script or, at the end
+of the script, runs the step that follows: the receiving node's decision
+after a forward hop, the relay upstream (and settlement) after a back one.
+
 Probes (payments crafted to fail at their last hop) are evaluated in closed
 form by `probe_batch` rather than on the engine: they move no balances and
 their messages are strictly sequential, so one vectorised draw per probed
@@ -53,33 +62,38 @@ HANDSHAKE = HOP_MESSAGES[1:]
 # per fully processed edge: the hop's messages plus the fulfill/fail back
 TRAVERSALS_PER_EDGE = len(HOP_MESSAGES) + 1
 
+# The phases of an attempt's messages, each the script it runs on one hop.
+# FORWARD is opened by the hop's sender; the others by its receiver: the
+# fulfill or fail relayed back, and the settlement handshake after a fulfill.
+FORWARD = HOP_MESSAGES
+FULFILL_BACK = ((FULFILL, True),)
+FAIL_BACK = ((FAIL, True),)
+SETTLE = HANDSHAKE
+
 
 class SchedulingError(RuntimeError):
     """An event was scheduled before the current simulation time."""
 
 
 class EventQueue:
-    """Min-heap of (fire_at, insertion sequence, action) tuples."""
+    """Min-heap of (fire_at, insertion sequence, event) tuples."""
 
     def __init__(self, start_ns: int = 0):
         self.now = start_ns
         self._heap: list[tuple[int, int, object]] = []
         self._seq = itertools.count()
 
-    def schedule(self, fire_at: int, action) -> None:
+    def schedule(self, fire_at: int, event) -> None:
         if fire_at < self.now:
             raise SchedulingError(f"cannot schedule at {fire_at} < now {self.now}")
-        heapq.heappush(self._heap, (fire_at, next(self._seq), action))
+        heapq.heappush(self._heap, (fire_at, next(self._seq), event))
 
     def next_event(self):
-        """Action of the earliest event, or None; the clock moves to its time."""
+        """The earliest event, or None; the clock moves to its time."""
         if not self._heap:
             return None
-        self.now, _, action = heapq.heappop(self._heap)
-        return action
-
-    def __len__(self):
-        return len(self._heap)
+        self.now, _, event = heapq.heappop(self._heap)
+        return event
 
 
 def sample_latency(channel: Channel, rng) -> int:
@@ -156,19 +170,6 @@ class PaymentOutcome:
     messages: list[MessageRecord] = field(default_factory=list)
 
 
-class _PaymentRun:
-    """Mutable state of one in-flight payment attempt."""
-
-    def __init__(self, path: PaymentPath, payment_id: str):
-        self.path = path
-        self.payment_id = payment_id
-        self.status: str | None = None
-        self.failed_at_hop: int | None = None
-        self.started_at: int | None = None
-        self.completed_at: int | None = None
-        self.messages: list[MessageRecord] = []
-
-
 class PaymentEngine:
     """Executes payments sequentially over one FullGraph.
 
@@ -186,39 +187,6 @@ class PaymentEngine:
     def _behavior(self, node: NodeId) -> NodeBehavior:
         return self.behaviors.get(node, HONEST)
 
-    # -- message plumbing ---------------------------------------------------
-
-    def _send(self, run: _PaymentRun, channel: Channel, frm: NodeId, to: NodeId,
-              kind: str, on_delivery=None) -> None:
-        sent_at = self.queue.now
-        delivered_at = sent_at + sample_latency(channel, self.rng)
-
-        def deliver():
-            run.messages.append(
-                MessageRecord(sent_at, delivered_at, run.payment_id, frm, to, channel.id, kind)
-            )
-            if on_delivery is not None:
-                on_delivery()
-
-        self.queue.schedule(delivered_at, deliver)
-
-    def _handshake(self, run: _PaymentRun, channel: Channel, initiator: NodeId,
-                   responder: NodeId, then=None) -> None:
-        """commitment_signed/revoke_and_ack exchange, strictly sequential."""
-
-        def send_next(i: int):
-            if i == len(HANDSHAKE):
-                if then is not None:
-                    then()
-                return
-            kind, by_initiator = HANDSHAKE[i]
-            frm, to = (initiator, responder) if by_initiator else (responder, initiator)
-            self._send(run, channel, frm, to, kind, on_delivery=lambda: send_next(i + 1))
-
-        send_next(0)
-
-    # -- choreography -------------------------------------------------------
-
     def execute_payment(
         self,
         path: PaymentPath,
@@ -230,29 +198,70 @@ class PaymentEngine:
         `fail_at` marks a node that must reject the payment when it would
         otherwise act on it (used by crafted probe payments).
         """
-        if not path.hops:
+        hops = path.hops
+        if not hops:
             raise ValueError("payment path must contain at least one hop")
         _check_hops(self.graph, path)
-        run = _PaymentRun(path, payment_id)
-        run.started_at = self.queue.now
-        if not _can_forward(self.graph, path.hops[0].frm, path.hops[0]):
-            run.status = "failed"
-            run.failed_at_hop = 0
-            run.completed_at = self.queue.now
-            return self._finish(run)
-        self._start_hop(run, 0, fail_at)
-        while (action := self.queue.next_event()) is not None:
-            action()
-        assert run.status is not None, "payment did not complete"
-        return self._finish(run)
+        graph, queue, rng = self.graph, self.queue, self.rng
+        outcome = PaymentOutcome(payment_id, None, None, queue.now, None)
+        if not _can_forward(graph, hops[0].frm, hops[0]):
+            outcome.status, outcome.failed_at_hop, outcome.completed_at = "failed", 0, queue.now
+            return outcome
+        channels = [graph.channels[hop.channel] for hop in hops]
+        messages = outcome.messages
 
-    def _view(self, run: _PaymentRun, hop_index: int) -> HopView:
+        def send(phase, i: int, j: int) -> None:
+            """Put message j of `phase`'s script on hop i's channel."""
+            hop, now = hops[i], queue.now
+            opener, other = (hop.frm, hop.to) if phase is FORWARD else (hop.to, hop.frm)
+            frm, to = (opener, other) if phase[j][1] else (other, opener)
+            queue.schedule(now + sample_latency(channels[i], rng), (phase, i, j, frm, to, now))
+
+        send(FORWARD, 0, 0)
+        while (event := queue.next_event()) is not None:
+            phase, i, j, frm, to, sent_at = event
+            hop, now = hops[i], queue.now
+            messages.append(MessageRecord(sent_at, now, payment_id, frm, to, hop.channel, phase[j][0]))
+            if j + 1 < len(phase):
+                send(phase, i, j + 1)
+            elif phase is FORWARD:
+                # the add is committed at `to`, which decides what happens next
+                view = self._view(path, payment_id, i)
+                behavior = self._behavior(to)
+                behavior.on_commit(now, view)
+                if (to == fail_at or behavior.wants_reject(view)
+                        or not (view.is_final or _can_forward(graph, to, hops[i + 1]))):
+                    # the first edge not added: the rejecting node's would-be
+                    # outgoing hop (== len(hops) when the final node rejects)
+                    outcome.failed_at_hop = i + 1
+                    behavior.on_fail_sent(now, view)
+                    send(FAIL_BACK, i, 0)
+                elif view.is_final:
+                    send(FULFILL_BACK, i, 0)
+                else:
+                    behavior.on_forward(now, view)
+                    send(FORWARD, i + 1, 0)
+            elif phase is not SETTLE:
+                # a fulfill or fail reached `to`, which relays it upstream at once
+                if phase is FULFILL_BACK:
+                    self._settle(channels[i], to, hop.forward_amount_msat)
+                    send(SETTLE, i, 0)  # simulated, gates nothing
+                    self._behavior(to).on_fulfill(now, to, payment_id)
+                if i == 0:
+                    outcome.status = "fulfilled" if phase is FULFILL_BACK else "failed"
+                    outcome.completed_at = now
+                else:
+                    send(phase, i - 1, 0)
+        assert outcome.status is not None, "payment did not complete"
+        return outcome
+
+    def _view(self, path: PaymentPath, payment_id: str, hop_index: int) -> HopView:
         """What the receiver of hop `hop_index`'s add learns."""
-        hops = run.path.hops
+        hops = path.hops
         hop = hops[hop_index]
         nxt = hops[hop_index + 1] if hop_index + 1 < len(hops) else None
         return HopView(
-            payment_id=run.payment_id,
+            payment_id=payment_id,
             node=hop.to,
             in_channel=hop.channel,
             amount_msat=hop.forward_amount_msat,
@@ -262,69 +271,6 @@ class PaymentEngine:
             forward_amount_msat=nxt.forward_amount_msat if nxt else None,
             forward_timelock=nxt.remaining_timelock if nxt else None,
         )
-
-    def _start_hop(self, run: _PaymentRun, hop_index: int, fail_at: NodeId | None) -> None:
-        hop = run.path.hops[hop_index]
-        channel = self.graph.channels[hop.channel]
-        if hop_index > 0:
-            view = self._view(run, hop_index - 1)
-            self._behavior(hop.frm).on_forward(self.queue.now, view)
-
-        def committed():
-            view = self._view(run, hop_index)
-            self._behavior(hop.to).on_commit(self.queue.now, view)
-            self._act(run, hop_index, fail_at)
-
-        def add_delivered():
-            self._handshake(run, channel, hop.frm, hop.to, then=committed)
-
-        self._send(run, channel, hop.frm, hop.to, ADD, on_delivery=add_delivered)
-
-    def _act(self, run: _PaymentRun, hop_index: int, fail_at: NodeId | None) -> None:
-        """Receiving node of hop `hop_index` decides what happens next."""
-        hops = run.path.hops
-        node = hops[hop_index].to
-        view = self._view(run, hop_index)
-        if node == fail_at or self._behavior(node).wants_reject(view):
-            # the first edge not added: the rejecting node's would-be outgoing
-            # hop (== len(hops) when the final node rejects)
-            self._reject(run, hop_index, at_hop=hop_index + 1)
-            return
-        if view.is_final:
-            self._fulfill(run, hop_index)
-            return
-        if not _can_forward(self.graph, node, hops[hop_index + 1]):
-            self._reject(run, hop_index, at_hop=hop_index + 1)
-            return
-        self._start_hop(run, hop_index + 1, fail_at)
-
-    def _reject(self, run: _PaymentRun, hop_index: int, at_hop: int) -> None:
-        node = run.path.hops[hop_index].to
-        run.failed_at_hop = at_hop
-        self._behavior(node).on_fail_sent(self.queue.now, self._view(run, hop_index))
-        self._propagate_back(run, hop_index, FAIL)
-
-    def _fulfill(self, run: _PaymentRun, hop_index: int) -> None:
-        self._propagate_back(run, hop_index, FULFILL)
-
-    def _propagate_back(self, run: _PaymentRun, hop_index: int, kind: str) -> None:
-        """Relay fulfill/fail upstream, one traversal per edge, immediately."""
-        hop = run.path.hops[hop_index]
-        channel = self.graph.channels[hop.channel]
-
-        def delivered():
-            if kind == FULFILL:
-                self._settle(channel, hop.frm, hop.forward_amount_msat)
-                # settlement handshake: simulated, gates nothing
-                self._handshake(run, channel, hop.to, hop.frm)
-                self._behavior(hop.frm).on_fulfill(self.queue.now, hop.frm, run.payment_id)
-            if hop_index == 0:
-                run.status = "fulfilled" if kind == FULFILL else "failed"
-                run.completed_at = self.queue.now
-            else:
-                self._propagate_back(run, hop_index - 1, kind)
-
-        self._send(run, channel, hop.to, hop.frm, kind, on_delivery=delivered)
 
     def _settle(self, channel: Channel, frm: NodeId, amount_msat: int) -> None:
         """Move amount from frm's side to the other side, atomically."""
@@ -337,16 +283,6 @@ class PaymentEngine:
             )
         out_policy.balance_msat -= amount_msat
         in_policy.balance_msat += amount_msat
-
-    def _finish(self, run: _PaymentRun) -> PaymentOutcome:
-        return PaymentOutcome(
-            payment_id=run.payment_id,
-            status=run.status,
-            failed_at_hop=run.failed_at_hop,
-            started_at=run.started_at,
-            completed_at=run.completed_at,
-            messages=run.messages,
-        )
 
 
 def _check_hops(graph: FullGraph, path: PaymentPath) -> None:
@@ -395,8 +331,8 @@ def probe_batch(graph: FullGraph, vantage: NodeId, path: PaymentPath, n: int,
     Equivalent, draw for draw, to `n` sequential
     `PaymentEngine(graph, rng).execute_payment(path, pid, fail_at=last node)`
     calls on an engine with no behaviours.  Such a probe moves no balance,
-    so every probe stops at the same hop k, found by the checks `_act` makes
-    in order; its messages are strictly sequential: the hop messages on
+    so every probe stops at the same hop k, found by the checks the engine's
+    receiving node makes in order; its messages are strictly sequential: the hop messages on
     channels 0..k, then one fail back on each of channels k..0.  A normal
     draw with per-element parameters consumes the random stream exactly as
     the engine's scalar draws do, and latencies are clamped as

@@ -3,13 +3,33 @@
 Everything here recomputes results from first principles (exhaustive
 enumeration over simple paths, direct formula evaluation) without calling
 the search code under test, so the two routes to each answer stay
-independent.
+independent.  `ReferenceEngine` is the payment engine as it was written
+before `PaymentEngine` became one loop over message records: a chain of
+closures, one pair per message, that the loop must match draw for draw.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+
+from pcnsim.graph import Channel, FullGraph, NodeId
+from pcnsim.routing import PaymentPath
+from pcnsim.sim import (
+    ADD,
+    FAIL,
+    FULFILL,
+    HANDSHAKE,
+    HONEST,
+    EventQueue,
+    HopView,
+    MessageRecord,
+    NodeBehavior,
+    PaymentOutcome,
+    _can_forward,
+    _check_hops,
+    sample_latency,
+)
 
 
 def fee(policy, amount):
@@ -261,3 +281,200 @@ def brute_estimate(
             best[endpoint] = ll
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[0][0], ranked
+
+
+# ---------------------------------------------------------------------------
+# reference payment engine: every message is a closure scheduled on the queue
+
+
+class _PaymentRun:
+    """Mutable state of one in-flight payment attempt."""
+
+    def __init__(self, path: PaymentPath, payment_id: str):
+        self.path = path
+        self.payment_id = payment_id
+        self.status: str | None = None
+        self.failed_at_hop: int | None = None
+        self.started_at: int | None = None
+        self.completed_at: int | None = None
+        self.messages: list[MessageRecord] = []
+
+
+class ReferenceEngine:
+    """Executes payments sequentially over one FullGraph.
+
+    One engine instance is one logical timeline: the clock is monotone over
+    all payments it runs, which is what lets a fail-then-retry pair of
+    attempts yield meaningful time differences at an observer.
+    """
+
+    def __init__(self, graph: FullGraph, rng, behaviors: dict[NodeId, NodeBehavior] | None = None):
+        self.graph = graph
+        self.rng = rng
+        self.behaviors = behaviors or {}
+        self.queue = EventQueue()
+
+    def _behavior(self, node: NodeId) -> NodeBehavior:
+        return self.behaviors.get(node, HONEST)
+
+    # -- message plumbing ---------------------------------------------------
+
+    def _send(self, run: _PaymentRun, channel: Channel, frm: NodeId, to: NodeId,
+              kind: str, on_delivery=None) -> None:
+        sent_at = self.queue.now
+        delivered_at = sent_at + sample_latency(channel, self.rng)
+
+        def deliver():
+            run.messages.append(
+                MessageRecord(sent_at, delivered_at, run.payment_id, frm, to, channel.id, kind)
+            )
+            if on_delivery is not None:
+                on_delivery()
+
+        self.queue.schedule(delivered_at, deliver)
+
+    def _handshake(self, run: _PaymentRun, channel: Channel, initiator: NodeId,
+                   responder: NodeId, then=None) -> None:
+        """commitment_signed/revoke_and_ack exchange, strictly sequential."""
+
+        def send_next(i: int):
+            if i == len(HANDSHAKE):
+                if then is not None:
+                    then()
+                return
+            kind, by_initiator = HANDSHAKE[i]
+            frm, to = (initiator, responder) if by_initiator else (responder, initiator)
+            self._send(run, channel, frm, to, kind, on_delivery=lambda: send_next(i + 1))
+
+        send_next(0)
+
+    # -- choreography -------------------------------------------------------
+
+    def execute_payment(
+        self,
+        path: PaymentPath,
+        payment_id: str,
+        fail_at: NodeId | None = None,
+    ) -> PaymentOutcome:
+        """Run one payment attempt to completion and drain the queue.
+
+        `fail_at` marks a node that must reject the payment when it would
+        otherwise act on it (used by crafted probe payments).
+        """
+        if not path.hops:
+            raise ValueError("payment path must contain at least one hop")
+        _check_hops(self.graph, path)
+        run = _PaymentRun(path, payment_id)
+        run.started_at = self.queue.now
+        if not _can_forward(self.graph, path.hops[0].frm, path.hops[0]):
+            run.status = "failed"
+            run.failed_at_hop = 0
+            run.completed_at = self.queue.now
+            return self._finish(run)
+        self._start_hop(run, 0, fail_at)
+        while (action := self.queue.next_event()) is not None:
+            action()
+        assert run.status is not None, "payment did not complete"
+        return self._finish(run)
+
+    def _view(self, run: _PaymentRun, hop_index: int) -> HopView:
+        """What the receiver of hop `hop_index`'s add learns."""
+        hops = run.path.hops
+        hop = hops[hop_index]
+        nxt = hops[hop_index + 1] if hop_index + 1 < len(hops) else None
+        return HopView(
+            payment_id=run.payment_id,
+            node=hop.to,
+            in_channel=hop.channel,
+            amount_msat=hop.forward_amount_msat,
+            remaining_timelock=hop.remaining_timelock,
+            is_final=nxt is None,
+            next_channel=nxt.channel if nxt else None,
+            forward_amount_msat=nxt.forward_amount_msat if nxt else None,
+            forward_timelock=nxt.remaining_timelock if nxt else None,
+        )
+
+    def _start_hop(self, run: _PaymentRun, hop_index: int, fail_at: NodeId | None) -> None:
+        hop = run.path.hops[hop_index]
+        channel = self.graph.channels[hop.channel]
+        if hop_index > 0:
+            view = self._view(run, hop_index - 1)
+            self._behavior(hop.frm).on_forward(self.queue.now, view)
+
+        def committed():
+            view = self._view(run, hop_index)
+            self._behavior(hop.to).on_commit(self.queue.now, view)
+            self._act(run, hop_index, fail_at)
+
+        def add_delivered():
+            self._handshake(run, channel, hop.frm, hop.to, then=committed)
+
+        self._send(run, channel, hop.frm, hop.to, ADD, on_delivery=add_delivered)
+
+    def _act(self, run: _PaymentRun, hop_index: int, fail_at: NodeId | None) -> None:
+        """Receiving node of hop `hop_index` decides what happens next."""
+        hops = run.path.hops
+        node = hops[hop_index].to
+        view = self._view(run, hop_index)
+        if node == fail_at or self._behavior(node).wants_reject(view):
+            # the first edge not added: the rejecting node's would-be outgoing
+            # hop (== len(hops) when the final node rejects)
+            self._reject(run, hop_index, at_hop=hop_index + 1)
+            return
+        if view.is_final:
+            self._fulfill(run, hop_index)
+            return
+        if not _can_forward(self.graph, node, hops[hop_index + 1]):
+            self._reject(run, hop_index, at_hop=hop_index + 1)
+            return
+        self._start_hop(run, hop_index + 1, fail_at)
+
+    def _reject(self, run: _PaymentRun, hop_index: int, at_hop: int) -> None:
+        node = run.path.hops[hop_index].to
+        run.failed_at_hop = at_hop
+        self._behavior(node).on_fail_sent(self.queue.now, self._view(run, hop_index))
+        self._propagate_back(run, hop_index, FAIL)
+
+    def _fulfill(self, run: _PaymentRun, hop_index: int) -> None:
+        self._propagate_back(run, hop_index, FULFILL)
+
+    def _propagate_back(self, run: _PaymentRun, hop_index: int, kind: str) -> None:
+        """Relay fulfill/fail upstream, one traversal per edge, immediately."""
+        hop = run.path.hops[hop_index]
+        channel = self.graph.channels[hop.channel]
+
+        def delivered():
+            if kind == FULFILL:
+                self._settle(channel, hop.frm, hop.forward_amount_msat)
+                # settlement handshake: simulated, gates nothing
+                self._handshake(run, channel, hop.to, hop.frm)
+                self._behavior(hop.frm).on_fulfill(self.queue.now, hop.frm, run.payment_id)
+            if hop_index == 0:
+                run.status = "fulfilled" if kind == FULFILL else "failed"
+                run.completed_at = self.queue.now
+            else:
+                self._propagate_back(run, hop_index - 1, kind)
+
+        self._send(run, channel, hop.to, hop.frm, kind, on_delivery=delivered)
+
+    def _settle(self, channel: Channel, frm: NodeId, amount_msat: int) -> None:
+        """Move amount from frm's side to the other side, atomically."""
+        out_policy = channel.policy_from(frm)
+        in_policy = channel.policy_from(channel.other_end(frm))
+        assert out_policy.balance_msat is not None and in_policy.balance_msat is not None
+        if out_policy.balance_msat < amount_msat:
+            raise RuntimeError(
+                f"settling {amount_msat} over {channel.id} exceeds balance"
+            )
+        out_policy.balance_msat -= amount_msat
+        in_policy.balance_msat += amount_msat
+
+    def _finish(self, run: _PaymentRun) -> PaymentOutcome:
+        return PaymentOutcome(
+            payment_id=run.payment_id,
+            status=run.status,
+            failed_at_hop=run.failed_at_hop,
+            started_at=run.started_at,
+            completed_at=run.completed_at,
+            messages=run.messages,
+        )

@@ -141,6 +141,104 @@ class TestDescribegraphConverter:
         assert not ch.policy_vu.enabled
 
 
+@pytest.mark.parametrize("load, document, record", [
+    (load_snapshot, {"nodes": 5}, "nodes"),
+    (load_snapshot, snapshot_doc([node(["A"])], []), "nodes[0]"),
+    (load_snapshot, snapshot_doc([node("A"), node("B")], [edge(["c0"], "A", "B", 10)]), "edges[0]"),
+    (load_snapshot, snapshot_doc([node("A"), node("B")], [edge("c0", ["A"], "B", 10)]), "edges[0]"),
+    (convert_describegraph, {"edges": 3}, "edges"),
+], ids=["nodes-not-a-list", "list-pub-key", "list-channel-id", "list-node1-pub",
+        "edges-not-a-list"])
+def test_wrong_type_names_record(load, document, record):
+    with pytest.raises(SnapshotError) as info:
+        load(document)
+    assert str(info.value).startswith(f"{record}")
+
+
+# Any JSON value, and records whose every field is either plausible or any JSON value.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10**6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def maybe(plausible):
+    return st.one_of(plausible, JSON)
+
+
+def records(required, optional=None):
+    return maybe(st.lists(
+        maybe(st.fixed_dictionaries({k: maybe(v) for k, v in required.items()},
+                                    optional={k: maybe(v) for k, v in (optional or {}).items()})),
+        max_size=4,
+    ))
+
+
+PUBS = st.sampled_from(["A", "B", "C", ""])
+CHANNEL_IDS = st.sampled_from(["c0", "c1"])
+SNAPSHOT_POLICY = st.none() | st.fixed_dictionaries({}, optional={
+    "base_fee_msat": st.integers(-1, 5000), "fee_rate_ppm": st.integers(-1, 100),
+    "time_lock_delta": st.integers(-1, 144), "disabled": st.booleans(),
+})
+SNAPSHOTS = maybe(st.fixed_dictionaries({}, optional={
+    "nodes": records({"pub_key": PUBS}, {"region": st.sampled_from(["EU", "NA"])}),
+    "edges": records(
+        {"channel_id": CHANNEL_IDS, "node1_pub": PUBS, "node2_pub": PUBS,
+         "capacity_sat": st.integers(-5, 10**6)},
+        {"node1_policy": SNAPSHOT_POLICY, "node2_policy": SNAPSHOT_POLICY},
+    ),
+}))
+LND_POLICY = st.none() | st.fixed_dictionaries({}, optional={
+    "fee_base_msat": st.integers(0, 5000).map(str), "fee_rate_milli_msat": st.integers(0, 100).map(str),
+    "time_lock_delta": st.integers(0, 144), "disabled": st.booleans(),
+})
+DESCRIBEGRAPHS = maybe(st.fixed_dictionaries({}, optional={
+    "nodes": records({"pub_key": PUBS}),
+    "edges": records(
+        {"channel_id": CHANNEL_IDS, "node1_pub": PUBS, "node2_pub": PUBS,
+         "capacity": st.integers(0, 10**6).map(str)},
+        {"node1_policy": LND_POLICY, "node2_policy": LND_POLICY},
+    ),
+}))
+
+
+def load_or_reject(document):
+    """load_snapshot's result, checked usable end to end, or None on SnapshotError."""
+    try:
+        g = load_snapshot(document)
+    except SnapshotError:
+        return None
+    assert all(isinstance(n, str) and n for n in g.nodes)
+    for cid, ch in g.channels.items():
+        assert isinstance(cid, str) and ch.u < ch.v and {ch.u, ch.v} <= set(g.nodes)
+        assert ch.capacity_msat >= 0
+    init_balances(g)
+    assign_latencies(g, DEFAULT_REGION_RTT, 0)
+    g.check_conservation()
+    assert sorted(betweenness_ranking(public_view(g))) == sorted(g.nodes)
+    return g
+
+
+class TestLoaderFuzz:
+    """Both loaders return a usable graph or raise SnapshotError, nothing else."""
+
+    @given(document=SNAPSHOTS)
+    @settings(max_examples=300, deadline=None)
+    def test_load_snapshot(self, document):
+        load_or_reject(document)
+
+    @given(dump=DESCRIBEGRAPHS)
+    @settings(max_examples=300, deadline=None)
+    def test_convert_describegraph(self, dump):
+        try:
+            document = convert_describegraph(dump)
+        except SnapshotError:
+            return
+        load_or_reject(document)
+
+
 class TestInitBalances:
     @pytest.mark.parametrize(
         "cap_msat,expect_uv,expect_vu",
@@ -331,6 +429,21 @@ class TestBetweenness:
             _betweenness_scores(ids, g.channels.values()),
             [scores[x] for x in ids], rtol=1e-12, atol=1e-9,
         )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 9, 11, 21])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 50, 200, 1000, 3000])
+def test_scale_free_matches_networkx(n, seed):
+    import networkx as nx
+
+    ba = nx.barabasi_albert_graph(n, min(2, n - 1), seed=seed)
+    expected = [
+        tuple(sorted((f"n{a:03d}", f"n{b:03d}")))
+        for a, b in sorted(tuple(sorted(e)) for e in ba.edges())
+    ]
+    g = generate_synthetic_graph("scale-free", n, seed=seed)
+    assert [(ch.u, ch.v) for ch in g.channels.values()] == expected
+    assert list(g.channels) == [f"c{i:04d}" for i in range(len(expected))]
 
 
 def _tie_rule_ranking(scores):

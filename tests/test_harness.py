@@ -506,3 +506,15 @@ class TestCli:
         assert proc.returncode == 2
         assert "error: payments_per_run must be >= 1, got 0" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("script, extra", [
+        ("sweep_adversary_size.py", ["--out", "out", "--scenarios", "central"]),
+        ("ablation_shadow_routes.py", []),
+    ])
+    def test_scripts_fail_when_every_repetition_aborts(self, tmp_path, script, extra):
+        proc = self.run_script(tmp_path, script, "--synthetic", "path:3", "--m", "5",
+                               "--seeds", "2", *extra)
+        assert proc.returncode == 1
+        failed = [line for line in proc.stderr.splitlines() if line.startswith("FAILED: ")]
+        assert len(failed) == 2 and all("m=5 exceeds 3 nodes" in line for line in failed)
+        assert "Traceback" not in proc.stderr

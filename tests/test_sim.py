@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcnsim.graph import public_view
+from pcnsim.adversary import AdversaryConfig, AdversaryObserver
+from pcnsim.graph import copy_graph, public_view
 from pcnsim.routing import Payment, find_route, path_from_channels
 from pcnsim.sim import (
     ADD,
+    COMMIT,
     FAIL,
     FULFILL,
+    REVOKE,
     TRAVERSALS_PER_EDGE,
     EventQueue,
     HopView,
@@ -21,6 +24,7 @@ from pcnsim.sim import (
 )
 from pcnsim.latency import TRAVERSAL_WEIGHT_DEFAULT
 from conftest import make_graph, split_balances
+from oracles import ReferenceEngine
 
 MS = 1_000_000  # ns
 
@@ -179,6 +183,38 @@ class TestChoreography:
         o1, _ = run_payment(line_graph, ["e0"], "a", engine=engine)
         o2, _ = run_payment(line_graph, ["e0"], "a", engine=engine)
         assert o2.started_at >= o1.completed_at
+
+    def test_settlement_overlaps_the_fulfill_upstream(self):
+        g = split_balances(make_graph(
+            ["a", "b", "c"],
+            [("e0", "a", "b", {"latency_ms": 5.0}), ("e1", "b", "c", {"latency_ms": 30.0})],
+        ))
+        o1, engine = run_payment(g, ["e0", "e1"], "a")
+        # forward: e0's five messages end at 25 ms, e1's at 175 ms
+        assert [(m.channel, m.delivered_at) for m in o1.messages[:10]] == (
+            [("e0", t * MS) for t in (5, 10, 15, 20, 25)]
+            + [("e1", t * MS) for t in (55, 85, 115, 145, 175)]
+        )
+        # the fulfill reaches b at 205 ms and a at 210 ms; each edge's
+        # settlement handshake starts when its fulfill is delivered, so all
+        # four of e0's land before the first of e1's
+        assert [(m.channel, m.kind, m.frm, m.delivered_at) for m in o1.messages[10:]] == [
+            ("e1", FULFILL, "c", 205 * MS),
+            ("e0", FULFILL, "b", 210 * MS),
+            ("e0", COMMIT, "b", 215 * MS),
+            ("e0", REVOKE, "a", 220 * MS),
+            ("e0", COMMIT, "a", 225 * MS),
+            ("e0", REVOKE, "b", 230 * MS),
+            ("e1", COMMIT, "c", 235 * MS),
+            ("e1", REVOKE, "b", 265 * MS),
+            ("e1", COMMIT, "b", 295 * MS),
+            ("e1", REVOKE, "c", 325 * MS),
+        ]
+        assert o1.completed_at == 210 * MS
+        # the engine drains the queue: the next payment starts after e1's
+        # last settlement message, not when the first one completed
+        o2, _ = run_payment(g, ["e0", "e1"], "a", engine=engine)
+        assert o2.started_at == 325 * MS
 
 
 class ViewRecorder(NodeBehavior):
@@ -358,3 +394,78 @@ class TestProbeBatch:
     def test_random_graphs_match_engine(self, case, n, seed):
         g, vantage, channels = case
         assert_probes_match_engine(g, vantage, channels, n, seed)
+
+
+# per-direction balances: none, enough for a one- or two-hop payment of
+# 1000 msat (forward amounts grow by about 1000 msat of fees per hop), plenty
+ENGINE_BALANCES = (0, 2_500, 10**9)
+
+
+@st.composite
+def payment_sequences(draw):
+    names = ["a", "b", "c", "d", "e"][: draw(st.integers(2, 5))]
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=7,
+    ))
+    rows = []
+    for i, (u, v) in enumerate(pairs):
+        # below 1.5 ms draws hit the clamp; whole means with sigma 0 tie
+        mean = draw(st.one_of(st.floats(0.0, 1.5), st.sampled_from([1.0, 5.0, 30.0]),
+                              st.floats(0.0, 200.0)))
+        std = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+        rows.append((f"e{i}", u, v, {"latency_ms": mean, "sigma_ms": std}))
+    g = make_graph(names, rows)
+    for ch in g.channels.values():
+        ch.policy_uv.balance_msat = draw(st.sampled_from(ENGINE_BALANCES))
+        ch.policy_vu.balance_msat = draw(st.sampled_from(ENGINE_BALANCES))
+    starts = sorted({n for ch in g.channels.values() for n in (ch.u, ch.v)})
+    payments = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = node = draw(st.sampled_from(starts))
+        channels = []
+        for _ in range(draw(st.integers(1, 4))):
+            ch = draw(st.sampled_from(sorted(g.channels_at(node), key=lambda c: c.id)))
+            channels.append(ch.id)
+            node = ch.other_end(node)
+        amount = draw(st.sampled_from([1_000, 50_000]))
+        # a probe of the last node, or a node anywhere (on the path or not)
+        fail_at = draw(st.one_of(st.none(), st.just(node), st.sampled_from(names)))
+        payments.append((start, channels, amount, fail_at))
+    malicious = frozenset(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
+    return g, payments, malicious
+
+
+def engine_state(graph, observer, engine, outcome):
+    balances = {cid: (ch.policy_uv.balance_msat, ch.policy_vu.balance_msat)
+                for cid, ch in graph.channels.items()}
+    return (outcome, list(observer.observations), engine.queue.now, balances,
+            engine.rng.bit_generator.state)
+
+
+class TestReferenceEngine:
+    """The record loop is the closure-chain engine, draw for draw."""
+
+    @given(case=payment_sequences(), retry=st.booleans(), seed=st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_random_payment_sequences_match(self, case, retry, seed):
+        g, payments, malicious = case
+        runs = []
+        for engine_class in (PaymentEngine, ReferenceEngine):
+            graph = copy_graph(g)
+            observer = AdversaryObserver(AdversaryConfig(malicious, source_attack_enabled=retry))
+            engine = engine_class(graph, np.random.default_rng(seed),
+                                  {node: observer for node in malicious})
+            runs.append((graph, observer, engine))
+        for k, (start, channels, amount, fail_at) in enumerate(payments):
+            path = path_from_channels(g, start, channels, amount)
+            for _ in range(2):  # the attempt, then its retry after an adversarial fail
+                states = [
+                    engine_state(graph, observer, engine,
+                                 engine.execute_payment(path, f"p{k}", fail_at=fail_at))
+                    for graph, observer, engine in runs
+                ]
+                assert states[0] == states[1]
+                if not (states[0][0].status == "failed" and retry
+                        and runs[0][1].adversarially_failed(f"p{k}")):
+                    break
