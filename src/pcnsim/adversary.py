@@ -9,6 +9,13 @@ respective endpoint, so ranking candidate endpoints by the likelihood of
 the observed difference under per-edge Gaussian latency models yields a
 maximum-likelihood guess.  A First-Spy estimator (guess the adjacent node)
 serves as the baseline.
+
+Both candidate-path walks, the anonymity-set reduction and the estimator,
+take one cheapest channel per neighbour, as the victim's route search
+would.  They choose it inside the public graph's neighbour groups
+(`PublicGraph.neighbour_groups`), which hold each node's channels grouped
+by neighbour and are built once per graph, so a walk never rescans a
+node's channels per neighbour.
 """
 
 from __future__ import annotations
@@ -220,20 +227,6 @@ def _walk_setup(obs: Observation, g: PublicGraph, cfg: AdversaryConfig):
     return anchor, seed, TraversalRules("toward-anchor")
 
 
-def _search_edges(params: RoutingParams):
-    """Edge chooser: one cheapest channel per neighbor, like route search."""
-
-    def candidates(g, node, amount):
-        out = []
-        for nb in sorted(g.neighbors(node)):
-            ch = cheapest_edge(g, node, nb, amount, params)
-            if ch is not None:
-                out.append(ch)
-        return out
-
-    return candidates
-
-
 def reduce_anonymity_set(
     obs: Observation,
     g_pub: PublicGraph,
@@ -252,9 +245,7 @@ def reduce_anonymity_set(
     if obs.edge_observed not in g_pub.channels:
         raise EstimationError(f"observed edge {obs.edge_observed} not in public graph")
     anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
-    return feasible_endpoints(
-        g_pub, anchor, seed, rules, _search_edges(params), frozenset({obs.observer})
-    )
+    return feasible_endpoints(g_pub, anchor, seed, rules, params, frozenset({obs.observer}))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +276,6 @@ def estimate_endpoint(
     delta_ms = obs.delta_t_ms
     floor = cfg.sigma_floor_ms
     anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
-    edge_candidates = _search_edges(params)
 
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean
@@ -297,14 +287,16 @@ def estimate_endpoint(
     )
     while queue:
         cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = queue.popleft()
-        for ch in edge_candidates(g_pub, cur, amount_c):
-            nb = ch.other_end(cur)
+        for nb, sides in g_pub.neighbour_groups(cur):
             if nb in on_path:
+                continue  # before choosing its channel: that choice would be dropped
+            side = cheapest_edge(sides, amount_c, params)
+            if side is None:
                 continue
-            step = rules.step(cur, ch, amount_c, delta_c)
+            step = rules.step(side, amount_c, delta_c)
             if step is None:
                 continue
-            g_e = model.edge_gaussian(ch.id)
+            g_e = model.edge_gaussian(side[0].id)
             mean_n = mean_c + t_weight * g_e.mean
             var_n = var_c + t_weight * g_e.variance
             ll_n = normal_logpdf(delta_ms, mean_n, math.sqrt(var_n), floor)

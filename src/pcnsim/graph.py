@@ -120,12 +120,6 @@ class _GraphBase:
     def channels_at(self, node: NodeId) -> list[Channel]:
         return [self.channels[cid] for cid in self.adjacency.get(node, [])]
 
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        seen = {}
-        for ch in self.channels_at(node):
-            seen.setdefault(ch.other_end(node), None)
-        return list(seen)
-
 
 @dataclass
 class FullGraph(_GraphBase):
@@ -146,9 +140,42 @@ class FullGraph(_GraphBase):
                 )
 
 
+# A channel seen from one of its ends: the channel, the policy for forwarding
+# over it away from that end, and the policy for forwarding over it toward it.
+ChannelSide = tuple[Channel, DirectedPolicy, DirectedPolicy]
+# One neighbour's group: the neighbour and every channel to it.
+NeighbourGroup = tuple[NodeId, tuple[ChannelSide, ...]]
+
+
 @dataclass
 class PublicGraph(_GraphBase):
     """Gossip-level view: no balances, no latencies."""
+
+    # node -> its neighbour groups; filled on first use, emptied by add_channel
+    _groups: dict[NodeId, tuple[NeighbourGroup, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def add_channel(self, channel: Channel) -> None:
+        super().add_channel(channel)
+        self._groups.clear()
+
+    def neighbour_groups(self, node: NodeId) -> tuple[NeighbourGroup, ...]:
+        """`node`'s channels grouped by neighbour, groups sorted by neighbour id.
+
+        Built once per node and kept until the next `add_channel`, so the
+        candidate-path walks choose among a node pair's channels without
+        rescanning every channel at the node.
+        """
+        groups = self._groups.get(node)
+        if groups is None:
+            by_neighbour: dict[NodeId, list[ChannelSide]] = {}
+            for ch in self.channels_at(node):
+                nb = ch.other_end(node)
+                by_neighbour.setdefault(nb, []).append((ch, ch.policy_from(node), ch.policy_from(nb)))
+            groups = tuple((nb, tuple(by_neighbour[nb])) for nb in sorted(by_neighbour))
+            self._groups[node] = groups
+        return groups
 
 
 class ConservationError(AssertionError):
@@ -209,6 +236,8 @@ def load_snapshot(document: dict) -> FullGraph:
         region = raw.get("region")
         if region is not None and not isinstance(region, str):
             raise SnapshotError(f"{name}: region must be a string, got {region!r}")
+        if pub_key in g.nodes:
+            raise SnapshotError(f"{name}: duplicate pub_key {pub_key}")
         g.add_node(Node(id=pub_key, region=region))
     for i, raw in enumerate(_records(document, "edges")):
         name = f"edges[{i}]"

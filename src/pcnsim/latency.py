@@ -22,6 +22,8 @@ TRAVERSAL_WEIGHT_DEFAULT = 6
 
 MEAN_FLOOR_MS = 1.0
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
 
 class InsufficientSamples(ValueError):
     """Raised when an estimate is requested from fewer than two probes."""
@@ -49,7 +51,7 @@ def normal_logpdf(x: float, mean: float, std: float, sigma_floor: float = 0.0) -
     if s <= 0:
         raise ValueError("degenerate Gaussian needs a sigma floor")
     z = (x - mean) / s
-    return -0.5 * z * z - math.log(s) - 0.5 * math.log(2.0 * math.pi)
+    return -0.5 * z * z - math.log(s) - _HALF_LOG_2PI
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .graph import Channel, ChannelId, DirectedPolicy, FullGraph, NodeId, PublicGraph
+from .graph import ChannelId, ChannelSide, DirectedPolicy, FullGraph, NodeId, PublicGraph
 
 DEFAULT_RISK_FACTOR = 1.5e-8
 DEFAULT_FINAL_CLTV_DELTA = 40
@@ -30,8 +30,8 @@ class RoutingParams:
     final_cltv_delta: int = DEFAULT_FINAL_CLTV_DELTA
 
     def __post_init__(self):
-        if self.risk_factor < 0 or self.final_cltv_delta < 0:
-            raise ValueError("routing params must be non-negative")
+        if not (0 <= self.risk_factor < math.inf) or self.final_cltv_delta < 0:
+            raise ValueError("routing params must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -105,39 +105,41 @@ def forwarded_amount(policy: DirectedPolicy, incoming_msat: int) -> int | None:
     Inverts the fee recursion when walking a path in payment direction,
     where only the delivered amount is known.
     """
+    # fee(f) <= fee(incoming) for every f <= incoming, so this f fits
     f = incoming_msat - policy.base_fee_msat - (incoming_msat * policy.fee_rate_ppm) // 1_000_000
     if f < 1:
         return None
-    while f + policy.fee_msat(f) > incoming_msat:
-        f -= 1
-        if f < 1:
-            return None
     while f + 1 + policy.fee_msat(f + 1) <= incoming_msat:
         f += 1
     return f
 
 
 def cheapest_edge(
-    g: PublicGraph | FullGraph,
-    frm: NodeId,
-    to: NodeId,
+    sides: tuple[ChannelSide, ...],
     amount_msat: int,
     params: RoutingParams,
-) -> Channel | None:
-    """Lowest-weight enabled channel from `frm` to `to`; ties by channel id."""
+) -> ChannelSide | None:
+    """Lowest-weight enabled channel of one neighbour group; ties by channel id.
+
+    `sides` are the channels from one node to one neighbour
+    (`PublicGraph.neighbour_groups`), weighed by their outgoing policies.
+    A lone channel is taken whenever it is enabled: with a positive amount
+    and finite params its weight is finite, so no weight needs computing.
+    """
+    if len(sides) == 1:
+        side = sides[0]
+        return side if side[1].enabled else None
     best: tuple[float, str] | None = None
-    best_ch = None
-    for ch in g.channels_at(frm):
-        if ch.other_end(frm) != to:
-            continue
-        w = edge_weight(amount_msat, ch.policy_from(frm), params)
+    best_side = None
+    for side in sides:
+        w = edge_weight(amount_msat, side[1], params)
         if math.isinf(w):
             continue
-        key = (w, ch.id)
+        key = (w, side[0].id)
         if best is None or key < best:
             best = key
-            best_ch = ch
-    return best_ch
+            best_side = side
+    return best_side
 
 
 # ---------------------------------------------------------------------------
@@ -358,42 +360,41 @@ class TraversalRules:
     direction: str  # "from-anchor" | "toward-anchor"
     timelock_budget: int | None = None
 
-    def step(self, node: NodeId, channel: Channel, amount: int, delta_used: int):
-        """State after crossing `channel` away from `node`, None if infeasible.
+    def step(self, side: ChannelSide, amount: int, delta_used: int):
+        """State after crossing `side`'s channel away from the walk's current
+        node, None if infeasible.
 
         State is (amount over the next edge, timelock consumed so far); the
         delta component stays 0 when no budget applies so it never distorts
         dominance checks.
         """
+        channel, policy_out, policy_in = side
         if self.direction == "from-anchor":
-            policy = channel.policy_from(node)
-            if not policy.enabled:
+            if not policy_out.enabled:
                 return None
-            nxt = forwarded_amount(policy, amount)
+            nxt = forwarded_amount(policy_out, amount)
             if nxt is None or channel.capacity_msat < nxt:
                 return None
             if self.timelock_budget is None:
                 return nxt, 0
-            delta = delta_used + policy.timelock_delta
+            delta = delta_used + policy_out.timelock_delta
             if delta > self.timelock_budget:
                 return None
             return nxt, delta
-        # toward-anchor: the payment flowed other-end -> node, so the walk
-        # moves against it and the amount grows by the fee of the edge the
-        # walk just crossed.  `amount` is what arrived at `node`.
-        other = channel.other_end(node)
-        policy = channel.policy_from(other)
-        if not policy.enabled or channel.capacity_msat < amount:
+        # toward-anchor: the payment flowed other end -> current node, so the
+        # walk moves against it and the amount grows by the fee of the edge
+        # the walk just crossed.  `amount` is what arrived at the current node.
+        if not policy_in.enabled or channel.capacity_msat < amount:
             return None
-        return amount + policy.fee_msat(amount), 0
+        return amount + policy_in.fee_msat(amount), 0
 
 
 def feasible_endpoints(
-    g,
+    g: PublicGraph,
     anchor: NodeId,
     amount_msat: int,
     rules: TraversalRules,
-    edge_candidates,
+    params: RoutingParams,
     forbidden: frozenset[NodeId] = frozenset(),
 ) -> frozenset[NodeId]:
     """Nodes reached by at least one feasible simple path from the anchor.
@@ -402,17 +403,20 @@ def feasible_endpoints(
     from different paths are never merged; a node joins the set as soon as
     one prefix reaching it satisfies every constraint.  A lock budget or
     tight capacities bound the search depth; without either the walk
-    enumerates every simple path.
+    enumerates every simple path.  Each step takes the cheapest channel to
+    a neighbour, as route search would.
     """
     members = {anchor}
     stack = [(anchor, amount_msat, 0, frozenset({anchor}) | forbidden)]
     while stack:
         node, amount, delta_used, visited = stack.pop()
-        for ch in edge_candidates(g, node, amount):
-            nxt_node = ch.other_end(node)
+        for nxt_node, sides in g.neighbour_groups(node):
             if nxt_node in visited:
                 continue
-            state = rules.step(node, ch, amount, delta_used)
+            side = cheapest_edge(sides, amount, params)
+            if side is None:
+                continue
+            state = rules.step(side, amount, delta_used)
             if state is None:
                 continue
             members.add(nxt_node)

@@ -88,6 +88,10 @@ class EventQueue:
             raise SchedulingError(f"cannot schedule at {fire_at} < now {self.now}")
         heapq.heappush(self._heap, (fire_at, next(self._seq), event))
 
+    def clear(self) -> None:
+        """Drop every pending event; the clock stays where it is."""
+        self._heap.clear()
+
     def next_event(self):
         """The earliest event, or None; the clock moves to its time."""
         if not self._heap:
@@ -196,7 +200,9 @@ class PaymentEngine:
         """Run one payment attempt to completion and drain the queue.
 
         `fail_at` marks a node that must reject the payment when it would
-        otherwise act on it (used by crafted probe payments).
+        otherwise act on it (used by crafted probe payments).  If the attempt
+        raises, its pending messages are dropped, so the next payment on this
+        engine starts from an empty queue.
         """
         hops = path.hops
         if not hops:
@@ -218,40 +224,47 @@ class PaymentEngine:
             queue.schedule(now + sample_latency(channels[i], rng), (phase, i, j, frm, to, now))
 
         send(FORWARD, 0, 0)
-        while (event := queue.next_event()) is not None:
-            phase, i, j, frm, to, sent_at = event
-            hop, now = hops[i], queue.now
-            messages.append(MessageRecord(sent_at, now, payment_id, frm, to, hop.channel, phase[j][0]))
-            if j + 1 < len(phase):
-                send(phase, i, j + 1)
-            elif phase is FORWARD:
-                # the add is committed at `to`, which decides what happens next
-                view = self._view(path, payment_id, i)
-                behavior = self._behavior(to)
-                behavior.on_commit(now, view)
-                if (to == fail_at or behavior.wants_reject(view)
-                        or not (view.is_final or _can_forward(graph, to, hops[i + 1]))):
-                    # the first edge not added: the rejecting node's would-be
-                    # outgoing hop (== len(hops) when the final node rejects)
-                    outcome.failed_at_hop = i + 1
-                    behavior.on_fail_sent(now, view)
-                    send(FAIL_BACK, i, 0)
-                elif view.is_final:
-                    send(FULFILL_BACK, i, 0)
-                else:
-                    behavior.on_forward(now, view)
-                    send(FORWARD, i + 1, 0)
-            elif phase is not SETTLE:
-                # a fulfill or fail reached `to`, which relays it upstream at once
-                if phase is FULFILL_BACK:
-                    self._settle(channels[i], to, hop.forward_amount_msat)
-                    send(SETTLE, i, 0)  # simulated, gates nothing
-                    self._behavior(to).on_fulfill(now, to, payment_id)
-                if i == 0:
-                    outcome.status = "fulfilled" if phase is FULFILL_BACK else "failed"
-                    outcome.completed_at = now
-                else:
-                    send(phase, i - 1, 0)
+        try:
+            while (event := queue.next_event()) is not None:
+                phase, i, j, frm, to, sent_at = event
+                hop, now = hops[i], queue.now
+                messages.append(
+                    MessageRecord(sent_at, now, payment_id, frm, to, hop.channel, phase[j][0])
+                )
+                if j + 1 < len(phase):
+                    send(phase, i, j + 1)
+                elif phase is FORWARD:
+                    # the add is committed at `to`, which decides what happens next
+                    view = self._view(path, payment_id, i)
+                    behavior = self._behavior(to)
+                    behavior.on_commit(now, view)
+                    if (to == fail_at or behavior.wants_reject(view)
+                            or not (view.is_final or _can_forward(graph, to, hops[i + 1]))):
+                        # the first edge not added: the rejecting node's would-be
+                        # outgoing hop (== len(hops) when the final node rejects)
+                        outcome.failed_at_hop = i + 1
+                        behavior.on_fail_sent(now, view)
+                        send(FAIL_BACK, i, 0)
+                    elif view.is_final:
+                        send(FULFILL_BACK, i, 0)
+                    else:
+                        behavior.on_forward(now, view)
+                        send(FORWARD, i + 1, 0)
+                elif phase is not SETTLE:
+                    # a fulfill or fail reached `to`, which relays it upstream at once
+                    if phase is FULFILL_BACK:
+                        self._settle(channels[i], to, hop.forward_amount_msat)
+                        send(SETTLE, i, 0)  # simulated, gates nothing
+                        self._behavior(to).on_fulfill(now, to, payment_id)
+                    if i == 0:
+                        outcome.status = "fulfilled" if phase is FULFILL_BACK else "failed"
+                        outcome.completed_at = now
+                    else:
+                        send(phase, i - 1, 0)
+        finally:
+            # a completed payment leaves the queue empty; an aborted one's
+            # messages must not reach the next payment
+            queue.clear()
         assert outcome.status is not None, "payment did not complete"
         return outcome
 

@@ -6,6 +6,10 @@ the search code under test, so the two routes to each answer stay
 independent.  `ReferenceEngine` is the payment engine as it was written
 before `PaymentEngine` became one loop over message records: a chain of
 closures, one pair per message, that the loop must match draw for draw.
+`reference_estimate` and `reference_anonymity_set` are the candidate-path
+walks as they were written before they read the public graph's neighbour
+groups: every choice of channel rescans all channels at the node.  They
+share `_walk_setup` and `TraversalRules.step` with the walks under test.
 """
 
 from __future__ import annotations
@@ -13,8 +17,15 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from pcnsim.adversary import (
+    TOWARD_DESTINATION,
+    EstimationError,
+    EstimationResult,
+    _walk_setup,
+)
 from pcnsim.graph import Channel, FullGraph, NodeId
-from pcnsim.routing import PaymentPath
+from pcnsim.latency import normal_logpdf
+from pcnsim.routing import PaymentPath, RoutingParams
 from pcnsim.sim import (
     ADD,
     FAIL,
@@ -149,6 +160,11 @@ def _inverted_amount(policy, incoming):
     return f if f >= 1 else None
 
 
+def _neighbours(g, node):
+    """The nodes sharing at least one channel with `node`."""
+    return {ch.other_end(node) for ch in g.channels_at(node)}
+
+
 def _cheapest(g, frm, to, amount, risk_factor):
     best_key = None
     best = None
@@ -188,7 +204,7 @@ def candidate_paths(
 
     def dfs(node, amount, used_delta, visited, edges):
         results.append((node, list(edges)))
-        for nb in sorted(set(g.neighbors(node)) - visited):
+        for nb in sorted(_neighbours(g, node) - visited):
             if direction == "from-anchor":
                 ch = _cheapest(g, node, nb, amount, risk_factor)
                 if ch is None:
@@ -281,6 +297,97 @@ def brute_estimate(
             best[endpoint] = ll
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[0][0], ranked
+
+
+# ---------------------------------------------------------------------------
+# reference candidate-path walks: one rescan of the node's channels per neighbour
+
+
+def _reference_edges(params):
+    """Edge chooser: one cheapest channel per neighbor, like route search."""
+
+    def candidates(g, node, amount):
+        out = []
+        for nb in sorted(_neighbours(g, node)):
+            ch = _cheapest(g, node, nb, amount, params.risk_factor)
+            if ch is not None:
+                out.append(ch)
+        return out
+
+    return candidates
+
+
+def reference_anonymity_set(obs, g_pub, cfg, params=None) -> frozenset[NodeId]:
+    """`adversary.reduce_anonymity_set` over `_reference_edges`."""
+    params = params or RoutingParams()
+    if obs.edge_observed not in g_pub.channels:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in public graph")
+    anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
+    edge_candidates = _reference_edges(params)
+    members = {anchor}
+    stack = [(anchor, seed, 0, frozenset({anchor, obs.observer}))]
+    while stack:
+        node, amount, delta_used, visited = stack.pop()
+        for ch in edge_candidates(g_pub, node, amount):
+            nxt_node = ch.other_end(node)
+            if nxt_node in visited:
+                continue
+            state = rules.step((ch, ch.policy_from(node), ch.policy_from(nxt_node)),
+                               amount, delta_used)
+            if state is None:
+                continue
+            members.add(nxt_node)
+            stack.append((nxt_node, state[0], state[1], visited | {nxt_node}))
+    return frozenset(members)
+
+
+def reference_estimate(obs, g_pub, model, cfg, params=None) -> EstimationResult:
+    """`adversary.estimate_endpoint` over `_reference_edges`."""
+    params = params or RoutingParams()
+    if obs.edge_observed not in g_pub.channels:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in public graph")
+    t_weight = model.traversal_weight
+    delta_ms = obs.delta_t_ms
+    floor = cfg.sigma_floor_ms
+    anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
+    edge_candidates = _reference_edges(params)
+
+    g0 = model.edge_gaussian(obs.edge_observed)
+    mean0 = t_weight * g0.mean
+    var0 = t_weight * g0.variance
+    ll0 = normal_logpdf(delta_ms, mean0, math.sqrt(var0), floor)
+    best_ll: dict[NodeId, float] = {anchor: ll0}
+    queue: deque[tuple[NodeId, float, float, int, int, frozenset[NodeId], float]] = deque(
+        [(anchor, mean0, var0, seed, 0, frozenset({obs.observer, anchor}), ll0)]
+    )
+    while queue:
+        cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = queue.popleft()
+        for ch in edge_candidates(g_pub, cur, amount_c):
+            nb = ch.other_end(cur)
+            if nb in on_path:
+                continue
+            step = rules.step((ch, ch.policy_from(cur), ch.policy_from(nb)), amount_c, delta_c)
+            if step is None:
+                continue
+            g_e = model.edge_gaussian(ch.id)
+            mean_n = mean_c + t_weight * g_e.mean
+            var_n = var_c + t_weight * g_e.variance
+            ll_n = normal_logpdf(delta_ms, mean_n, math.sqrt(var_n), floor)
+            if ll_n <= ll_cur:
+                continue  # only increasing likelihood
+            if ll_n > best_ll.get(nb, -math.inf):
+                best_ll[nb] = ll_n
+            queue.append((nb, mean_n, var_n, step[0], step[1], on_path | {nb}, ll_n))
+    if not best_ll:
+        raise EstimationError(f"no candidates for payment {obs.payment_id}")
+    ranked = tuple(
+        sorted(best_ll.items(), key=lambda item: (-item[1], item[0]))
+    )
+    return EstimationResult(
+        payment_id=obs.payment_id,
+        target="destination" if obs.direction == TOWARD_DESTINATION else "source",
+        candidates=ranked,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcnsim.adversary import (
     TOWARD_DESTINATION,
@@ -15,10 +16,16 @@ from pcnsim.adversary import (
 )
 from pcnsim.graph import public_view
 from pcnsim.latency import Gaussian, LatencyModel
-from pcnsim.routing import Payment, find_route
+from pcnsim.routing import Payment, RoutingParams, find_route
 from pcnsim.sim import PaymentEngine
 from conftest import make_graph, split_balances
-from oracles import brute_estimate, brute_reduced_set, observation_walk_inputs
+from oracles import (
+    brute_estimate,
+    brute_reduced_set,
+    observation_walk_inputs,
+    reference_anonymity_set,
+    reference_estimate,
+)
 from pipeline import simulate_observations, true_latency_model
 
 MS = 1_000_000
@@ -277,6 +284,77 @@ class TestEstimatorOracleEquivalence:
                 assert result.top == top
                 checked += 1
         assert checked >= 20
+
+
+@st.composite
+def walk_cases(draw):
+    """A small multigraph, latency-model entries for some of its channels,
+    and one observation on it.
+
+    Parallel channels mix base fees and rates, so which of them is cheapest
+    changes with the amount; directions may be disabled and capacities sit
+    near the amount, which the walks shrink or grow by fees.
+    """
+    n = draw(st.integers(4, 8))
+    names = [f"n{i}" for i in range(n)]
+    amount = draw(st.integers(1, 400)) * 1000 + draw(st.integers(0, 999))
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        max_size=5,
+    ))
+    fees = st.sampled_from([0, 1, 1000, 2000])
+    rates = st.sampled_from([0, 1, 10, 5000])
+    deltas = st.sampled_from([0, 9, 40, 144])
+    enabled = st.sampled_from([True, True, True, True, False])
+    rows, edges = [], {}
+    for i, j in pairs:
+        for _ in range(draw(st.integers(1, 3))):
+            cid = f"c{len(rows):02d}"
+            cap_sat = max(0, amount // 1000 + draw(st.integers(-1, 2)))
+            over = {"capacity_sat": draw(st.sampled_from([cap_sat, 10_000, 10_000]))}
+            for side in ("uv", "vu"):
+                over |= {f"base_fee_{side}": draw(fees), f"rate_ppm_{side}": draw(rates),
+                         f"delta_{side}": draw(deltas), f"enabled_{side}": draw(enabled)}
+            rows.append((cid, names[i], names[j], over))
+            if draw(st.booleans()):  # otherwise the model falls back to its default
+                edges[cid] = Gaussian(draw(st.floats(1.0, 80.0)), draw(st.floats(0.0, 20.0)))
+    pub = public_view(make_graph(names, rows))
+    observer = names[draw(st.integers(0, n - 1))]
+    obs = Observation(
+        payment_id="p0",
+        observer=observer,
+        edge_observed=draw(st.sampled_from([ch.id for ch in pub.channels_at(observer)])),
+        direction=draw(st.sampled_from([TOWARD_DESTINATION, TOWARD_SOURCE])),
+        t0_ns=0,
+        t1_ns=draw(st.integers(0, 1500)) * MS,
+        amount_msat=amount,
+        timelock_blocks=draw(st.sampled_from([0, 40, 60, 100, 200, 1000])),
+    )
+    cfg = AdversaryConfig(
+        frozenset({observer}), timelock_reduction_enabled=draw(st.booleans())
+    )
+    params = RoutingParams(risk_factor=draw(st.sampled_from([0.0, 1.5e-8, 1e-5])))
+    return pub, edges, obs, cfg, params
+
+
+class TestReferenceWalk:
+    """The walks over neighbour groups give what the rescanning walks gave."""
+
+    @given(case=walk_cases())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_reference(self, case):
+        pub, edges, obs, cfg, params = case
+        # channels without an entry take the default, which sits among the
+        # drawn means so that the likelihood walks get past the anchor
+        model, ref_model = (LatencyModel(dict(edges), default=Gaussian(40.0, 10.0)) for _ in range(2))
+        assert estimate_endpoint(obs, pub, model, cfg, params) == reference_estimate(
+            obs, pub, ref_model, cfg, params
+        )
+        assert model.fallback_count == ref_model.fallback_count
+        assert reduce_anonymity_set(obs, pub, cfg, params) == reference_anonymity_set(
+            obs, pub, cfg, params
+        )
 
 
 class TestAnonymitySetSoundness:

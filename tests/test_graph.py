@@ -4,6 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcnsim.graph import (
     DEFAULT_REGION_RTT,
+    Channel,
+    DirectedPolicy,
     FullGraph,
     Node,
     RegionLatencyTable,
@@ -91,6 +93,10 @@ class TestLoadSnapshot:
                 snapshot_doc([node("A"), node("B")],
                              [edge("c0", "A", "B", 10), edge("c0", "B", "A", 10)])
             )
+
+    def test_duplicate_pub_key(self):
+        with pytest.raises(SnapshotError, match="nodes\\[1\\]: duplicate pub_key A"):
+            load_snapshot(snapshot_doc([node("A", "EU"), node("A", "NA")], []))
 
     def test_one_sided_policy_disabled(self):
         doc = snapshot_doc([node("A"), node("B")], [edge("c0", "A", "B", 10, p2=False)])
@@ -342,6 +348,26 @@ class TestPublicView:
         once = public_view(g)
         twice = public_view(once)
         assert once == twice
+
+    def test_neighbour_groups(self):
+        pub = public_view(make_graph(
+            ["a", "b", "c"],
+            [("c2", "a", "c"), ("c0", "b", "a", {"base_fee_uv": 5, "base_fee_vu": 7}),
+             ("c1", "a", "b")],
+        ))
+        groups = pub.neighbour_groups("a")
+        assert [(nb, [side[0].id for side in sides]) for nb, sides in groups] == [
+            ("b", ["c0", "c1"]), ("c", ["c2"]),
+        ]
+        for nb, sides in groups:
+            for ch, policy_out, policy_in in sides:
+                assert policy_out is ch.policy_from("a") and policy_in is ch.policy_from(nb)
+        assert groups[0][1][0][1].base_fee_msat == 5
+        assert pub.neighbour_groups("a") is groups
+        # built groups take no part in equality, and a new channel rebuilds them
+        assert pub == public_view(pub)
+        pub.add_channel(Channel("c3", "a", "b", 1000, DirectedPolicy(), DirectedPolicy()))
+        assert [side[0].id for side in pub.neighbour_groups("a")[0][1]] == ["c0", "c1", "c3"]
 
 
 class TestBetweenness:

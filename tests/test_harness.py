@@ -415,7 +415,10 @@ class TestCli:
           "edges": [{"channel_id": "c0", "node1_pub": "A", "node2_pub": "B",
                      "capacity_sat": -5}]},
          "edges[0]: negative capacity_sat -5"),
-    ], ids=["node-without-pub-key", "top-level-list", "negative-capacity"])
+        ({"nodes": [{"pub_key": "A", "region": "EU"}, {"pub_key": "A", "region": "NA"}],
+          "edges": []},
+         "nodes[1]: duplicate pub_key A"),
+    ], ids=["node-without-pub-key", "top-level-list", "negative-capacity", "duplicate-pub-key"])
     def test_malformed_snapshot_clean_error(self, tmp_path, capsys, document, message):
         snap = tmp_path / "snapshot.json"
         snap.write_text(json.dumps(document))
@@ -435,10 +438,12 @@ class TestCli:
         {**SMALL_RUN, "risk_factor": -1},
         {**SMALL_RUN, "final_cltv_delta": -3},
         {**SMALL_RUN, "scenario": "list", "node_list": "n001"},
+        {**SMALL_RUN, "risk_factor": float("inf")},
     ], ids=[
         "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
         "zero-traversal-weight", "negative-probes", "zero-payments",
         "negative-risk-factor", "negative-final-cltv-delta", "node-list-not-a-list",
+        "infinite-risk-factor",
     ])
     def test_malformed_config_clean_error(self, tmp_path, capsys, document):
         cfg_file = tmp_path / "cfg.json"

@@ -282,13 +282,9 @@ class TestRouteSearch:
         self.check_resumed(g, "d", 1_000, None, ["a", "b", "c"])
 
 
-def all_channels(g, node, _amount):
-    return g.channels_at(node)
-
-
 def reachable(g, anchor, amount, direction="from-anchor", budget=None):
-    """`feasible_endpoints` over every channel at each node."""
-    return feasible_endpoints(g, anchor, amount, TraversalRules(direction, budget), all_channels)
+    """`feasible_endpoints` over graphs with one channel per node pair."""
+    return feasible_endpoints(g, anchor, amount, TraversalRules(direction, budget), PARAMS)
 
 
 class TestReachability:

@@ -225,6 +225,27 @@ class ViewRecorder(NodeBehavior):
         self.views.append(view)
 
 
+class TestAbortedPayment:
+    def test_engine_usable_after_failed_settlement(self):
+        # a's side of each parallel channel holds 3500 msat; every add of a
+        # path crossing e0 twice fits a's unreduced balance, but once the
+        # last hop has settled, e0's first hop (3000 msat) no longer does
+        g = split_balances(make_graph(
+            ["a", "b"],
+            [("e0", "a", "b", {"capacity_sat": 7}), ("e1", "a", "b", {"capacity_sat": 7})],
+        ))
+        engine = PaymentEngine(g, np.random.default_rng(0))
+        aborted = path_from_channels(g, "a", ["e0", "e1", "e0"], 1000)
+        with pytest.raises(RuntimeError, match="settling 3000 over e0 exceeds balance"):
+            engine.execute_payment(aborted, "p0")
+        assert engine.queue.next_event() is None
+        outcome = engine.execute_payment(path_from_channels(g, "a", ["e1"], 1000), "p1")
+        assert outcome.status == "fulfilled"
+        assert outcome.completed_at - outcome.started_at == 60 * MS
+        assert {m.payment_id for m in outcome.messages} == {"p1"}
+        g.check_conservation()
+
+
 class TestOnionOpacity:
     def test_behavior_sees_only_its_own_payload(self, line_graph):
         rec = ViewRecorder()
