@@ -11,17 +11,16 @@ from .adversary import (
 )
 from .graph import (
     Channel,
+    ChannelGraph,
     DirectedPolicy,
-    FullGraph,
     Node,
-    PublicGraph,
     RegionLatencyTable,
     assign_latencies,
     betweenness_ranking,
+    check_conservation,
     convert_describegraph,
     init_balances,
     load_snapshot,
-    public_view,
 )
 from .harness import (
     ScenarioConfig,

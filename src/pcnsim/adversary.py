@@ -12,8 +12,9 @@ serves as the baseline.
 
 Both candidate-path walks, the anonymity-set reduction and the estimator,
 take one cheapest channel per neighbour, as the victim's route search
-would.  They choose it inside the public graph's neighbour groups
-(`PublicGraph.neighbour_groups`), which hold each node's channels grouped
+would: weighed by the policy of the direction the payment crossed it.
+They choose it inside the graph's neighbour groups
+(`ChannelGraph.neighbour_groups`), which hold each node's channels grouped
 by neighbour and are built once per graph, so a walk never rescans a
 node's channels per neighbour.
 """
@@ -25,7 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import NodeId, PublicGraph
+from .graph import ChannelGraph, NodeId
 from .latency import LatencyModel, normal_logpdf
 from .routing import RoutingParams, TraversalRules, cheapest_edge, feasible_endpoints
 from .sim import HopView, NodeBehavior
@@ -200,11 +201,11 @@ class AdversaryObserver(NodeBehavior):
 # anonymity-set reduction
 
 
-def _anchor_of(obs: Observation, g: PublicGraph) -> NodeId:
+def _anchor_of(obs: Observation, g: ChannelGraph) -> NodeId:
     return g.channels[obs.edge_observed].other_end(obs.observer)
 
 
-def _walk_setup(obs: Observation, g: PublicGraph, cfg: AdversaryConfig):
+def _walk_setup(obs: Observation, g: ChannelGraph, cfg: AdversaryConfig):
     """Anchor, seed amount and traversal rules for candidate-path walks.
 
     Destination leg: the observed amount arrives at the anchor over the
@@ -229,7 +230,7 @@ def _walk_setup(obs: Observation, g: PublicGraph, cfg: AdversaryConfig):
 
 def reduce_anonymity_set(
     obs: Observation,
-    g_pub: PublicGraph,
+    g: ChannelGraph,
     cfg: AdversaryConfig,
     params: RoutingParams | None = None,
 ) -> frozenset[NodeId]:
@@ -242,10 +243,10 @@ def reduce_anonymity_set(
     the observer.
     """
     params = params or RoutingParams()
-    if obs.edge_observed not in g_pub.channels:
-        raise EstimationError(f"observed edge {obs.edge_observed} not in public graph")
-    anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
-    return feasible_endpoints(g_pub, anchor, seed, rules, params, frozenset({obs.observer}))
+    if obs.edge_observed not in g.channels:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
+    anchor, seed, rules = _walk_setup(obs, g, cfg)
+    return feasible_endpoints(g, anchor, seed, rules, params, frozenset({obs.observer}))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def reduce_anonymity_set(
 
 def estimate_endpoint(
     obs: Observation,
-    g_pub: PublicGraph,
+    g: ChannelGraph,
     model: LatencyModel,
     cfg: AdversaryConfig,
     params: RoutingParams | None = None,
@@ -270,12 +271,13 @@ def estimate_endpoint(
     returned ranked, ties broken by node id.
     """
     params = params or RoutingParams()
-    if obs.edge_observed not in g_pub.channels:
-        raise EstimationError(f"observed edge {obs.edge_observed} not in public graph")
+    if obs.edge_observed not in g.channels:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     t_weight = model.traversal_weight
     delta_ms = obs.delta_t_ms
     floor = cfg.sigma_floor_ms
-    anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
+    anchor, seed, rules = _walk_setup(obs, g, cfg)
+    paid = rules.paid
 
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean
@@ -287,10 +289,10 @@ def estimate_endpoint(
     )
     while queue:
         cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = queue.popleft()
-        for nb, sides in g_pub.neighbour_groups(cur):
+        for nb, sides in g.neighbour_groups(cur):
             if nb in on_path:
                 continue  # before choosing its channel: that choice would be dropped
-            side = cheapest_edge(sides, amount_c, params)
+            side = cheapest_edge(sides, amount_c, params, paid)
             if side is None:
                 continue
             step = rules.step(side, amount_c, delta_c)
@@ -317,9 +319,9 @@ def estimate_endpoint(
     )
 
 
-def first_spy_estimate(obs: Observation, g_pub: PublicGraph) -> EstimationResult:
+def first_spy_estimate(obs: Observation, g: ChannelGraph) -> EstimationResult:
     """Baseline: the node adjacent across the observed edge is the endpoint."""
-    anchor = _anchor_of(obs, g_pub)
+    anchor = _anchor_of(obs, g)
     return EstimationResult(
         payment_id=obs.payment_id,
         target="destination" if obs.direction == TOWARD_DESTINATION else "source",

@@ -1,9 +1,12 @@
 """Payment channel network graph model.
 
-A channel network is a loopless multigraph.  The full graph carries private
-per-direction balances and true edge latencies; the public view exposes only
-capacities, fee policies, time-lock deltas and enabled flags, which is all a
-routing node (or an attacker) legitimately sees.
+A channel network is a loopless multigraph holding only what gossip
+publishes: capacities, fee policies, time-lock deltas and enabled flags,
+which is all a routing node (or an attacker) legitimately sees.  One graph
+serves every run of an experiment and no run changes it.  A run's private
+state lives beside it in two plain maps: channel balances, keyed by
+(channel id, node) for the side that node can spend (`init_balances`), and
+true one-way latencies keyed by channel id (`assign_latencies`).
 
 Amounts are millisatoshi throughout; snapshot capacities arrive in satoshi
 and are scaled by 1000 on ingestion so fees never go fractional.
@@ -11,9 +14,8 @@ and are scaled by 1000 on ingestion so fees never go fractional.
 
 from __future__ import annotations
 
-import copy
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,19 +39,16 @@ class SnapshotError(ValueError):
 
 @dataclass
 class DirectedPolicy:
-    """One direction of a channel: spendable balance plus forwarding terms."""
+    """One direction of a channel: its forwarding terms."""
 
     base_fee_msat: int = 0
     fee_rate_ppm: int = 0
     timelock_delta: int = 0
     enabled: bool = True
-    balance_msat: int | None = None
 
     def __post_init__(self):
         if self.base_fee_msat < 0 or self.fee_rate_ppm < 0 or self.timelock_delta < 0:
             raise ValueError("policy fields must be non-negative")
-        if self.balance_msat is not None and self.balance_msat < 0:
-            raise ValueError("balance must be non-negative")
 
     def fee_msat(self, amount_msat: int) -> int:
         """Forwarding fee: base_fee + floor(amount * rate), exact in msat."""
@@ -66,7 +65,6 @@ class Channel:
     capacity_msat: int
     policy_uv: DirectedPolicy
     policy_vu: DirectedPolicy
-    latency: Gaussian | None = None
 
     def __post_init__(self):
         if self.u == self.v:
@@ -96,11 +94,29 @@ class Node:
     region: str | None = None
 
 
+# A channel seen from one of its ends: the channel, the policy for forwarding
+# over it away from that end, and the policy for forwarding over it toward it.
+ChannelSide = tuple[Channel, DirectedPolicy, DirectedPolicy]
+# One neighbour's group: the neighbour and every channel to it.
+NeighbourGroup = tuple[NodeId, tuple[ChannelSide, ...]]
+# A run's private state: the balance each node can spend on each of its
+# channels, and each channel's true one-way latency.
+Balances = dict[tuple[ChannelId, NodeId], int]
+Latencies = dict[ChannelId, Gaussian]
+
+
 @dataclass
-class _GraphBase:
+class ChannelGraph:
+    """The gossiped network: nodes, channels and their public policies."""
+
     nodes: dict[NodeId, Node] = field(default_factory=dict)
     channels: dict[ChannelId, Channel] = field(default_factory=dict)
     adjacency: dict[NodeId, list[ChannelId]] = field(default_factory=dict)
+    rejections: list[str] = field(default_factory=list)
+    # node -> its neighbour groups; filled on first use, emptied by add_channel
+    _groups: dict[NodeId, tuple[NeighbourGroup, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def add_node(self, node: Node) -> None:
         if not node.id:
@@ -116,56 +132,17 @@ class _GraphBase:
         self.channels[channel.id] = channel
         self.adjacency[channel.u].append(channel.id)
         self.adjacency[channel.v].append(channel.id)
+        self._groups.clear()
 
     def channels_at(self, node: NodeId) -> list[Channel]:
         return [self.channels[cid] for cid in self.adjacency.get(node, [])]
-
-
-@dataclass
-class FullGraph(_GraphBase):
-    """Ground-truth view: balances and latencies populated."""
-
-    rejections: list[str] = field(default_factory=list)
-
-    def check_conservation(self) -> None:
-        """Every channel's directional balances must sum to its capacity."""
-        for ch in self.channels.values():
-            bal_uv = ch.policy_uv.balance_msat
-            bal_vu = ch.policy_vu.balance_msat
-            if bal_uv is None or bal_vu is None:
-                raise ConservationError(f"channel {ch.id} has unset balances")
-            if bal_uv + bal_vu != ch.capacity_msat:
-                raise ConservationError(
-                    f"channel {ch.id}: {bal_uv} + {bal_vu} != {ch.capacity_msat}"
-                )
-
-
-# A channel seen from one of its ends: the channel, the policy for forwarding
-# over it away from that end, and the policy for forwarding over it toward it.
-ChannelSide = tuple[Channel, DirectedPolicy, DirectedPolicy]
-# One neighbour's group: the neighbour and every channel to it.
-NeighbourGroup = tuple[NodeId, tuple[ChannelSide, ...]]
-
-
-@dataclass
-class PublicGraph(_GraphBase):
-    """Gossip-level view: no balances, no latencies."""
-
-    # node -> its neighbour groups; filled on first use, emptied by add_channel
-    _groups: dict[NodeId, tuple[NeighbourGroup, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-
-    def add_channel(self, channel: Channel) -> None:
-        super().add_channel(channel)
-        self._groups.clear()
 
     def neighbour_groups(self, node: NodeId) -> tuple[NeighbourGroup, ...]:
         """`node`'s channels grouped by neighbour, groups sorted by neighbour id.
 
         Built once per node and kept until the next `add_channel`, so the
-        candidate-path walks choose among a node pair's channels without
-        rescanning every channel at the node.
+        candidate-path walks of every run choose among a node pair's
+        channels without rescanning every channel at the node.
         """
         groups = self._groups.get(node)
         if groups is None:
@@ -220,8 +197,8 @@ def _text(raw, key: str, record_name: str) -> str:
     return value
 
 
-def load_snapshot(document: dict) -> FullGraph:
-    """Build a FullGraph from a snapshot document.
+def load_snapshot(document: dict) -> ChannelGraph:
+    """Build a ChannelGraph from a snapshot document.
 
     Channels referencing unknown nodes (or forming self-loops) are skipped
     and reported in graph.rejections; structurally malformed records raise
@@ -229,7 +206,7 @@ def load_snapshot(document: dict) -> FullGraph:
     """
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
-    g = FullGraph()
+    g = ChannelGraph()
     for i, raw in enumerate(_records(document, "nodes")):
         name = f"nodes[{i}]"
         pub_key = _text(raw, "pub_key", name)
@@ -326,17 +303,26 @@ def _convert_edge(e: dict) -> dict:
 # balances and latencies
 
 
-def init_balances(g: FullGraph) -> FullGraph:
-    """Split each channel's capacity into directional balances.
+def init_balances(g: ChannelGraph) -> Balances:
+    """Split each channel's capacity into the balances its two ends can spend.
 
     Each side gets capacity//2; an odd msat goes to the lexicographically
     smaller endpoint so runs are reproducible.
     """
-    for ch in g.channels.values():
+    balances: Balances = {}
+    for cid, ch in g.channels.items():
         half = ch.capacity_msat // 2
-        ch.policy_uv.balance_msat = ch.capacity_msat - half
-        ch.policy_vu.balance_msat = half
-    return g
+        balances[cid, ch.u] = ch.capacity_msat - half
+        balances[cid, ch.v] = half
+    return balances
+
+
+def check_conservation(g: ChannelGraph, balances: Balances) -> None:
+    """Every channel's two balances must sum to its capacity."""
+    for cid, ch in g.channels.items():
+        bal_u, bal_v = balances[cid, ch.u], balances[cid, ch.v]
+        if bal_u + bal_v != ch.capacity_msat:
+            raise ConservationError(f"channel {cid}: {bal_u} + {bal_v} != {ch.capacity_msat}")
 
 
 @dataclass
@@ -353,9 +339,16 @@ class RegionLatencyTable:
     def add(self, region_a: str, region_b: str, rtt_mean_ms: float, rtt_std_ms: float) -> None:
         self.entries[self._key(region_a, region_b)] = (rtt_mean_ms, rtt_std_ms)
 
-    def lookup_one_way(self, region_a: str, region_b: str) -> Gaussian:
-        """One-way Gaussian for a region pair: half of the measured RTT."""
-        rtt = self.entries.get(self._key(region_a, region_b), self.default_rtt)
+    def lookup_one_way(self, region_a: str | None, region_b: str | None) -> Gaussian:
+        """One-way Gaussian for a region pair: half of the measured RTT.
+
+        A pair missing from the table, or with an unknown region, takes the
+        table's global default.
+        """
+        if region_a is None or region_b is None:
+            rtt = self.default_rtt
+        else:
+            rtt = self.entries.get(self._key(region_a, region_b), self.default_rtt)
         return Gaussian(rtt[0] / 2.0, rtt[1] / 2.0)
 
     def regions(self) -> list[str]:
@@ -400,9 +393,9 @@ DEFAULT_REGION_RTT = RegionLatencyTable.from_rows(
 
 
 def assign_latencies(
-    g: FullGraph, table: RegionLatencyTable, rng_seed: int
-) -> FullGraph:
-    """Give every channel a one-way latency Gaussian from the region table.
+    g: ChannelGraph, table: RegionLatencyTable, rng_seed: int
+) -> Latencies:
+    """One-way latency Gaussian of every channel, from the region table.
 
     Nodes without a region get one drawn uniformly from the table's regions,
     deterministically from rng_seed.  Missing region pairs fall back to the
@@ -419,39 +412,15 @@ def assign_latencies(
             assigned[node_id] = regions[int(rng.integers(len(regions)))]
         else:
             assigned[node_id] = None
+    latencies: Latencies = {}
     for cid in sorted(g.channels):
         ch = g.channels[cid]
-        ra, rb = assigned[ch.u], assigned[ch.v]
-        if ra is None or rb is None:
-            rtt = table.default_rtt
-            ch.latency = Gaussian(rtt[0] / 2.0, rtt[1] / 2.0)
-        else:
-            ch.latency = table.lookup_one_way(ra, rb)
-    return g
+        latencies[cid] = table.lookup_one_way(assigned[ch.u], assigned[ch.v])
+    return latencies
 
 
 # ---------------------------------------------------------------------------
-# public projection and centrality
-
-
-def public_view(g: FullGraph) -> PublicGraph:
-    """Strip balances and latencies; everything else is copied."""
-    pub = PublicGraph()
-    for node in g.nodes.values():
-        pub.add_node(Node(id=node.id, region=node.region))
-    for ch in g.channels.values():
-        pub.add_channel(
-            Channel(
-                id=ch.id,
-                u=ch.u,
-                v=ch.v,
-                capacity_msat=ch.capacity_msat,
-                policy_uv=replace(ch.policy_uv, balance_msat=None),
-                policy_vu=replace(ch.policy_vu, balance_msat=None),
-                latency=None,
-            )
-        )
-    return pub
+# centrality
 
 
 # Each (nodes, sources) float64 array of the batched Brandes pass stays at
@@ -462,7 +431,7 @@ _BRANDES_CELLS = 32768
 _BRANDES_SLOTS = 8
 
 
-def betweenness_ranking(g: PublicGraph | FullGraph) -> list[NodeId]:
+def betweenness_ranking(g: ChannelGraph) -> list[NodeId]:
     """Nodes by descending shortest-path betweenness, ties by ascending id.
 
     Unit edge weights; parallel channels collapse to a single edge.  Scores
@@ -555,8 +524,3 @@ def _brandes_batch(spread, n: int, sources: np.ndarray) -> np.ndarray:
         coeff = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=levels[d])
         delta += np.where(levels[d - 1], sigma * spread(coeff), 0.0)
     return delta.sum(axis=1)
-
-
-def copy_graph(g: FullGraph) -> FullGraph:
-    """Deep copy, so one loaded snapshot can seed many runs."""
-    return copy.deepcopy(g)

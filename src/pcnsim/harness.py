@@ -5,7 +5,9 @@ an explicit list), generates a payment workload, runs a probing campaign to
 build the adversary's latency model, executes the workload on the event
 engine while the malicious nodes observe, and scores both estimator
 families against the ground truth.  Every run is a pure function of
-(graph, config, seed).
+(graph, config, seed).  The graph holds only public data and no run
+changes it: each run builds its own balance and latency maps and passes
+the one graph, unchanged, to every layer.
 """
 
 from __future__ import annotations
@@ -25,19 +27,19 @@ from .adversary import (
     first_spy_estimate,
 )
 from .graph import (
+    Balances,
     Channel,
+    ChannelGraph,
     DirectedPolicy,
-    FullGraph,
+    Latencies,
     Node,
     NodeId,
-    PublicGraph,
     RegionLatencyTable,
     DEFAULT_REGION_RTT,
     assign_latencies,
     betweenness_ranking,
-    copy_graph,
+    check_conservation,
     init_balances,
-    public_view,
 )
 from .latency import (
     EdgeLatencyEstimate,
@@ -170,7 +172,7 @@ class ExperimentResult:
 # scenario pieces
 
 
-def build_scenario(g: FullGraph | PublicGraph, cfg: ScenarioConfig, seed: int) -> AdversaryConfig:
+def build_scenario(g: ChannelGraph, cfg: ScenarioConfig, seed: int) -> AdversaryConfig:
     """Pick the malicious node set for one run."""
     if cfg.scenario == "central":
         ranked = betweenness_ranking(g)
@@ -199,7 +201,7 @@ def build_scenario(g: FullGraph | PublicGraph, cfg: ScenarioConfig, seed: int) -
 
 
 def generate_workload(
-    g: FullGraph, cfg: ScenarioConfig, rng, amount_sat: int
+    g: ChannelGraph, cfg: ScenarioConfig, rng, amount_sat: int
 ) -> list[tuple[NodeId, NodeId, int]]:
     """(source, dest, amount_msat) triples between uniformly random nodes."""
     ids = sorted(g.nodes)
@@ -227,7 +229,7 @@ def generate_synthetic_graph(
     base_fee_msat: int = 1_000,
     fee_rate_ppm: int = 10,
     timelock_delta: int = 40,
-) -> FullGraph:
+) -> ChannelGraph:
     """Deterministic test topology with uniform default policies."""
     if n < 2:
         raise ConfigError("synthetic graph needs n >= 2")
@@ -242,7 +244,7 @@ def generate_synthetic_graph(
         edges = sorted(_preferential_attachment(n, min(2, n - 1), seed))
     else:
         raise ConfigError(f"unknown synthetic kind {kind!r}")
-    g = FullGraph()
+    g = ChannelGraph()
     for name in names:
         g.add_node(Node(id=name))
     for idx, (a, b) in enumerate(edges):
@@ -285,7 +287,7 @@ def _preferential_attachment(n: int, m: int, seed: int) -> list[tuple[int, int]]
 
 
 def probe_plan(
-    g: PublicGraph | FullGraph, vantage: NodeId, max_depth: int
+    g: ChannelGraph, vantage: NodeId, max_depth: int
 ) -> list[tuple[str, list[str]]]:
     """(channel to estimate, probing path channels) per reachable channel.
 
@@ -327,17 +329,20 @@ def probe_plan(
 
 
 def build_latency_model(
-    graph: FullGraph,
+    graph: ChannelGraph,
+    balances: Balances,
+    latencies: Latencies,
     malicious: frozenset[NodeId],
     cfg: ScenarioConfig,
     rng_seed_seq,
 ) -> tuple[LatencyModel, list[EdgeLatencyEstimate]]:
     """Run the probing campaign from every malicious vantage and aggregate.
 
-    Probes run against the true graph but only ever fail at their crafted
-    hop, so balances are untouched; each probed path's probes are evaluated
-    at once by `probe_batch`.  Per channel only the closest few vantage
-    estimates are kept; farther ones add little beyond their noise.
+    Probes run against the run's true balances and latencies but only ever
+    fail at their crafted hop, so balances are untouched; each probed
+    path's probes are evaluated at once by `probe_batch`.  Per channel only
+    the closest few vantage estimates are kept; farther ones add little
+    beyond their noise.
     """
     estimates: list[EdgeLatencyEstimate] = []
     children = rng_seed_seq.spawn(len(malicious))
@@ -350,7 +355,8 @@ def build_latency_model(
             path = path_from_channels(
                 graph, vantage, channel_path, PROBE_AMOUNT_MSAT, cfg.routing_params()
             )
-            batch = probe_batch(graph, vantage, path, cfg.probes_per_path, rng)
+            batch = probe_batch(graph, balances, latencies, vantage, path,
+                                cfg.probes_per_path, rng)
             samples = batch.samples_ms
             if batch.discarded:
                 log.warning("%d probes to %s failed early", batch.discarded, cid)
@@ -387,14 +393,14 @@ def build_latency_model(
 
 
 def _route_workload(
-    g_pub: PublicGraph,
+    g: ChannelGraph,
     workload: list[tuple[NodeId, NodeId, int]],
     params: RoutingParams,
 ) -> list[PaymentPath | None]:
     """`find_route` for every payment, in workload order.
 
-    Routes depend only on the public graph, the destination and the amount,
-    and no payment changes the public graph, so the payments to one
+    Routes depend only on the graph, the destination and the amount, and
+    no payment changes the graph, so the payments to one
     (destination, amount) share one resumable search.  One search is alive
     at a time, which keeps memory at a single search's state.
     """
@@ -403,40 +409,43 @@ def _route_workload(
         groups.setdefault((t, amount), []).append(i)
     paths: list[PaymentPath | None] = [None] * len(workload)
     for (t, amount), indices in groups.items():
-        search = RouteSearch(g_pub, t, amount, params)
+        search = RouteSearch(g, t, amount, params)
         for i in indices:
-            paths[i] = find_route(g_pub, Payment(workload[i][0], t, amount), params, search=search)
+            paths[i] = find_route(g, Payment(workload[i][0], t, amount), params, search=search)
         del search
     return paths
 
 
 def run_single(
-    base_graph: FullGraph,
+    base_graph: ChannelGraph,
     cfg: ScenarioConfig,
     amount_sat: int,
     seed: int,
     latency_table: RegionLatencyTable = DEFAULT_REGION_RTT,
 ) -> RunRecord:
-    """One seeded repetition at one amount."""
+    """One seeded repetition at one amount.
+
+    `base_graph` is read, never changed: the run's balances and latencies
+    are maps of its own.
+    """
     root = np.random.SeedSequence(entropy=(seed, amount_sat))
     ss_latency, ss_scenario, ss_probe, ss_engine, ss_workload = root.spawn(5)
-    g = copy_graph(base_graph)
-    init_balances(g)
-    assign_latencies(g, latency_table, int(ss_latency.generate_state(1)[0]))
+    g = base_graph
+    balances = init_balances(g)
+    latencies = assign_latencies(g, latency_table, int(ss_latency.generate_state(1)[0]))
     adv_cfg = build_scenario(g, cfg, int(ss_scenario.generate_state(1)[0]))
-    g_pub = public_view(g)
     params = cfg.routing_params()
-    model, _ = build_latency_model(g, adv_cfg.malicious_nodes, cfg, ss_probe)
+    model, _ = build_latency_model(g, balances, latencies, adv_cfg.malicious_nodes, cfg, ss_probe)
 
     observer = AdversaryObserver(adv_cfg)
     behaviors = {node: observer for node in adv_cfg.malicious_nodes}
-    engine = PaymentEngine(g, np.random.default_rng(ss_engine), behaviors)
+    engine = PaymentEngine(g, balances, latencies, np.random.default_rng(ss_engine), behaviors)
     workload = generate_workload(g, cfg, np.random.default_rng(ss_workload), amount_sat)
 
     truth: GroundTruth = {}
     unrouted = 0
     outcomes = []
-    paths = _route_workload(g_pub, workload, params)
+    paths = _route_workload(g, workload, params)
     for i, ((s, t, amount), path) in enumerate(zip(workload, paths)):
         pid = f"p{amount_sat}s{seed}n{i:05d}"
         if path is None:
@@ -462,7 +471,7 @@ def run_single(
             observed_by=frozenset(adv_cfg.malicious_nodes & set(path.intermediaries())),
             status=outcome.status,
         )
-    g.check_conservation()
+    check_conservation(g, balances)
 
     inputs = observer.estimation_inputs()
     estimates: dict[tuple[str, str], list[EstimationResult]] = {
@@ -477,12 +486,12 @@ def run_single(
         for target in sorted(inputs[pid]):
             obs = inputs[pid][target]
             estimates[("timing", target)].append(
-                estimate_endpoint(obs, g_pub, model, adv_cfg, params)
+                estimate_endpoint(obs, g, model, adv_cfg, params)
             )
-            estimates[("first_spy", target)].append(first_spy_estimate(obs, g_pub))
+            estimates[("first_spy", target)].append(first_spy_estimate(obs, g))
             if cfg.report_ablation and target == "destination":
                 ablated_dst.append(
-                    estimate_endpoint(obs, g_pub, model, ablated_cfg, params)
+                    estimate_endpoint(obs, g, model, ablated_cfg, params)
                 )
 
     reports = [
@@ -528,7 +537,7 @@ def run_single(
 
 
 def run_experiment(
-    base_graph: FullGraph,
+    base_graph: ChannelGraph,
     cfg: ScenarioConfig,
     latency_table: RegionLatencyTable = DEFAULT_REGION_RTT,
 ) -> ExperimentResult:

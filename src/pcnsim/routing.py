@@ -6,7 +6,7 @@ before it adds the downstream forwarder's fee.  Edge selection minimizes
 fee(a) + a * timelock_delta * risk_factor, the weight most deployed client
 software uses.
 
-The search for one (destination, amount, lock budget) is a `RouteSearch`
+The search for one (destination, amount) is a `RouteSearch`
 that pauses as soon as the requested source settles and resumes from there
 for the next source, so payments to the same destination and amount share
 one search instead of each running its own.
@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .graph import ChannelId, ChannelSide, DirectedPolicy, FullGraph, NodeId, PublicGraph
+from .graph import ChannelGraph, ChannelId, ChannelSide, DirectedPolicy, NodeId
 
 DEFAULT_RISK_FACTOR = 1.5e-8
 DEFAULT_FINAL_CLTV_DELTA = 40
@@ -36,16 +36,12 @@ class RoutingParams:
 
 @dataclass(frozen=True)
 class Payment:
-    """A transfer request: amount in msat, max_timelock in blocks.
-
-    max_timelock None means the sender imposes no lock budget; the budget is
-    then derived from the route actually chosen.
-    """
+    """A transfer request, amount in msat.  Its lock budget is derived from
+    the route chosen."""
 
     source: NodeId
     dest: NodeId
     amount_msat: int
-    max_timelock: int | None = None
 
     def __post_init__(self):
         if self.source == self.dest:
@@ -118,21 +114,24 @@ def cheapest_edge(
     sides: tuple[ChannelSide, ...],
     amount_msat: int,
     params: RoutingParams,
+    paid: int,
 ) -> ChannelSide | None:
     """Lowest-weight enabled channel of one neighbour group; ties by channel id.
 
-    `sides` are the channels from one node to one neighbour
-    (`PublicGraph.neighbour_groups`), weighed by their outgoing policies.
-    A lone channel is taken whenever it is enabled: with a positive amount
-    and finite params its weight is finite, so no weight needs computing.
+    `sides` are the channels between one node and one neighbour
+    (`ChannelGraph.neighbour_groups`), weighed by the policy at index `paid`
+    of each side: the one of the direction the payment crosses, as route
+    search weighs it (`TraversalRules.paid`).  A lone channel is taken
+    whenever that policy is enabled: with a positive amount and finite
+    params its weight is finite, so no weight needs computing.
     """
     if len(sides) == 1:
         side = sides[0]
-        return side if side[1].enabled else None
+        return side if side[paid].enabled else None
     best: tuple[float, str] | None = None
     best_side = None
     for side in sides:
-        w = edge_weight(amount_msat, side[1], params)
+        w = edge_weight(amount_msat, side[paid], params)
         if math.isinf(w):
             continue
         key = (w, side[0].id)
@@ -160,19 +159,14 @@ def _forward_amounts(policies: list[DirectedPolicy], amount_msat: int) -> list[i
 
 def _build_path(
     rows: list[tuple[ChannelId, NodeId, NodeId, int, int]],
-    max_timelock: int | None,
     final_cltv_delta: int,
 ) -> PaymentPath:
     """Hops from (channel, frm, to, forward amount, delta) rows in payment order.
 
-    The remaining timelock counts down from the budget by each hop's delta;
-    the budget defaults to the summed deltas plus the final delta.
+    The remaining timelock counts down by each hop's delta from the budget,
+    the summed deltas plus the final delta.
     """
-    remaining = (
-        max_timelock
-        if max_timelock is not None
-        else sum(r[4] for r in rows) + final_cltv_delta
-    )
+    remaining = sum(r[4] for r in rows) + final_cltv_delta
     hops = []
     for cid, frm, to, amount, delta in rows:
         hops.append(
@@ -193,7 +187,7 @@ def _build_path(
 
 
 class RouteSearch:
-    """Backward Dijkstra from one destination for one amount and lock budget.
+    """Backward Dijkstra from one destination for one amount.
 
     `route(source)` pops nodes until `source` settles and then pauses.  The
     order in which nodes settle does not depend on the source, so a search
@@ -204,11 +198,10 @@ class RouteSearch:
 
     def __init__(
         self,
-        g: PublicGraph,
+        g: ChannelGraph,
         dest: NodeId,
         amount_msat: int,
         params: RoutingParams | None = None,
-        max_timelock: int | None = None,
     ):
         if dest not in g.nodes:
             raise KeyError(f"destination {dest!r} missing from graph")
@@ -216,20 +209,18 @@ class RouteSearch:
         self.dest = dest
         self.amount_msat = amount_msat
         self.params = params or RoutingParams()
-        self.max_timelock = max_timelock
-        # state per node: (weight from node to dest, hops), the amount the
-        # node must receive, and the timelock consumed downstream of it
+        # state per node: (weight from node to dest, hops) and the amount
+        # the node must receive
         self.best: dict[NodeId, tuple[float, int]] = {dest: (0.0, 0)}
         self.req_in: dict[NodeId, int] = {dest: amount_msat}
-        self.consumed: dict[NodeId, int] = {dest: 0}
         self.succ: dict[NodeId, tuple[ChannelId, NodeId, int, int]] = {}
         self.heap: list[tuple[float, int, NodeId]] = [(0.0, 0, dest)]
         self.settled: set[NodeId] = set()
 
     def route(self, source: NodeId) -> PaymentPath | None:
         """Cheapest capacity-valid route from `source`, or None."""
-        g, params, max_timelock = self.g, self.params, self.max_timelock
-        best, req_in, consumed, succ = self.best, self.req_in, self.consumed, self.succ
+        g, params = self.g, self.params
+        best, req_in, succ = self.best, self.req_in, self.succ
         heap, settled = self.heap, self.settled
         while source not in settled and heap:
             w_u, hops_u, u = heapq.heappop(heap)
@@ -239,7 +230,6 @@ class RouteSearch:
             # u's channels are relaxed even when u is the source: a later
             # source resumes from here and never pops u again
             amount_over_edge = req_in[u]
-            delta_u = consumed[u]
             for ch in g.channels_at(u):
                 x = ch.other_end(u)
                 if x in settled:
@@ -250,18 +240,11 @@ class RouteSearch:
                     continue
                 if ch.capacity_msat < amount_over_edge:
                     continue
-                delta_x = delta_u + policy.timelock_delta
-                if (
-                    max_timelock is not None
-                    and delta_x + params.final_cltv_delta > max_timelock
-                ):
-                    continue
                 cand = (w_u + w_e, hops_u + 1)
                 if x in best and best[x] <= cand:
                     continue
                 best[x] = cand
                 req_in[x] = amount_over_edge + policy.fee_msat(amount_over_edge)
-                consumed[x] = delta_x
                 succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
                 heapq.heappush(heap, (cand[0], cand[1], x))
         # the loop stops once the source settles or the heap runs dry, and
@@ -275,11 +258,11 @@ class RouteSearch:
             cid, nxt, amount, delta = succ[node]
             rows.append((cid, node, nxt, amount, delta))
             node = nxt
-        return _build_path(rows, max_timelock, params.final_cltv_delta)
+        return _build_path(rows, params.final_cltv_delta)
 
 
 def find_route(
-    g: PublicGraph,
+    g: ChannelGraph,
     payment: Payment,
     params: RoutingParams | None = None,
     search: RouteSearch | None = None,
@@ -287,42 +270,38 @@ def find_route(
     """Cheapest capacity-valid route, or None.
 
     Backward Dijkstra from the destination; tie-breaks on (weight,
-    hop count, node id) for deterministic replay.  When the payment carries
-    a max_timelock, edges whose accumulated deltas plus the final delta
-    would exceed it are not taken.  `search` resumes a `RouteSearch` built
-    for this graph, destination, amount, lock budget and params; without
-    one a fresh search runs.
+    hop count, node id) for deterministic replay.  `search` resumes a
+    `RouteSearch` built for this graph, destination, amount and params;
+    without one a fresh search runs.
     """
     params = params or RoutingParams()
     if payment.source not in g.nodes or payment.dest not in g.nodes:
         raise KeyError("payment endpoints missing from graph")
     if search is None:
-        search = RouteSearch(g, payment.dest, payment.amount_msat, params, payment.max_timelock)
+        search = RouteSearch(g, payment.dest, payment.amount_msat, params)
     elif (
         search.g is not g
         or search.dest != payment.dest
         or search.amount_msat != payment.amount_msat
-        or search.max_timelock != payment.max_timelock
         or search.params != params
     ):
         raise ValueError("route search was built for another graph, destination, "
-                         "amount, lock budget or params")
+                         "amount or params")
     return search.route(payment.source)
 
 
 def path_from_channels(
-    g: PublicGraph | FullGraph,
+    g: ChannelGraph,
     start: NodeId,
     channel_ids: list[ChannelId],
     amount_msat: int,
     params: RoutingParams | None = None,
-    max_timelock: int | None = None,
 ) -> PaymentPath:
     """Build a concrete payment path along the given channels.
 
     Forward amounts follow the fee recursion anchored at `amount_msat`
-    delivered to the last node; the lock budget defaults to the route's
-    summed deltas plus the final delta.  Used for crafted probe payments
+    delivered to the last node; the lock budget is the route's summed
+    deltas plus the final delta.  Used for crafted probe payments
     and fixtures, where the path is chosen rather than searched.
     """
     params = params or RoutingParams()
@@ -340,7 +319,7 @@ def path_from_channels(
         (cid, frm, to, amount, policy.timelock_delta)
         for (cid, frm, to), amount, policy in zip(ends, amounts, policies)
     ]
-    return _build_path(rows, max_timelock, params.final_cltv_delta)
+    return _build_path(rows, params.final_cltv_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +338,14 @@ class TraversalRules:
 
     direction: str  # "from-anchor" | "toward-anchor"
     timelock_budget: int | None = None
+
+    @property
+    def paid(self) -> int:
+        """Index in a `ChannelSide` of the policy the payment crossed the
+        channel under: the walk node's own from the anchor, where the payment
+        left that node, and the neighbour's toward it, where the payment came
+        from the neighbour."""
+        return 1 if self.direction == "from-anchor" else 2
 
     def step(self, side: ChannelSide, amount: int, delta_used: int):
         """State after crossing `side`'s channel away from the walk's current
@@ -390,7 +377,7 @@ class TraversalRules:
 
 
 def feasible_endpoints(
-    g: PublicGraph,
+    g: ChannelGraph,
     anchor: NodeId,
     amount_msat: int,
     rules: TraversalRules,
@@ -406,6 +393,7 @@ def feasible_endpoints(
     enumerates every simple path.  Each step takes the cheapest channel to
     a neighbour, as route search would.
     """
+    paid = rules.paid
     members = {anchor}
     stack = [(anchor, amount_msat, 0, frozenset({anchor}) | forbidden)]
     while stack:
@@ -413,7 +401,7 @@ def feasible_endpoints(
         for nxt_node, sides in g.neighbour_groups(node):
             if nxt_node in visited:
                 continue
-            side = cheapest_edge(sides, amount, params)
+            side = cheapest_edge(sides, amount, params, paid)
             if side is None:
                 continue
             state = rules.step(side, amount, delta_used)

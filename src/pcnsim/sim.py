@@ -19,6 +19,10 @@ going back, or the settlement handshake.  Delivering a record logs it as a
 of the script, runs the step that follows: the receiving node's decision
 after a forward hop, the relay upstream (and settlement) after a back one.
 
+The engine reads the graph's public data and keeps a run's private state in
+the two maps it is given: the balances, which settlement moves, and the
+true latencies, from which every message's traversal time is drawn.
+
 Probes (payments crafted to fail at their last hop) are evaluated in closed
 form by `probe_batch` rather than on the engine: they move no balances and
 their messages are strictly sequential, so one vectorised draw per probed
@@ -35,8 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Channel, FullGraph, NodeId
-from .routing import PaymentPath
+from .graph import Balances, ChannelGraph, Latencies, NodeId
+from .latency import Gaussian
+from .routing import Hop, PaymentPath
 
 NS_PER_MS = 1_000_000
 LATENCY_FLOOR_NS = 1 * NS_PER_MS
@@ -100,15 +105,13 @@ class EventQueue:
         return event
 
 
-def sample_latency(channel: Channel, rng) -> int:
+def sample_latency(latency: Gaussian, rng) -> int:
     """One edge traversal time in ns, clamped below at 1 ms.
 
     Clamping (rather than resampling) keeps the number of RNG draws per
     message fixed, so seeded runs stay aligned.
     """
-    if channel.latency is None:
-        raise ValueError(f"channel {channel.id} has no latency assigned")
-    ms = rng.normal(channel.latency.mean, channel.latency.std)
+    ms = rng.normal(latency.mean, latency.std)
     return max(LATENCY_FLOOR_NS, int(round(ms * NS_PER_MS)))
 
 
@@ -175,15 +178,19 @@ class PaymentOutcome:
 
 
 class PaymentEngine:
-    """Executes payments sequentially over one FullGraph.
+    """Executes payments sequentially over one graph.
 
     One engine instance is one logical timeline: the clock is monotone over
     all payments it runs, which is what lets a fail-then-retry pair of
-    attempts yield meaningful time differences at an observer.
+    attempts yield meaningful time differences at an observer.  Settled
+    payments move amounts in `balances`, which the engine owns for its run.
     """
 
-    def __init__(self, graph: FullGraph, rng, behaviors: dict[NodeId, NodeBehavior] | None = None):
+    def __init__(self, graph: ChannelGraph, balances: Balances, latencies: Latencies, rng,
+                 behaviors: dict[NodeId, NodeBehavior] | None = None):
         self.graph = graph
+        self.balances = balances
+        self.latencies = latencies
         self.rng = rng
         self.behaviors = behaviors or {}
         self.queue = EventQueue()
@@ -208,12 +215,12 @@ class PaymentEngine:
         if not hops:
             raise ValueError("payment path must contain at least one hop")
         _check_hops(self.graph, path)
-        graph, queue, rng = self.graph, self.queue, self.rng
+        balances, queue, rng = self.balances, self.queue, self.rng
         outcome = PaymentOutcome(payment_id, None, None, queue.now, None)
-        if not _can_forward(graph, hops[0].frm, hops[0]):
+        if not _can_forward(balances, hops[0].frm, hops[0]):
             outcome.status, outcome.failed_at_hop, outcome.completed_at = "failed", 0, queue.now
             return outcome
-        channels = [graph.channels[hop.channel] for hop in hops]
+        latencies = [self.latencies[hop.channel] for hop in hops]
         messages = outcome.messages
 
         def send(phase, i: int, j: int) -> None:
@@ -221,7 +228,7 @@ class PaymentEngine:
             hop, now = hops[i], queue.now
             opener, other = (hop.frm, hop.to) if phase is FORWARD else (hop.to, hop.frm)
             frm, to = (opener, other) if phase[j][1] else (other, opener)
-            queue.schedule(now + sample_latency(channels[i], rng), (phase, i, j, frm, to, now))
+            queue.schedule(now + sample_latency(latencies[i], rng), (phase, i, j, frm, to, now))
 
         send(FORWARD, 0, 0)
         try:
@@ -239,7 +246,7 @@ class PaymentEngine:
                     behavior = self._behavior(to)
                     behavior.on_commit(now, view)
                     if (to == fail_at or behavior.wants_reject(view)
-                            or not (view.is_final or _can_forward(graph, to, hops[i + 1]))):
+                            or not (view.is_final or _can_forward(balances, to, hops[i + 1]))):
                         # the first edge not added: the rejecting node's would-be
                         # outgoing hop (== len(hops) when the final node rejects)
                         outcome.failed_at_hop = i + 1
@@ -253,7 +260,7 @@ class PaymentEngine:
                 elif phase is not SETTLE:
                     # a fulfill or fail reached `to`, which relays it upstream at once
                     if phase is FULFILL_BACK:
-                        self._settle(channels[i], to, hop.forward_amount_msat)
+                        self._settle(hop)
                         send(SETTLE, i, 0)  # simulated, gates nothing
                         self._behavior(to).on_fulfill(now, to, payment_id)
                     if i == 0:
@@ -285,20 +292,16 @@ class PaymentEngine:
             forward_timelock=nxt.remaining_timelock if nxt else None,
         )
 
-    def _settle(self, channel: Channel, frm: NodeId, amount_msat: int) -> None:
-        """Move amount from frm's side to the other side, atomically."""
-        out_policy = channel.policy_from(frm)
-        in_policy = channel.policy_from(channel.other_end(frm))
-        assert out_policy.balance_msat is not None and in_policy.balance_msat is not None
-        if out_policy.balance_msat < amount_msat:
-            raise RuntimeError(
-                f"settling {amount_msat} over {channel.id} exceeds balance"
-            )
-        out_policy.balance_msat -= amount_msat
-        in_policy.balance_msat += amount_msat
+    def _settle(self, hop: Hop) -> None:
+        """Move the hop's amount from its sender's side to its receiver's."""
+        balances, amount = self.balances, hop.forward_amount_msat
+        if balances[hop.channel, hop.frm] < amount:
+            raise RuntimeError(f"settling {amount} over {hop.channel} exceeds balance")
+        balances[hop.channel, hop.frm] -= amount
+        balances[hop.channel, hop.to] += amount
 
 
-def _check_hops(graph: FullGraph, path: PaymentPath) -> None:
+def _check_hops(graph: ChannelGraph, path: PaymentPath) -> None:
     for hop in path.hops:
         ch = graph.channels.get(hop.channel)
         if ch is None or {hop.frm, hop.to} != {ch.u, ch.v}:
@@ -307,10 +310,9 @@ def _check_hops(graph: FullGraph, path: PaymentPath) -> None:
             raise ValueError("forward amounts must be positive")
 
 
-def _can_forward(graph: FullGraph, node: NodeId, hop) -> bool:
+def _can_forward(balances: Balances, node: NodeId, hop: Hop) -> bool:
     """Whether `node` holds enough balance on hop's channel to send its add."""
-    bal = graph.channels[hop.channel].policy_from(node).balance_msat
-    return bal is not None and bal >= hop.forward_amount_msat
+    return balances[hop.channel, node] >= hop.forward_amount_msat
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +338,14 @@ class ProbeBatch:
         return len(self.durations_ms) - len(self.samples_ms)
 
 
-def probe_batch(graph: FullGraph, vantage: NodeId, path: PaymentPath, n: int,
-                rng) -> ProbeBatch:
+def probe_batch(graph: ChannelGraph, balances: Balances, latencies: Latencies,
+                vantage: NodeId, path: PaymentPath, n: int, rng) -> ProbeBatch:
     """Run `n` probes from `vantage` over `path`, each failed by the path's
     last node, with one vectorised draw.
 
     Equivalent, draw for draw, to `n` sequential
-    `PaymentEngine(graph, rng).execute_payment(path, pid, fail_at=last node)`
+    `PaymentEngine(graph, balances, latencies, rng).execute_payment(path, pid,
+    fail_at=last node)`
     calls on an engine with no behaviours.  Such a probe moves no balance,
     so every probe stops at the same hop k, found by the checks the engine's
     receiving node makes in order; its messages are strictly sequential: the hop messages on
@@ -357,19 +360,16 @@ def probe_batch(graph: FullGraph, vantage: NodeId, path: PaymentPath, n: int,
     if hops[0].frm != vantage:
         raise ValueError(f"probe path does not start at {vantage}")
     _check_hops(graph, path)
-    if not _can_forward(graph, vantage, hops[0]):
+    if not _can_forward(balances, vantage, hops[0]):
         return ProbeBatch(len(hops), 0, [0.0] * n)
     target = hops[-1].to
     k = 0
-    while hops[k].to != target and _can_forward(graph, hops[k].to, hops[k + 1]):
+    while hops[k].to != target and _can_forward(balances, hops[k].to, hops[k + 1]):
         k += 1
-    channels = [graph.channels[hop.channel] for hop in hops[: k + 1]]
-    for ch in channels:
-        if ch.latency is None:
-            raise ValueError(f"channel {ch.id} has no latency assigned")
-    sequence = [ch for ch in channels for _ in HOP_MESSAGES] + channels[::-1]
-    mean = np.array([ch.latency.mean for ch in sequence])
-    std = np.array([ch.latency.std for ch in sequence])
+    used = [latencies[hop.channel] for hop in hops[: k + 1]]
+    sequence = [lat for lat in used for _ in HOP_MESSAGES] + used[::-1]
+    mean = np.array([lat.mean for lat in sequence])
+    std = np.array([lat.std for lat in sequence])
     ms = rng.normal(mean, std, size=(n, len(sequence)))
     ns = np.maximum(LATENCY_FLOOR_NS, np.rint(ms * NS_PER_MS)).astype(np.int64)
     durations = ns.sum(axis=1) / NS_PER_MS

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from pcnsim.graph import Channel, DirectedPolicy, FullGraph, Node
+from pcnsim.graph import Channel, ChannelGraph, DirectedPolicy, Node
 from pcnsim.latency import Gaussian
 
 
 def make_graph(nodes, channels, capacity_sat=1_000_000, base_fee=1_000,
                rate_ppm=10, delta=40, latency_ms=10.0, sigma_ms=0.0):
-    """Small fixture builder.
+    """Small fixture builder: the graph and its channels' true latencies.
 
     `channels` rows: (cid, u, v) or (cid, u, v, overrides) where overrides
     may set capacity_sat, per-direction policy fields or latency.
     """
-    g = FullGraph()
+    g = ChannelGraph()
+    latencies = {}
     for n in nodes:
         g.add_node(Node(id=n))
     for row in channels:
@@ -37,19 +38,21 @@ def make_graph(nodes, channels, capacity_sat=1_000_000, base_fee=1_000,
                 capacity_msat=cap * 1000,
                 policy_uv=policy("uv"),
                 policy_vu=policy("vu"),
-                latency=Gaussian(over.get("latency_ms", latency_ms),
-                                 over.get("sigma_ms", sigma_ms)),
             )
         )
-    return g
+        latencies[cid] = Gaussian(over.get("latency_ms", latency_ms),
+                                  over.get("sigma_ms", sigma_ms))
+    return g, latencies
 
 
 def split_balances(g):
-    for ch in g.channels.values():
+    """Half of each channel's capacity to either end, the odd msat to u."""
+    balances = {}
+    for cid, ch in g.channels.items():
         half = ch.capacity_msat // 2
-        ch.policy_uv.balance_msat = ch.capacity_msat - half
-        ch.policy_vu.balance_msat = half
-    return g
+        balances[cid, ch.u] = ch.capacity_msat - half
+        balances[cid, ch.v] = half
+    return balances
 
 
 @pytest.fixture
@@ -59,9 +62,9 @@ def rng():
 
 @pytest.fixture
 def line_graph():
-    """a - b - c - d, uniform 10 ms edges."""
-    g = make_graph(
+    """a - b - c - d, uniform 10 ms edges: (graph, balances, latencies)."""
+    g, latencies = make_graph(
         ["a", "b", "c", "d"],
         [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")],
     )
-    return split_balances(g)
+    return g, split_balances(g), latencies

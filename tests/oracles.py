@@ -7,8 +7,8 @@ independent.  `ReferenceEngine` is the payment engine as it was written
 before `PaymentEngine` became one loop over message records: a chain of
 closures, one pair per message, that the loop must match draw for draw.
 `reference_estimate` and `reference_anonymity_set` are the candidate-path
-walks as they were written before they read the public graph's neighbour
-groups: every choice of channel rescans all channels at the node.  They
+walks as they were written before they read the graph's neighbour groups:
+every choice of channel rescans all channels at the node.  They
 share `_walk_setup` and `TraversalRules.step` with the walks under test.
 """
 
@@ -23,9 +23,9 @@ from pcnsim.adversary import (
     EstimationResult,
     _walk_setup,
 )
-from pcnsim.graph import Channel, FullGraph, NodeId
+from pcnsim.graph import Balances, ChannelGraph, Latencies, NodeId
 from pcnsim.latency import normal_logpdf
-from pcnsim.routing import PaymentPath, RoutingParams
+from pcnsim.routing import Hop, PaymentPath, RoutingParams
 from pcnsim.sim import (
     ADD,
     FAIL,
@@ -127,24 +127,20 @@ def path_amounts(g, channel_seq, amount):
     return amounts
 
 
-def brute_route(g, source, dest, amount, risk_factor, max_timelock=None, final_cltv=40):
+def brute_route(g, source, dest, amount, risk_factor):
     """Minimum total weight over all capacity-valid simple paths, or None."""
     best = None
     for channel_seq in _simple_paths(g, source, dest):
         amounts = path_amounts(g, channel_seq, amount)
         ok = True
         weight = 0.0
-        delta_sum = 0
         for (ch, frm), f in zip(channel_seq, amounts):
             policy = ch.policy_from(frm)
             if not policy.enabled or ch.capacity_msat < f:
                 ok = False
                 break
             weight += fee(policy, f) + f * policy.timelock_delta * risk_factor
-            delta_sum += policy.timelock_delta
         if not ok:
-            continue
-        if max_timelock is not None and delta_sum + final_cltv > max_timelock:
             continue
         if best is None or weight < best:
             best = weight
@@ -303,13 +299,17 @@ def brute_estimate(
 # reference candidate-path walks: one rescan of the node's channels per neighbour
 
 
-def _reference_edges(params):
-    """Edge chooser: one cheapest channel per neighbor, like route search."""
+def _reference_edges(params, direction):
+    """Edge chooser: one cheapest channel per neighbor, like route search,
+    weighed in the direction the payment crossed it."""
 
     def candidates(g, node, amount):
         out = []
         for nb in sorted(_neighbours(g, node)):
-            ch = _cheapest(g, node, nb, amount, params.risk_factor)
+            if direction == "from-anchor":
+                ch = _cheapest(g, node, nb, amount, params.risk_factor)
+            else:
+                ch = _cheapest(g, nb, node, amount, params.risk_factor)
             if ch is not None:
                 out.append(ch)
         return out
@@ -317,18 +317,18 @@ def _reference_edges(params):
     return candidates
 
 
-def reference_anonymity_set(obs, g_pub, cfg, params=None) -> frozenset[NodeId]:
+def reference_anonymity_set(obs, g, cfg, params=None) -> frozenset[NodeId]:
     """`adversary.reduce_anonymity_set` over `_reference_edges`."""
     params = params or RoutingParams()
-    if obs.edge_observed not in g_pub.channels:
-        raise EstimationError(f"observed edge {obs.edge_observed} not in public graph")
-    anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
-    edge_candidates = _reference_edges(params)
+    if obs.edge_observed not in g.channels:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
+    anchor, seed, rules = _walk_setup(obs, g, cfg)
+    edge_candidates = _reference_edges(params, rules.direction)
     members = {anchor}
     stack = [(anchor, seed, 0, frozenset({anchor, obs.observer}))]
     while stack:
         node, amount, delta_used, visited = stack.pop()
-        for ch in edge_candidates(g_pub, node, amount):
+        for ch in edge_candidates(g, node, amount):
             nxt_node = ch.other_end(node)
             if nxt_node in visited:
                 continue
@@ -341,16 +341,16 @@ def reference_anonymity_set(obs, g_pub, cfg, params=None) -> frozenset[NodeId]:
     return frozenset(members)
 
 
-def reference_estimate(obs, g_pub, model, cfg, params=None) -> EstimationResult:
+def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
     """`adversary.estimate_endpoint` over `_reference_edges`."""
     params = params or RoutingParams()
-    if obs.edge_observed not in g_pub.channels:
-        raise EstimationError(f"observed edge {obs.edge_observed} not in public graph")
+    if obs.edge_observed not in g.channels:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     t_weight = model.traversal_weight
     delta_ms = obs.delta_t_ms
     floor = cfg.sigma_floor_ms
-    anchor, seed, rules = _walk_setup(obs, g_pub, cfg)
-    edge_candidates = _reference_edges(params)
+    anchor, seed, rules = _walk_setup(obs, g, cfg)
+    edge_candidates = _reference_edges(params, rules.direction)
 
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean
@@ -362,7 +362,7 @@ def reference_estimate(obs, g_pub, model, cfg, params=None) -> EstimationResult:
     )
     while queue:
         cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = queue.popleft()
-        for ch in edge_candidates(g_pub, cur, amount_c):
+        for ch in edge_candidates(g, cur, amount_c):
             nb = ch.other_end(cur)
             if nb in on_path:
                 continue
@@ -408,15 +408,18 @@ class _PaymentRun:
 
 
 class ReferenceEngine:
-    """Executes payments sequentially over one FullGraph.
+    """Executes payments sequentially over one graph.
 
     One engine instance is one logical timeline: the clock is monotone over
     all payments it runs, which is what lets a fail-then-retry pair of
     attempts yield meaningful time differences at an observer.
     """
 
-    def __init__(self, graph: FullGraph, rng, behaviors: dict[NodeId, NodeBehavior] | None = None):
+    def __init__(self, graph: ChannelGraph, balances: Balances, latencies: Latencies, rng,
+                 behaviors: dict[NodeId, NodeBehavior] | None = None):
         self.graph = graph
+        self.balances = balances
+        self.latencies = latencies
         self.rng = rng
         self.behaviors = behaviors or {}
         self.queue = EventQueue()
@@ -426,21 +429,21 @@ class ReferenceEngine:
 
     # -- message plumbing ---------------------------------------------------
 
-    def _send(self, run: _PaymentRun, channel: Channel, frm: NodeId, to: NodeId,
+    def _send(self, run: _PaymentRun, channel: str, frm: NodeId, to: NodeId,
               kind: str, on_delivery=None) -> None:
         sent_at = self.queue.now
-        delivered_at = sent_at + sample_latency(channel, self.rng)
+        delivered_at = sent_at + sample_latency(self.latencies[channel], self.rng)
 
         def deliver():
             run.messages.append(
-                MessageRecord(sent_at, delivered_at, run.payment_id, frm, to, channel.id, kind)
+                MessageRecord(sent_at, delivered_at, run.payment_id, frm, to, channel, kind)
             )
             if on_delivery is not None:
                 on_delivery()
 
         self.queue.schedule(delivered_at, deliver)
 
-    def _handshake(self, run: _PaymentRun, channel: Channel, initiator: NodeId,
+    def _handshake(self, run: _PaymentRun, channel: str, initiator: NodeId,
                    responder: NodeId, then=None) -> None:
         """commitment_signed/revoke_and_ack exchange, strictly sequential."""
 
@@ -473,7 +476,7 @@ class ReferenceEngine:
         _check_hops(self.graph, path)
         run = _PaymentRun(path, payment_id)
         run.started_at = self.queue.now
-        if not _can_forward(self.graph, path.hops[0].frm, path.hops[0]):
+        if not _can_forward(self.balances, path.hops[0].frm, path.hops[0]):
             run.status = "failed"
             run.failed_at_hop = 0
             run.completed_at = self.queue.now
@@ -503,7 +506,7 @@ class ReferenceEngine:
 
     def _start_hop(self, run: _PaymentRun, hop_index: int, fail_at: NodeId | None) -> None:
         hop = run.path.hops[hop_index]
-        channel = self.graph.channels[hop.channel]
+        channel = hop.channel
         if hop_index > 0:
             view = self._view(run, hop_index - 1)
             self._behavior(hop.frm).on_forward(self.queue.now, view)
@@ -531,7 +534,7 @@ class ReferenceEngine:
         if view.is_final:
             self._fulfill(run, hop_index)
             return
-        if not _can_forward(self.graph, node, hops[hop_index + 1]):
+        if not _can_forward(self.balances, node, hops[hop_index + 1]):
             self._reject(run, hop_index, at_hop=hop_index + 1)
             return
         self._start_hop(run, hop_index + 1, fail_at)
@@ -548,11 +551,11 @@ class ReferenceEngine:
     def _propagate_back(self, run: _PaymentRun, hop_index: int, kind: str) -> None:
         """Relay fulfill/fail upstream, one traversal per edge, immediately."""
         hop = run.path.hops[hop_index]
-        channel = self.graph.channels[hop.channel]
+        channel = hop.channel
 
         def delivered():
             if kind == FULFILL:
-                self._settle(channel, hop.frm, hop.forward_amount_msat)
+                self._settle(hop)
                 # settlement handshake: simulated, gates nothing
                 self._handshake(run, channel, hop.to, hop.frm)
                 self._behavior(hop.frm).on_fulfill(self.queue.now, hop.frm, run.payment_id)
@@ -564,17 +567,15 @@ class ReferenceEngine:
 
         self._send(run, channel, hop.to, hop.frm, kind, on_delivery=delivered)
 
-    def _settle(self, channel: Channel, frm: NodeId, amount_msat: int) -> None:
-        """Move amount from frm's side to the other side, atomically."""
-        out_policy = channel.policy_from(frm)
-        in_policy = channel.policy_from(channel.other_end(frm))
-        assert out_policy.balance_msat is not None and in_policy.balance_msat is not None
-        if out_policy.balance_msat < amount_msat:
+    def _settle(self, hop: Hop) -> None:
+        """Move the hop's amount from its sender's side to its receiver's, atomically."""
+        out, into = (hop.channel, hop.frm), (hop.channel, hop.to)
+        if self.balances[out] < hop.forward_amount_msat:
             raise RuntimeError(
-                f"settling {amount_msat} over {channel.id} exceeds balance"
+                f"settling {hop.forward_amount_msat} over {hop.channel} exceeds balance"
             )
-        out_policy.balance_msat -= amount_msat
-        in_policy.balance_msat += amount_msat
+        self.balances[out] -= hop.forward_amount_msat
+        self.balances[into] += hop.forward_amount_msat
 
     def _finish(self, run: _PaymentRun) -> PaymentOutcome:
         return PaymentOutcome(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from pcnsim.adversary import AdversaryConfig, AdversaryObserver
-from pcnsim.graph import public_view
 from pcnsim.latency import Gaussian, LatencyModel
 from pcnsim.routing import Payment, find_route
 from pcnsim.sim import PaymentEngine
@@ -13,7 +12,8 @@ from conftest import make_graph, split_balances
 
 
 def mixed_topology_graph(idx: int):
-    """Seeded small graph from one of five families, with noisy latencies."""
+    """Seeded small graph from one of five families, with noisy latencies:
+    (graph, balances, latencies)."""
     rng = np.random.default_rng(1000 + idx)
     n = int(rng.integers(6, 13))
     names = [f"n{i:02d}" for i in range(n)]
@@ -45,30 +45,29 @@ def mixed_topology_graph(idx: int):
         i, j = rng.integers(0, n, size=2)
         if i != j:
             rows.append(row(f"x{k:02d}", names[int(i)], names[int(j)]))
-    return split_balances(make_graph(names, rows))
+    g, latencies = make_graph(names, rows)
+    return g, split_balances(g), latencies
 
 
-def true_latency_model(graph, traversal_weight=6) -> LatencyModel:
+def true_latency_model(latencies, traversal_weight=6) -> LatencyModel:
     """The adversary's best case: the model equals the real edge latencies."""
     return LatencyModel(
-        edges={cid: Gaussian(ch.latency.mean, ch.latency.std)
-               for cid, ch in graph.channels.items()},
+        edges={cid: Gaussian(lat.mean, lat.std) for cid, lat in latencies.items()},
         traversal_weight=traversal_weight,
     )
 
 
-def simulate_observations(graph, malicious, n_payments, seed, retry=True):
+def simulate_observations(graph, balances, latencies, malicious, n_payments, seed, retry=True):
     """Route and execute random payments with an observing adversary.
 
-    Returns (observer, public graph, truth dict payment_id -> (source, dest)).
+    Returns (observer, truth dict payment_id -> (source, dest)).
     """
     cfg = AdversaryConfig(
         malicious_nodes=frozenset(malicious), source_attack_enabled=retry
     )
     observer = AdversaryObserver(cfg)
     behaviors = {m: observer for m in cfg.malicious_nodes}
-    pub = public_view(graph)
-    engine = PaymentEngine(graph, np.random.default_rng(seed), behaviors)
+    engine = PaymentEngine(graph, balances, latencies, np.random.default_rng(seed), behaviors)
     rng = np.random.default_rng(seed + 1)
     nodes = sorted(graph.nodes)
     truth = {}
@@ -77,7 +76,7 @@ def simulate_observations(graph, malicious, n_payments, seed, retry=True):
         if s == t:
             continue
         amount = int(rng.integers(1, 200)) * 1000
-        path = find_route(pub, Payment(s, t, amount))
+        path = find_route(graph, Payment(s, t, amount))
         if path is None:
             continue
         pid = f"p{i:04d}"
@@ -85,4 +84,4 @@ def simulate_observations(graph, malicious, n_payments, seed, retry=True):
         if outcome.status == "failed" and retry and observer.adversarially_failed(pid):
             outcome = engine.execute_payment(path, pid)
         truth[pid] = (s, t)
-    return observer, pub, truth
+    return observer, truth

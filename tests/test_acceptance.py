@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcnsim.adversary import AdversaryConfig, estimate_endpoint
-from pcnsim.graph import ConservationError, public_view
+from pcnsim.graph import ConservationError, check_conservation
 from pcnsim.harness import (
     ScenarioConfig,
     build_latency_model,
@@ -46,18 +46,18 @@ def test_criterion_1_estimator_oracle_equivalence():
     start = time.time()
     total = matched = 0
     for idx in range(50):
-        g = mixed_topology_graph(idx)
+        g, balances, latencies = mixed_topology_graph(idx)
         names = sorted(g.nodes)
         malicious = names[1:3] if idx % 2 else names[:2]
-        observer, pub, _ = simulate_observations(g, malicious, 25, seed=idx)
-        model = true_latency_model(g)
+        observer, _ = simulate_observations(g, balances, latencies, malicious, 25, seed=idx)
+        model = true_latency_model(latencies)
         cfg = AdversaryConfig(frozenset(malicious))
         for inputs in observer.estimation_inputs().values():
             for obs in inputs.values():
-                result = estimate_endpoint(obs, pub, model, cfg)
-                anchor, seed_amt, direction, budget = observation_walk_inputs(obs, pub)
+                result = estimate_endpoint(obs, g, model, cfg)
+                anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
                 top, _ = brute_estimate(
-                    g=pub, model=model, obs_edge_id=obs.edge_observed,
+                    g=g, model=model, obs_edge_id=obs.edge_observed,
                     observer=obs.observer, delta_ms=obs.delta_t_ms,
                     seed_amount=seed_amt, direction=direction, budget=budget,
                 )
@@ -73,8 +73,9 @@ def test_criterion_2_message_count_ground_truth():
     rows = [(f"e{i}", names[i], names[i + 1]) for i in range(4)]
     checks = []
     for hops in (1, 2, 3, 4):
-        g = split_balances(make_graph(names, rows))  # fresh balances per run
-        engine = PaymentEngine(g, np.random.default_rng(0))
+        g, latencies = make_graph(names, rows)
+        engine = PaymentEngine(g, split_balances(g), latencies,  # fresh balances per run
+                               np.random.default_rng(0))
         path = path_from_channels(g, "a", [f"e{i}" for i in range(hops)], 50_000)
         outcome = engine.execute_payment(path, f"L{hops}")
         checks.append(outcome.completed_at - outcome.started_at == hops * 60 * MS)
@@ -103,37 +104,40 @@ def _hop_distances(g, start):
 
 
 def _latency_test_graph(n, seed, relative_sigma):
+    """(graph, balances, latencies) of a scale-free graph."""
     g = generate_synthetic_graph("scale-free", n, seed=seed)
     rng = np.random.default_rng(seed + 1)
+    latencies = {}
     for cid in sorted(g.channels):
         mean = float(rng.integers(8, 80))
-        g.channels[cid].latency = Gaussian(mean, relative_sigma * mean)
-    return split_balances(g)
+        latencies[cid] = Gaussian(mean, relative_sigma * mean)
+    return g, split_balances(g), latencies
 
 
 def test_criterion_3_latency_model_recovery():
     start = time.time()
     # noiseless: every probed edge mean is recovered bit-exactly
-    g = _latency_test_graph(30, seed=21, relative_sigma=0.0)
+    g, balances, latencies = _latency_test_graph(30, seed=21, relative_sigma=0.0)
     from pcnsim.graph import betweenness_ranking
 
-    vantage = betweenness_ranking(public_view(g))[0]
+    vantage = betweenness_ranking(g)[0]
     cfg = ScenarioConfig(amounts_sat=(1,), probes_per_path=5, probe_max_depth=3)
-    model, _ = build_latency_model(g, frozenset({vantage}), cfg, np.random.SeedSequence(0))
+    model, _ = build_latency_model(g, balances, latencies, frozenset({vantage}), cfg,
+                                   np.random.SeedSequence(0))
     dist = _hop_distances(g, vantage)
     within = {
         cid for cid, ch in g.channels.items()
         if min(dist[ch.u], dist[ch.v]) < 3
     }
     coverage_ok = within <= set(model.edges)
-    exact = [model.edges[cid].mean == g.channels[cid].latency.mean for cid in model.edges]
+    exact = [model.edges[cid].mean == latencies[cid].mean for cid in model.edges]
     # noisy: 100 probes per path, recovered means within 10% for >= 95% of edges
-    gn = _latency_test_graph(30, seed=21, relative_sigma=0.2)
+    gn, balances_n, latencies_n = _latency_test_graph(30, seed=21, relative_sigma=0.2)
     cfg_n = ScenarioConfig(amounts_sat=(1,), probes_per_path=100, probe_max_depth=3)
-    model_n, _ = build_latency_model(gn, frozenset({vantage}), cfg_n, np.random.SeedSequence(7))
+    model_n, _ = build_latency_model(gn, balances_n, latencies_n, frozenset({vantage}), cfg_n,
+                                     np.random.SeedSequence(7))
     rel_ok = [
-        abs(model_n.edges[cid].mean - gn.channels[cid].latency.mean)
-        <= 0.10 * gn.channels[cid].latency.mean
+        abs(model_n.edges[cid].mean - latencies_n[cid].mean) <= 0.10 * latencies_n[cid].mean
         for cid in model_n.edges
     ]
     share = sum(rel_ok) / len(rel_ok)
@@ -201,7 +205,6 @@ def test_criterion_5_estimator_ordering(big_graph):
 
 def test_criterion_6_compromised_share_monotonicity(big_graph):
     start = time.time()
-    pub = public_view(big_graph)
     ranked_ms = (1, 2, 4, 8, 16)
     central_share = {m: [] for m in ranked_ms}
     random_share = {m: [] for m in ranked_ms}
@@ -212,7 +215,7 @@ def test_criterion_6_compromised_share_monotonicity(big_graph):
         wl = generate_workload(big_graph, base_cfg, np.random.default_rng(seed), 1000)
         intermediaries = []
         for s, t, amount in wl:
-            path = find_route(pub, Payment(s, t, amount))
+            path = find_route(big_graph, Payment(s, t, amount))
             if path is not None:
                 intermediaries.append(set(path.intermediaries()))
         for m in ranked_ms:
@@ -280,10 +283,11 @@ def test_criterion_9_channel_conservation():
     result = run_experiment(g, cfg)
     clean = not result.failures and len(result.records) == 2
     # a violated channel must fail the run, not pass silently
-    g2 = split_balances(generate_synthetic_graph("path", 3))
-    next(iter(g2.channels.values())).policy_uv.balance_msat += 1
+    g2 = generate_synthetic_graph("path", 3)
+    balances = split_balances(g2)
+    balances[next(iter(balances))] += 1
     try:
-        g2.check_conservation()
+        check_conservation(g2, balances)
         caught = False
     except ConservationError:
         caught = True

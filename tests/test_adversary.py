@@ -14,7 +14,6 @@ from pcnsim.adversary import (
     first_spy_estimate,
     reduce_anonymity_set,
 )
-from pcnsim.graph import public_view
 from pcnsim.latency import Gaussian, LatencyModel
 from pcnsim.routing import Payment, RoutingParams, find_route
 from pcnsim.sim import PaymentEngine
@@ -51,21 +50,21 @@ class TestObservation:
 
 def run_line_payment(retry, nodes=("a", "b", "c"), malicious=("b",), amount=100_000):
     chans = [(f"e{i}", nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
-    g = split_balances(make_graph(list(nodes), chans))
+    g, latencies = make_graph(list(nodes), chans)
     cfg = AdversaryConfig(malicious_nodes=frozenset(malicious), source_attack_enabled=retry)
     observer = AdversaryObserver(cfg)
-    pub = public_view(g)
-    engine = PaymentEngine(g, np.random.default_rng(0), {m: observer for m in malicious})
-    path = find_route(pub, Payment(nodes[0], nodes[-1], amount))
+    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0),
+                           {m: observer for m in malicious})
+    path = find_route(g, Payment(nodes[0], nodes[-1], amount))
     outcome = engine.execute_payment(path, "p0")
     if outcome.status == "failed" and observer.adversarially_failed("p0"):
         outcome = engine.execute_payment(path, "p0")
-    return g, pub, path, observer, outcome
+    return g, path, observer, outcome
 
 
 class TestObserverCapture:
     def test_destination_leg_delta_is_one_edge(self):
-        g, pub, path, observer, outcome = run_line_payment(retry=False)
+        g, path, observer, outcome = run_line_payment(retry=False)
         assert outcome.status == "fulfilled"
         obs = [o for o in observer.observations if o.direction == TOWARD_DESTINATION]
         assert len(obs) == 1
@@ -77,7 +76,7 @@ class TestObserverCapture:
         assert o.timelock_blocks == path.hops[1].remaining_timelock
 
     def test_source_leg_fail_retry_delta(self):
-        g, pub, path, observer, outcome = run_line_payment(retry=True)
+        g, path, observer, outcome = run_line_payment(retry=True)
         assert outcome.status == "fulfilled"  # the retry went through
         src = [o for o in observer.observations if o.direction == TOWARD_SOURCE]
         assert len(src) == 1
@@ -89,12 +88,12 @@ class TestObserverCapture:
         assert any(o.direction == TOWARD_DESTINATION for o in observer.observations)
 
     def test_retry_disabled_no_source_observation(self):
-        _, _, _, observer, _ = run_line_payment(retry=False)
+        _, _, observer, _ = run_line_payment(retry=False)
         assert not [o for o in observer.observations if o.direction == TOWARD_SOURCE]
 
     def test_closest_observer_selected_per_leg(self):
         nodes = ("a", "m1", "m2", "d")
-        g, pub, path, observer, outcome = run_line_payment(
+        g, path, observer, outcome = run_line_payment(
             retry=True, nodes=nodes, malicious=("m1", "m2")
         )
         assert outcome.status == "fulfilled"
@@ -109,11 +108,10 @@ class TestObserverCapture:
 class TestReduceAnonymitySet:
     def fixture(self):
         # m - x - y - z line plus x - w branch
-        g = make_graph(
+        return make_graph(
             ["m", "x", "y", "z", "w"],
             [("e1", "m", "x"), ("e2", "x", "y"), ("e3", "y", "z"), ("e4", "w", "x")],
-        )
-        return public_view(g)
+        )[0]
 
     def test_amount_beyond_capacities_singleton(self):
         pub = self.fixture()
@@ -156,7 +154,7 @@ class TestReduceAnonymitySet:
                     k += 1
         if not rows:
             rows = [("c0", names[0], names[1])]
-        pub = public_view(make_graph(names, rows))
+        pub, _ = make_graph(names, rows)
         observer = rows[0][1]
         edge = rows[0][0]
         anchor = pub.channels[edge].other_end(observer)
@@ -171,12 +169,11 @@ class TestReduceAnonymitySet:
 
 
 def line_model_fixture():
-    g = make_graph(
+    pub, _ = make_graph(
         ["m", "x", "y"],
         [("e1", "m", "x", {"latency_ms": 10.0, "sigma_ms": 1.0}),
          ("e2", "x", "y", {"latency_ms": 10.0, "sigma_ms": 1.0})],
     )
-    pub = public_view(g)
     model = LatencyModel(
         edges={"e1": Gaussian(10.0, 1.0), "e2": Gaussian(10.0, 1.0)}, traversal_weight=6
     )
@@ -226,23 +223,25 @@ class TestFirstSpy:
     def test_known_failure_mode_far_destination(self):
         # observer right after the source of a 3-hop path: the successor it
         # sees is an intermediary, not the destination
-        g = split_balances(make_graph(
+        g, latencies = make_graph(
             ["a", "b", "c", "d"],
             [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")],
-        ))
+        )
         observer = AdversaryObserver(
             AdversaryConfig(frozenset({"b"}), source_attack_enabled=False)
         )
-        pub = public_view(g)
-        path = find_route(pub, Payment("a", "d", 1000))
-        engine = PaymentEngine(g, np.random.default_rng(0), {"b": observer})
+        path = find_route(g, Payment("a", "d", 1000))
+        engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0),
+                               {"b": observer})
         engine.execute_payment(path, "px")
         obs = observer.estimation_inputs()["px"]["destination"]
-        assert first_spy_estimate(obs, pub).top == "c" != "d"
+        assert first_spy_estimate(obs, g).top == "c" != "d"
 
 
-def random_attack_graph(seed, n=10, extra_edges=4):
-    """Connected random graph: a spanning tree plus a few chords."""
+def random_attack_graph(seed, n=10, extra_edges=4, one_sided=0):
+    """Connected random graph, a spanning tree plus a few chords:
+    (graph, balances, latencies).  `one_sided` channels have one direction
+    disabled, as a snapshot's missing policy leaves them."""
     rng = np.random.default_rng(seed)
     names = [f"n{i:02d}" for i in range(n)]
     rows = []
@@ -260,24 +259,28 @@ def random_attack_graph(seed, n=10, extra_edges=4):
         if i == j:
             continue
         rows.append(row(f"x{k:02d}", names[int(i)], names[int(j)]))
-    return split_balances(make_graph(names, rows))
+    for k in rng.choice(len(rows), size=one_sided, replace=False):
+        rows[int(k)][3][f"enabled_{rng.choice(['uv', 'vu'])}"] = False
+    g, latencies = make_graph(names, rows)
+    return g, split_balances(g), latencies
 
 
 class TestEstimatorOracleEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_top_candidate_matches_bruteforce(self, seed):
-        g = random_attack_graph(seed)
+        g, balances, latencies = random_attack_graph(seed)
         malicious = sorted(g.nodes)[:2]
-        observer, pub, _ = simulate_observations(g, malicious, 60, seed=seed * 7 + 1)
-        model = true_latency_model(g)
+        observer, _ = simulate_observations(g, balances, latencies, malicious, 60,
+                                            seed=seed * 7 + 1)
+        model = true_latency_model(latencies)
         cfg = AdversaryConfig(frozenset(malicious))
         checked = 0
         for inputs in observer.estimation_inputs().values():
             for obs in inputs.values():
-                result = estimate_endpoint(obs, pub, model, cfg)
-                anchor, seed_amt, direction, budget = observation_walk_inputs(obs, pub)
+                result = estimate_endpoint(obs, g, model, cfg)
+                anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
                 top, _ = brute_estimate(
-                    g=pub, model=model, obs_edge_id=obs.edge_observed,
+                    g=g, model=model, obs_edge_id=obs.edge_observed,
                     observer=obs.observer, delta_ms=obs.delta_t_ms,
                     seed_amount=seed_amt, direction=direction, budget=budget,
                 )
@@ -319,7 +322,7 @@ def walk_cases(draw):
             rows.append((cid, names[i], names[j], over))
             if draw(st.booleans()):  # otherwise the model falls back to its default
                 edges[cid] = Gaussian(draw(st.floats(1.0, 80.0)), draw(st.floats(0.0, 20.0)))
-    pub = public_view(make_graph(names, rows))
+    pub, _ = make_graph(names, rows)
     observer = names[draw(st.integers(0, n - 1))]
     obs = Observation(
         payment_id="p0",
@@ -358,20 +361,70 @@ class TestReferenceWalk:
 
 
 class TestAnonymitySetSoundness:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_true_endpoint_always_member(self, seed):
-        g = random_attack_graph(seed)
+    @staticmethod
+    def check_members(net, seed):
+        g, balances, latencies = net
         malicious = sorted(g.nodes)[:2]
-        observer, pub, truth = simulate_observations(g, malicious, 60, seed=seed + 50)
+        observer, truth = simulate_observations(g, balances, latencies, malicious, 60, seed=seed)
         cfg = AdversaryConfig(frozenset(malicious))
         checked = 0
         for pid, inputs in observer.estimation_inputs().items():
             source, dest = truth[pid]
             for target, obs in inputs.items():
-                members = reduce_anonymity_set(obs, pub, cfg)
+                members = reduce_anonymity_set(obs, g, cfg)
                 assert (source if target == "source" else dest) in members
                 checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_true_endpoint_always_member(self, seed):
+        self.check_members(random_attack_graph(seed), seed + 50)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_true_endpoint_member_with_one_sided_channels(self, seed):
+        self.check_members(random_attack_graph(seed, extra_edges=8, one_sided=6), seed + 50)
+
+
+def source_leg_case(kind):
+    """An observation at m of a payment that crossed b -> m, toward its
+    source, where the a-b channels a payment from a could have used are
+    chosen by the a -> b policy, not by b -> a.
+
+    "parallel": p (a -> b fee 0, b -> a fee 1000) and q (a -> b disabled,
+    b -> a fee 0); "one-sided": p alone, with b -> a disabled."""
+    if kind == "parallel":
+        rows = [("p", "a", "b", {"base_fee_uv": 0, "base_fee_vu": 1000}),
+                ("q", "a", "b", {"base_fee_vu": 0, "enabled_uv": False})]
+    else:
+        rows = [("p", "a", "b", {"enabled_vu": False})]
+    g, _ = make_graph(["a", "b", "m"], rows + [("e", "b", "m")], rate_ppm=0)
+    obs = mk_obs(observer="m", edge="e", direction=TOWARD_SOURCE, amount=5000, t1=120 * MS)
+    return g, obs
+
+
+class TestSourceLegChannelChoice:
+    """Toward the source, the walks weigh the policy the payment crossed under."""
+
+    @pytest.mark.parametrize("kind", ["parallel", "one-sided"])
+    def test_anonymity_set_matches_bruteforce(self, kind):
+        g, obs = source_leg_case(kind)
+        anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
+        expected = brute_reduced_set(g, anchor, seed_amt, direction, budget, forbidden=("m",))
+        assert expected == {"a", "b"}
+        assert reduce_anonymity_set(obs, g, AdversaryConfig(frozenset({"m"}))) == expected
+
+    @pytest.mark.parametrize("kind", ["parallel", "one-sided"])
+    def test_estimate_matches_bruteforce(self, kind):
+        g, obs = source_leg_case(kind)
+        # the two-hop path a - b - m takes exactly the observed 120 ms
+        model = LatencyModel({"p": Gaussian(10.0, 1.0), "e": Gaussian(10.0, 1.0)})
+        anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
+        top, _ = brute_estimate(
+            g=g, model=model, obs_edge_id="e", observer="m", delta_ms=obs.delta_t_ms,
+            seed_amount=seed_amt, direction=direction, budget=budget,
+        )
+        assert top == "a"
+        assert estimate_endpoint(obs, g, model, AdversaryConfig(frozenset({"m"}))).top == top
 
 
 class TestObservationExport:

@@ -5,21 +5,21 @@ from hypothesis import example, given, settings, strategies as st
 from pcnsim.graph import (
     DEFAULT_REGION_RTT,
     Channel,
+    ChannelGraph,
     DirectedPolicy,
-    FullGraph,
     Node,
     RegionLatencyTable,
     SnapshotError,
     _betweenness_scores,
     assign_latencies,
     betweenness_ranking,
+    check_conservation,
     convert_describegraph,
     init_balances,
     load_snapshot,
-    public_view,
 )
 from pcnsim.harness import generate_synthetic_graph
-from conftest import make_graph, split_balances
+from conftest import make_graph
 from oracles import brute_betweenness
 
 
@@ -220,10 +220,9 @@ def load_or_reject(document):
     for cid, ch in g.channels.items():
         assert isinstance(cid, str) and ch.u < ch.v and {ch.u, ch.v} <= set(g.nodes)
         assert ch.capacity_msat >= 0
-    init_balances(g)
-    assign_latencies(g, DEFAULT_REGION_RTT, 0)
-    g.check_conservation()
-    assert sorted(betweenness_ranking(public_view(g))) == sorted(g.nodes)
+    check_conservation(g, init_balances(g))
+    assert set(assign_latencies(g, DEFAULT_REGION_RTT, 0)) == set(g.channels)
+    assert sorted(betweenness_ranking(g)) == sorted(g.nodes)
     return g
 
 
@@ -251,22 +250,21 @@ class TestInitBalances:
         [(1000, 500, 500), (0, 0, 0), (7, 4, 3)],
     )
     def test_split(self, cap_msat, expect_uv, expect_vu):
-        g = FullGraph()
+        g = ChannelGraph()
         g.add_node(Node("a"))
         g.add_node(Node("b"))
         from pcnsim.graph import Channel, DirectedPolicy
 
         g.add_channel(Channel("c0", "a", "b", cap_msat, DirectedPolicy(), DirectedPolicy()))
-        init_balances(g)
-        ch = g.channels["c0"]
-        assert ch.policy_uv.balance_msat == expect_uv  # u == "a", the smaller id
-        assert ch.policy_vu.balance_msat == expect_vu
-        g.check_conservation()
+        balances = init_balances(g)
+        assert balances["c0", "a"] == expect_uv  # u == "a", the smaller id
+        assert balances["c0", "b"] == expect_vu
+        check_conservation(g, balances)
 
     @given(caps=st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_conservation_property(self, caps):
-        g = FullGraph()
+        g = ChannelGraph()
         names = [f"n{i}" for i in range(len(caps) + 1)]
         for n in names:
             g.add_node(Node(n))
@@ -276,10 +274,10 @@ class TestInitBalances:
             g.add_channel(
                 Channel(f"c{i}", names[i], names[i + 1], cap, DirectedPolicy(), DirectedPolicy())
             )
-        init_balances(g)
-        g.check_conservation()
-        for ch in g.channels.values():
-            assert abs(ch.policy_uv.balance_msat - ch.policy_vu.balance_msat) <= 1
+        balances = init_balances(g)
+        check_conservation(g, balances)
+        for cid, ch in g.channels.items():
+            assert abs(balances[cid, ch.u] - balances[cid, ch.v]) <= 1
 
 
 class TestAssignLatencies:
@@ -290,71 +288,46 @@ class TestAssignLatencies:
         g = load_snapshot(
             snapshot_doc([node("A", "EU"), node("B", "EU")], [edge("c0", "A", "B", 10)])
         )
-        assign_latencies(g, self.table(), rng_seed=0)
-        assert g.channels["c0"].latency.mean == 20.0  # half of the 40 ms RTT
-        assert g.channels["c0"].latency.std == 6.0
+        latencies = assign_latencies(g, self.table(), rng_seed=0)
+        assert latencies["c0"].mean == 20.0  # half of the 40 ms RTT
+        assert latencies["c0"].std == 6.0
 
     def test_missing_pair_falls_back(self):
         g = load_snapshot(
             snapshot_doc([node("A", "EU"), node("B", "SA")], [edge("c0", "A", "B", 10)])
         )
-        assign_latencies(g, self.table(), rng_seed=0)
-        assert g.channels["c0"].latency.mean == 125.0
+        assert assign_latencies(g, self.table(), rng_seed=0)["c0"].mean == 125.0
 
     def test_unknown_region_deterministic(self):
         doc = snapshot_doc([node("A"), node("B", "EU")], [edge("c0", "A", "B", 10)])
         lat = []
         for _ in range(2):
             g = load_snapshot(doc)
-            assign_latencies(g, self.table(), rng_seed=42)
-            lat.append(g.channels["c0"].latency)
+            lat.append(assign_latencies(g, self.table(), rng_seed=42)["c0"])
         assert lat[0] == lat[1]
 
     def test_empty_table_global_default(self):
         g = load_snapshot(snapshot_doc([node("A"), node("B")], [edge("c0", "A", "B", 10)]))
-        assign_latencies(g, RegionLatencyTable(), rng_seed=0)
-        assert g.channels["c0"].latency.mean == 125.0
-        assert g.channels["c0"].latency.std == 25.0
+        latencies = assign_latencies(g, RegionLatencyTable(), rng_seed=0)
+        assert latencies["c0"].mean == 125.0
+        assert latencies["c0"].std == 25.0
 
     def test_equal_seeds_identical(self):
         runs = []
         for _ in range(2):
-            g = make_graph(list("abcdef"), [
+            g, _ = make_graph(list("abcdef"), [
                 ("c0", "a", "b"), ("c1", "b", "c"), ("c2", "c", "d"),
                 ("c3", "d", "e"), ("c4", "e", "f"),
             ])
-            assign_latencies(g, DEFAULT_REGION_RTT, rng_seed=7)
-            runs.append({cid: ch.latency for cid, ch in g.channels.items()})
+            runs.append(assign_latencies(g, DEFAULT_REGION_RTT, rng_seed=7))
         assert runs[0] == runs[1]
 
 
 class TestPublicView:
-    def test_projection(self):
-        g = make_graph(["a", "b"], [("c0", "a", "b", {"capacity_sat": 1})])
-        ch = g.channels["c0"]
-        ch.policy_uv.balance_msat = 300
-        ch.policy_vu.balance_msat = 700
-        pub = public_view(g)
-        pch = pub.channels["c0"]
-        assert pch.capacity_msat == 1000
-        assert pch.policy_uv.balance_msat is None
-        assert pch.policy_vu.balance_msat is None
-        assert pch.latency is None
-        assert len(pub.nodes) == len(g.nodes)
-        assert len(pub.channels) == len(g.channels)
-
-    def test_idempotent(self):
-        g = split_balances(make_graph(["a", "b", "c"], [("c0", "a", "b"), ("c1", "b", "c")]))
-        once = public_view(g)
-        twice = public_view(once)
-        assert once == twice
-
     def test_neighbour_groups(self):
-        pub = public_view(make_graph(
-            ["a", "b", "c"],
-            [("c2", "a", "c"), ("c0", "b", "a", {"base_fee_uv": 5, "base_fee_vu": 7}),
-             ("c1", "a", "b")],
-        ))
+        rows = [("c2", "a", "c"), ("c0", "b", "a", {"base_fee_uv": 5, "base_fee_vu": 7}),
+                ("c1", "a", "b")]
+        pub, _ = make_graph(["a", "b", "c"], rows)
         groups = pub.neighbour_groups("a")
         assert [(nb, [side[0].id for side in sides]) for nb, sides in groups] == [
             ("b", ["c0", "c1"]), ("c", ["c2"]),
@@ -365,29 +338,29 @@ class TestPublicView:
         assert groups[0][1][0][1].base_fee_msat == 5
         assert pub.neighbour_groups("a") is groups
         # built groups take no part in equality, and a new channel rebuilds them
-        assert pub == public_view(pub)
+        assert pub == make_graph(["a", "b", "c"], rows)[0]
         pub.add_channel(Channel("c3", "a", "b", 1000, DirectedPolicy(), DirectedPolicy()))
         assert [side[0].id for side in pub.neighbour_groups("a")[0][1]] == ["c0", "c1", "c3"]
 
 
 class TestBetweenness:
     def test_path_center_first(self):
-        g = make_graph(["a", "b", "c"], [("c0", "a", "b"), ("c1", "b", "c")])
-        assert betweenness_ranking(public_view(g))[0] == "b"
+        g, _ = make_graph(["a", "b", "c"], [("c0", "a", "b"), ("c1", "b", "c")])
+        assert betweenness_ranking(g)[0] == "b"
 
     def test_star_hub_value(self):
         n = 6
-        g = make_graph(
+        g, _ = make_graph(
             [f"n{i}" for i in range(n)],
             [(f"c{i}", "n0", f"n{i}") for i in range(1, n)],
         )
         scores = brute_betweenness(g)
         assert scores["n0"] == (n - 1) * (n - 2) / 2
-        assert betweenness_ranking(public_view(g))[0] == "n0"
+        assert betweenness_ranking(g)[0] == "n0"
 
     def test_ties_by_node_id(self):
-        g = make_graph(["a", "b"], [("c0", "a", "b")])
-        assert betweenness_ranking(public_view(g)) == ["a", "b"]
+        g, _ = make_graph(["a", "b"], [("c0", "a", "b")])
+        assert betweenness_ranking(g) == ["a", "b"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_bruteforce_on_random_graphs(self, seed):
@@ -403,10 +376,10 @@ class TestBetweenness:
                     k += 1
         if not edges:
             edges = [("c0", names[0], names[1])]
-        g = make_graph(names, edges)
+        g, _ = make_graph(names, edges)
         oracle = brute_betweenness(g)
         expected = sorted(names, key=lambda x: (-oracle[x], x))
-        assert betweenness_ranking(public_view(g)) == expected
+        assert betweenness_ranking(g) == expected
 
     @pytest.mark.parametrize("side, expected", [
         (3, ["n04", "n01", "n03", "n05", "n07", "n00", "n02", "n06", "n08"]),
@@ -421,8 +394,8 @@ class TestBetweenness:
         rows = [(f"h{i}", names[i], names[i + 1])
                 for i in range(side * side) if (i + 1) % side]
         rows += [(f"v{i}", names[i], names[i + side]) for i in range(side * (side - 1))]
-        g = make_graph(names, rows)
-        assert betweenness_ranking(public_view(g)) == expected
+        g, _ = make_graph(names, rows)
+        assert betweenness_ranking(g) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
@@ -436,8 +409,8 @@ class TestBetweenness:
         n, pairs = graph_spec
         names = [f"n{i}" for i in range(n)]
         rows = [(f"c{k}", names[a], names[b]) for k, (a, b) in enumerate(pairs) if a != b]
-        g = make_graph(names, rows)
-        assert betweenness_ranking(public_view(g)) == _tie_rule_ranking(brute_betweenness(g))
+        g, _ = make_graph(names, rows)
+        assert betweenness_ranking(g) == _tie_rule_ranking(brute_betweenness(g))
 
     @pytest.mark.parametrize("n, seed", [(15, 9), (30, 3), (30, 21), (200, 11), (1000, 11)])
     def test_matches_networkx_on_scale_free(self, n, seed):

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from pcnsim.harness import (
     run_single,
 )
 from pcnsim import cli
-from pcnsim.graph import public_view
+from pcnsim.graph import RegionLatencyTable, assign_latencies
 from pcnsim.latency import aggregate_models
 from pcnsim.routing import Payment, RouteSearch, RoutingParams, find_route
 from conftest import make_graph, split_balances
@@ -36,12 +37,12 @@ def tiny_cfg(**kw):
 
 class TestBuildScenario:
     def test_central_path_picks_middle(self):
-        g = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
+        g, _ = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
         adv = build_scenario(g, tiny_cfg(), seed=0)
         assert adv.malicious_nodes == {"b"}
 
     def test_random_all_nodes(self):
-        g = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
+        g, _ = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
         adv = build_scenario(g, tiny_cfg(scenario="random", m=3), seed=5)
         assert adv.malicious_nodes == {"a", "b", "c"}
 
@@ -54,34 +55,34 @@ class TestBuildScenario:
         assert len(picks) == 1
 
     def test_explicit_list(self):
-        g = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
+        g, _ = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
         adv = build_scenario(g, tiny_cfg(scenario="list", node_list=("a", "c")), seed=0)
         assert adv.malicious_nodes == {"a", "c"}
 
     def test_unknown_node_rejected(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b")])
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         with pytest.raises(ConfigError):
             build_scenario(g, tiny_cfg(scenario="list", node_list=("ghost",)), seed=0)
 
     def test_m_exceeding_nodes_rejected(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b")])
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         with pytest.raises(ConfigError):
             build_scenario(g, tiny_cfg(m=5), seed=0)
 
 
 class TestWorkload:
     def test_two_node_graph_only_pair(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b")])
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         wl = generate_workload(g, tiny_cfg(payments_per_run=10), np.random.default_rng(0), 100)
         assert all({s, t} == {"a", "b"} for s, t, _ in wl)
 
     def test_single_amount(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b")])
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         wl = generate_workload(g, tiny_cfg(amounts_sat=(1,)), np.random.default_rng(0), 1)
         assert {amt for _, _, amt in wl} == {1000}
 
     def test_mixed_mode_cycles_amounts(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b")])
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         cfg = tiny_cfg(amounts_sat=(1, 10), workload_mode="mixed", payments_per_run=4)
         wl = generate_workload(g, cfg, np.random.default_rng(0), 1)
         assert [amt for _, _, amt in wl] == [1000, 10_000, 1000, 10_000]
@@ -143,7 +144,7 @@ class TestProbePlan:
             seen.add(cid)
 
     def test_disabled_direction_not_probed(self):
-        g = make_graph(["a", "b", "c"],
+        g, _ = make_graph(["a", "b", "c"],
                        [("e0", "a", "b"), ("e1", "b", "c", {"enabled_uv": False})])
         plan = probe_plan(g, "a", max_depth=3)
         assert [cid for cid, _ in plan] == ["e0"]
@@ -157,22 +158,21 @@ class TestBuildLatencyModel:
             ("e2", "c", "d", {"latency_ms": 40.0}),
             ("e3", "b", "d", {"latency_ms": 60.0}),
         ]
-        g = split_balances(make_graph(["a", "b", "c", "d"], rows))
+        g, latencies = make_graph(["a", "b", "c", "d"], rows)
         cfg = tiny_cfg(probes_per_path=3, probe_max_depth=3)
         model, estimates = build_latency_model(
-            g, frozenset({"a"}), cfg, np.random.SeedSequence(0)
+            g, split_balances(g), latencies, frozenset({"a"}), cfg, np.random.SeedSequence(0)
         )
         for cid in ("e0", "e1", "e2", "e3"):
-            assert model.edges[cid].mean == g.channels[cid].latency.mean
+            assert model.edges[cid].mean == latencies[cid].mean
 
     def test_multi_vantage_aggregates(self):
-        g = split_balances(generate_synthetic_graph("ring", 6))
-        from pcnsim.graph import assign_latencies, RegionLatencyTable
-
-        assign_latencies(g, RegionLatencyTable(), rng_seed=0)
+        g = generate_synthetic_graph("ring", 6)
+        latencies = assign_latencies(g, RegionLatencyTable(), rng_seed=0)
         cfg = tiny_cfg(probes_per_path=3, probe_max_depth=2)
         model, estimates = build_latency_model(
-            g, frozenset({"n000", "n003"}), cfg, np.random.SeedSequence(1)
+            g, split_balances(g), latencies, frozenset({"n000", "n003"}), cfg,
+            np.random.SeedSequence(1),
         )
         vantages = {e.source_vantage for e in estimates}
         assert vantages == {"n000", "n003"}
@@ -181,13 +181,12 @@ class TestBuildLatencyModel:
     def test_model_is_aggregate_of_kept_estimates(self):
         # one definition: the campaign's model is exactly aggregate_models of
         # the estimates it keeps, single-vantage channels included
-        g = split_balances(generate_synthetic_graph("ring", 6))
-        from pcnsim.graph import assign_latencies, RegionLatencyTable
-
-        assign_latencies(g, RegionLatencyTable(), rng_seed=0)
+        g = generate_synthetic_graph("ring", 6)
+        latencies = assign_latencies(g, RegionLatencyTable(), rng_seed=0)
         cfg = tiny_cfg(probes_per_path=5, probe_max_depth=2, traversal_weight=4)
         model, kept = build_latency_model(
-            g, frozenset({"n000", "n003"}), cfg, np.random.SeedSequence(3)
+            g, split_balances(g), latencies, frozenset({"n000", "n003"}), cfg,
+            np.random.SeedSequence(3),
         )
         vantages_per_channel = {}
         for est in kept:
@@ -198,11 +197,12 @@ class TestBuildLatencyModel:
         assert model == aggregate_models(kept, traversal_weight=cfg.traversal_weight)
 
     def test_noisy_sigma_retained(self):
-        g = split_balances(
-            make_graph(["a", "b"], [("e0", "a", "b", {"latency_ms": 50.0, "sigma_ms": 10.0})])
+        g, latencies = make_graph(
+            ["a", "b"], [("e0", "a", "b", {"latency_ms": 50.0, "sigma_ms": 10.0})]
         )
         cfg = tiny_cfg(probes_per_path=50, probe_max_depth=1)
-        model, _ = build_latency_model(g, frozenset({"a"}), cfg, np.random.SeedSequence(2))
+        model, _ = build_latency_model(g, split_balances(g), latencies, frozenset({"a"}), cfg,
+                                       np.random.SeedSequence(2))
         assert model.edges["e0"].std > 0
 
 
@@ -254,7 +254,7 @@ class TestWorkloadRouting:
         rows = [(f"l{i}", left[i], left[(i + 1) % 5]) for i in range(5)]
         rows += [(f"r{i}", right[i], right[(i + 1) % 5]) for i in range(5)]
         rows += [("lx", "a", "c"), ("rx", "w", "z"), ("bridge", "e", "v", {"capacity_sat": 1})]
-        return make_graph(left + right, rows)
+        return make_graph(left + right, rows)[0]
 
     @pytest.mark.parametrize("mode", ["per-amount", "mixed"])
     def test_routes_match_fresh_search(self, mode):
@@ -266,8 +266,8 @@ class TestWorkloadRouting:
         # the workload stream run_single draws from
         root = np.random.SeedSequence(entropy=(seed, amount_sat))
         workload = generate_workload(g, cfg, np.random.default_rng(root.spawn(5)[4]), amount_sat)
-        pub, params = public_view(g), cfg.routing_params()
-        fresh = [find_route(pub, Payment(s, t, amount), params) for s, t, amount in workload]
+        params = cfg.routing_params()
+        fresh = [find_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
         assert 0 < sum(p is None for p in fresh) < len(fresh)
         assert len({(t, amount) for _, t, amount in workload}) < len(workload)
         routed = {f"p{amount_sat}s{seed}n{i:05d}": p for i, p in enumerate(fresh) if p is not None}
@@ -277,18 +277,17 @@ class TestWorkloadRouting:
         assert rec.unrouted == len(fresh) - len(routed)
 
     def test_search_for_another_payment_rejected(self):
-        pub = public_view(self.bridged_graph())
-        payment = Payment("a", "c", 5_000, max_timelock=200)
+        pub = self.bridged_graph()
+        payment = Payment("a", "c", 5_000)
         for search in (
-            RouteSearch(pub, "d", 5_000, max_timelock=200),
-            RouteSearch(pub, "c", 6_000, max_timelock=200),
-            RouteSearch(pub, "c", 5_000),
-            RouteSearch(pub, "c", 5_000, RoutingParams(risk_factor=0.0), max_timelock=200),
-            RouteSearch(public_view(self.bridged_graph()), "c", 5_000, max_timelock=200),
+            RouteSearch(pub, "d", 5_000),
+            RouteSearch(pub, "c", 6_000),
+            RouteSearch(pub, "c", 5_000, RoutingParams(risk_factor=0.0)),
+            RouteSearch(self.bridged_graph(), "c", 5_000),
         ):
             with pytest.raises(ValueError):
                 find_route(pub, payment, search=search)
-        same = RouteSearch(pub, "c", 5_000, max_timelock=200)
+        same = RouteSearch(pub, "c", 5_000)
         assert find_route(pub, payment, search=same) == find_route(pub, payment)
 
 
@@ -300,6 +299,18 @@ class TestRunExperiment:
         b = run_experiment(g, cfg)
         assert a.aggregate == b.aggregate
         assert not a.failures
+
+    def test_runs_leave_the_graph_unchanged(self, tmp_path):
+        # no run copies the graph, so none may change it
+        g = generate_synthetic_graph("scale-free", 12, seed=7)
+        before = copy.deepcopy(g)
+        cfg = tiny_cfg(amounts_sat=(10, 100), repetitions=2, scenario="random", m=3)
+        outputs = []
+        for run_dir in ("one", "two"):
+            paths = emit_results(run_experiment(g, cfg), tmp_path / run_dir)
+            outputs.append([Path(p).read_bytes() for p in paths])
+        assert outputs[0] == outputs[1]
+        assert g == before
 
     def test_failing_repetition_isolated(self, monkeypatch):
         import pcnsim.harness as harness

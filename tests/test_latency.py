@@ -160,55 +160,56 @@ class TestPathDistribution:
 
 
 def probing_fixture():
-    g = make_graph(
+    """(graph, balances, latencies) of a noiseless a - b - c - d line."""
+    g, latencies = make_graph(
         ["a", "b", "c", "d"],
         [("e0", "a", "b", {"latency_ms": 10.0}),
          ("e1", "b", "c", {"latency_ms": 7.5}),
          ("e2", "c", "d", {"latency_ms": 30.0})],
     )
-    return split_balances(g)
+    return g, split_balances(g), latencies
 
 
 class TestProbePath:
     def test_one_hop_roundtrip_six_traversals(self):
-        g = probing_fixture()
-        path = path_from_channels(g, "a", ["e0"], 1000)
-        assert probe_batch(g, "a", path, 1, np.random.default_rng(0)).samples_ms == [60.0]
+        net = probing_fixture()
+        path = path_from_channels(net[0], "a", ["e0"], 1000)
+        assert probe_batch(*net, "a", path, 1, np.random.default_rng(0)).samples_ms == [60.0]
 
     def test_repeated_probes_identical(self):
-        g = probing_fixture()
-        path = path_from_channels(g, "a", ["e0", "e1"], 1000)
-        batch = probe_batch(g, "a", path, 5, np.random.default_rng(0))
+        net = probing_fixture()
+        path = path_from_channels(net[0], "a", ["e0", "e1"], 1000)
+        batch = probe_batch(*net, "a", path, 5, np.random.default_rng(0))
         assert len(batch.samples_ms) == 5
         assert set(batch.samples_ms) == {105.0}
 
     def test_empty_path_rejected(self):
-        g = probing_fixture()
+        net = probing_fixture()
 
         class Empty:
             hops = ()
 
         with pytest.raises(ValueError):
-            probe_batch(g, "a", Empty(), 1, np.random.default_rng(0))
+            probe_batch(*net, "a", Empty(), 1, np.random.default_rng(0))
 
     def test_wrong_start_rejected(self):
-        g = probing_fixture()
-        path = path_from_channels(g, "b", ["e1"], 1000)
+        net = probing_fixture()
+        path = path_from_channels(net[0], "b", ["e1"], 1000)
         with pytest.raises(ValueError):
-            probe_batch(g, "a", path, 1, np.random.default_rng(0))
+            probe_batch(*net, "a", path, 1, np.random.default_rng(0))
 
 
 class TestNoiselessRecovery:
     def test_iterative_chain_recovers_exact_means(self):
-        g = probing_fixture()
+        net = probing_fixture()
         rng = np.random.default_rng(0)
         t = 6
         n = 5
         estimates = {}
         for channels, true_mean in [(["e0"], 10.0), (["e0", "e1"], 7.5),
                                     (["e0", "e1", "e2"], 30.0)]:
-            path = path_from_channels(g, "a", channels, 1000)
-            samples = probe_batch(g, "a", path, n, rng).samples_ms
+            path = path_from_channels(net[0], "a", channels, 1000)
+            samples = probe_batch(*net, "a", path, n, rng).samples_ms
             assert len(samples) == n
             if len(channels) == 1:
                 est = estimate_first_hop(samples, t)

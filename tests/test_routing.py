@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcnsim.graph import Channel, DirectedPolicy, FullGraph, Node, public_view
+from pcnsim.graph import Channel, ChannelGraph, DirectedPolicy, Node
 from pcnsim.routing import (
     Payment,
     RouteSearch,
@@ -16,7 +16,7 @@ from pcnsim.routing import (
     forwarded_amount,
     path_from_channels,
 )
-from conftest import make_graph, split_balances
+from conftest import make_graph
 from oracles import brute_reduced_set, brute_route, path_amounts
 
 
@@ -53,7 +53,7 @@ class TestForwardedAmount:
 
 def msat_graph(channels):
     """Graph with msat-precision capacities: rows (cid, u, v, cap_msat, policy_uv, policy_vu)."""
-    g = FullGraph()
+    g = ChannelGraph()
     names = sorted({u for _, u, _, _, _, _ in channels} | {v for _, _, v, _, _, _ in channels})
     for n in names:
         g.add_node(Node(n))
@@ -78,13 +78,13 @@ class TestValidity:
 
 class TestFindRoute:
     def test_single_hop_no_fee(self):
-        g = public_view(split_balances(make_graph(["a", "b"], [("e0", "a", "b")])))
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         path = find_route(g, Payment("a", "b", 5_000))
         assert [h.channel for h in path.hops] == ["e0"]
         assert path.hops[0].forward_amount_msat == 5_000
 
     def test_triangle_prefers_cheap_two_hop(self):
-        g = make_graph(
+        g, _ = make_graph(
             ["s", "m", "t"],
             [
                 ("direct", "s", "t", {"base_fee": 100_000, "rate_ppm": 0}),
@@ -92,41 +92,22 @@ class TestFindRoute:
                 ("mt", "m", "t", {"base_fee": 1_000, "rate_ppm": 0}),
             ],
         )
-        path = find_route(public_view(g), Payment("s", "t", 10_000))
+        path = find_route(g, Payment("s", "t", 10_000))
         assert [h.channel for h in path.hops] == ["sm", "mt"]
         assert [h.forward_amount_msat for h in path.hops] == [11_000, 10_000]
 
     def test_no_capacity_returns_none(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b", {"capacity_sat": 1})])
-        assert find_route(public_view(g), Payment("a", "b", 2_000_000)) is None
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b", {"capacity_sat": 1})])
+        assert find_route(g, Payment("a", "b", 2_000_000)) is None
 
     def test_disabled_direction_skipped(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b", {"enabled_uv": False})])
-        assert find_route(public_view(g), Payment("a", "b", 1000)) is None
-        assert find_route(public_view(g), Payment("b", "a", 1000)) is not None
-
-    def test_timelock_budget_forces_longer_route(self):
-        g = make_graph(
-            ["s", "m", "t"],
-            [
-                ("direct", "s", "t", {"delta": 100, "base_fee": 0, "rate_ppm": 0}),
-                ("sm", "m", "s", {"delta": 10, "base_fee": 1000, "rate_ppm": 0}),
-                ("mt", "m", "t", {"delta": 10, "base_fee": 1000, "rate_ppm": 0}),
-            ],
-        )
-        pub = public_view(g)
-        # unconstrained: the cheap direct edge wins
-        free = find_route(pub, Payment("s", "t", 1000))
-        assert [h.channel for h in free.hops] == ["direct"]
-        # budget 100 cannot absorb direct's 100 + final 40
-        tight = find_route(pub, Payment("s", "t", 1000, max_timelock=100))
-        assert [h.channel for h in tight.hops] == ["sm", "mt"]
-        deltas = [pub.channels[h.channel].policy_from(h.frm).timelock_delta for h in tight.hops]
-        assert sum(deltas) + PARAMS.final_cltv_delta <= 100
+        g, _ = make_graph(["a", "b"], [("e0", "a", "b", {"enabled_uv": False})])
+        assert find_route(g, Payment("a", "b", 1000)) is None
+        assert find_route(g, Payment("b", "a", 1000)) is not None
 
     def test_remaining_timelock_decreases(self):
-        g = make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")])
-        path = find_route(public_view(g), Payment("a", "d", 1000))
+        g, _ = make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")])
+        path = find_route(g, Payment("a", "d", 1000))
         remaining = [h.remaining_timelock for h in path.hops]
         assert remaining == sorted(remaining, reverse=True)
         deltas = [g.channels[h.channel].policy_from(h.frm).timelock_delta for h in path.hops]
@@ -136,19 +117,19 @@ class TestFindRoute:
         assert remaining[-1] - last_delta == PARAMS.final_cltv_delta
 
     def test_parallel_channels_cheapest_wins(self):
-        g = make_graph(
+        g, _ = make_graph(
             ["a", "b"],
             [("exp", "a", "b", {"base_fee": 5_000}), ("cheap", "a", "b", {"base_fee": 100})],
         )
-        path = find_route(public_view(g), Payment("a", "b", 1000))
+        path = find_route(g, Payment("a", "b", 1000))
         assert path.hops[0].channel == "cheap"
 
     def test_deterministic_tiebreak(self):
-        g = make_graph(
+        g, _ = make_graph(
             ["s", "x", "y", "t"],
             [("sx", "s", "x"), ("xt", "t", "x"), ("sy", "s", "y"), ("yt", "t", "y")],
         )
-        paths = {tuple(h.channel for h in find_route(public_view(g), Payment("s", "t", 1000)).hops)
+        paths = {tuple(h.channel for h in find_route(g, Payment("s", "t", 1000)).hops)
                  for _ in range(3)}
         assert len(paths) == 1
         # equal weight and hop count: the lexicographically smaller interior node wins
@@ -171,13 +152,13 @@ def random_graph(seed, n=8, p=0.4, cap_sat=10_000_000):
                 k += 1
     if not rows:
         rows = [("c0", names[0], names[1])]
-    return make_graph(names, rows)
+    return make_graph(names, rows)[0]
 
 
 class TestRouteOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_min_weight_matches_bruteforce(self, seed):
-        g = public_view(random_graph(seed))
+        g = random_graph(seed)
         rng = np.random.default_rng(100 + seed)
         names = sorted(g.nodes)
         for _ in range(6):
@@ -200,7 +181,7 @@ class TestRouteOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_route_is_capacity_valid_and_amounts_exact(self, seed):
-        g = public_view(random_graph(seed, cap_sat=50))
+        g = random_graph(seed, cap_sat=50)
         rng = np.random.default_rng(200 + seed)
         names = sorted(g.nodes)
         for _ in range(8):
@@ -224,7 +205,7 @@ CAPACITIES_SAT = (1, 2, 45, 1_000, 10**6)
 
 @st.composite
 def resumed_searches(draw):
-    """A graph, one (destination, amount, lock budget) and a source sequence."""
+    """A graph, one (destination, amount) and a source sequence."""
     names = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1]),
@@ -241,29 +222,28 @@ def resumed_searches(draw):
                 over[f"rate_ppm_{side}"] = draw(st.sampled_from((0, 10, 5_000)))
                 over[f"delta_{side}"] = draw(st.integers(0, 144))
         rows.append((f"c{i}", u, v, over))
-    g = public_view(make_graph(names, rows))
+    g, _ = make_graph(names, rows)
     dest = draw(st.sampled_from(names))
     amount = draw(st.sampled_from((1_000, 40_000, 900_000)))
-    max_timelock = draw(st.one_of(st.none(), st.integers(40, 300)))
     others = [n for n in names if n != dest]
     sources = draw(st.lists(st.sampled_from(others), min_size=1, max_size=12))
-    return g, dest, amount, max_timelock, sources
+    return g, dest, amount, sources
 
 
 class TestRouteSearch:
     """A search resumed for source after source routes like a fresh one."""
 
-    def check_resumed(self, g, dest, amount, max_timelock, sources):
-        search = RouteSearch(g, dest, amount, PARAMS, max_timelock)
+    def check_resumed(self, g, dest, amount, sources):
+        search = RouteSearch(g, dest, amount, PARAMS)
         for s in sources:
-            payment = Payment(s, dest, amount, max_timelock)
+            payment = Payment(s, dest, amount)
             assert find_route(g, payment, PARAMS, search=search) == find_route(g, payment, PARAMS)
 
     @given(case=resumed_searches())
     @settings(max_examples=300, deadline=None)
     @example(case=(
-        public_view(make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c")])),
-        "a", 1_000, None, ["b", "d", "c", "b", "d"],
+        make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c")])[0],
+        "a", 1_000, ["b", "d", "c", "b", "d"],
     ))
     def test_matches_fresh_search(self, case):
         self.check_resumed(*case)
@@ -271,15 +251,15 @@ class TestRouteSearch:
     def test_source_relaxed_before_pausing(self):
         # d - a - b is cheaper than d - c - b; pausing at a without relaxing
         # a's channels would leave b routed over c, or not at all
-        g = public_view(make_graph(
+        g, _ = make_graph(
             ["a", "b", "c", "d"],
             [("da", "a", "d", {"base_fee": 0}), ("ab", "a", "b", {"base_fee": 0}),
              ("dc", "c", "d", {"base_fee": 0}), ("cb", "b", "c", {"base_fee": 500})],
-        ))
+        )
         search = RouteSearch(g, "d", 1_000, PARAMS)
         assert search.route("a").nodes() == ["a", "d"]
         assert search.route("b").nodes() == ["b", "a", "d"]
-        self.check_resumed(g, "d", 1_000, None, ["a", "b", "c"])
+        self.check_resumed(g, "d", 1_000, ["a", "b", "c"])
 
 
 def reachable(g, anchor, amount, direction="from-anchor", budget=None):
@@ -289,20 +269,20 @@ def reachable(g, anchor, amount, direction="from-anchor", budget=None):
 
 class TestReachability:
     def test_amount_exceeds_all_caps(self):
-        g = make_graph(["a", "b", "c"], [("e0", "a", "b", {"capacity_sat": 1}),
+        g, _ = make_graph(["a", "b", "c"], [("e0", "a", "b", {"capacity_sat": 1}),
                                          ("e1", "b", "c", {"capacity_sat": 1})])
-        assert reachable(public_view(g), "a", 5_000_000) == {"a"}
+        assert reachable(g, "a", 5_000_000) == {"a"}
 
     def test_tiny_amount_reaches_all(self):
-        g = make_graph(["a", "b", "c", "d"],
+        g, _ = make_graph(["a", "b", "c", "d"],
                        [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")])
-        assert reachable(public_view(g), "a", 200_000) == {"a", "b", "c", "d"}
+        assert reachable(g, "a", 200_000) == {"a", "b", "c", "d"}
 
     def test_timelock_budget_limits_depth(self):
-        g = make_graph(["a", "b", "c", "d"],
+        g, _ = make_graph(["a", "b", "c", "d"],
                        [("e0", "a", "b", {"delta": 40}), ("e1", "b", "c", {"delta": 40}),
                         ("e2", "c", "d", {"delta": 40})], base_fee=0, rate_ppm=0)
-        assert reachable(public_view(g), "a", 1000, budget=80) == {"a", "b", "c"}
+        assert reachable(g, "a", 1000, budget=80) == {"a", "b", "c"}
 
     def test_bottleneck_fixture_matches_bruteforce(self):
         # a - b - c - d plus a detour a - e - d; b-c is a 3 sat bottleneck
@@ -314,24 +294,23 @@ class TestReachability:
             ("ed", "d", "e", {"capacity_sat": 1000}),
         ]
         amount = 500_000
-        pub = public_view(make_graph(["a", "b", "c", "d", "e"], rows, base_fee=100, rate_ppm=0))
+        pub, _ = make_graph(["a", "b", "c", "d", "e"], rows, base_fee=100, rate_ppm=0)
         got = reachable(pub, "a", amount)
         assert got == brute_reduced_set(pub, "a", amount, "from-anchor", None)
         assert got == {"a", "b", "c", "d", "e"}  # c is reachable around the bottleneck
         # without the detour the bottleneck cuts c and d off
-        pub2 = public_view(make_graph(["a", "b", "c", "d"], rows[:3], base_fee=100, rate_ppm=0))
+        pub2, _ = make_graph(["a", "b", "c", "d"], rows[:3], base_fee=100, rate_ppm=0)
         got2 = reachable(pub2, "a", amount)
         assert got2 == brute_reduced_set(pub2, "a", amount, "from-anchor", None)
         assert got2 == {"a", "b"}
 
     def test_toward_anchor_amount_grows(self):
         # upstream walk adds fees: with a tight capacity right above, distance limits
-        g = make_graph(
+        pub, _ = make_graph(
             ["a", "b", "c"],
             [("ab", "a", "b", {"capacity_sat": 1, "base_fee": 0, "rate_ppm": 0}),
              ("bc", "b", "c", {"capacity_sat": 1000})],
         )
-        pub = public_view(g)
         # anchor b received 900 msat; edge into b must carry 900 (cap 1000 ok);
         # edge a-b above needs 900 + fee, over its 1000 msat capacity? no: 1000 >= 900
         assert reachable(pub, "b", 900, "toward-anchor") == {"b", "a", "c"}

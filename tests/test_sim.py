@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcnsim.adversary import AdversaryConfig, AdversaryObserver
-from pcnsim.graph import copy_graph, public_view
+from pcnsim.graph import check_conservation
 from pcnsim.routing import Payment, find_route, path_from_channels
 from pcnsim.sim import (
     ADD,
@@ -69,29 +69,31 @@ class TestEventQueue:
 class TestSampleLatency:
     def test_degenerate_exact(self, line_graph):
         rng = np.random.default_rng(0)
-        ch = line_graph.channels["e0"]
-        assert all(sample_latency(ch, rng) == 10 * MS for _ in range(5))
+        lat = line_graph[2]["e0"]
+        assert all(sample_latency(lat, rng) == 10 * MS for _ in range(5))
 
     def test_negative_draw_clamped(self, line_graph):
         class Rigged:
             def normal(self, mu, sigma):
                 return -50.0
 
-        assert sample_latency(line_graph.channels["e0"], Rigged()) == 1 * MS
+        assert sample_latency(line_graph[2]["e0"], Rigged()) == 1 * MS
 
     def test_seeded_sequence_identical(self):
-        g = make_graph(["a", "b"], [("e0", "a", "b", {"sigma_ms": 3.0})])
+        _, latencies = make_graph(["a", "b"], [("e0", "a", "b", {"sigma_ms": 3.0})])
         draws = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            draws.append([sample_latency(g.channels["e0"], rng) for _ in range(10)])
+            draws.append([sample_latency(latencies["e0"], rng) for _ in range(10)])
         assert draws[0] == draws[1]
 
 
-def run_payment(graph, channels, source, amount=100_000, fail_at=None, behaviors=None,
+def run_payment(net, channels, source, amount=100_000, fail_at=None, behaviors=None,
                 seed=0, engine=None):
+    """`net` is (graph, balances, latencies)."""
+    graph = net[0]
     path = path_from_channels(graph, source, channels, amount)
-    engine = engine or PaymentEngine(graph, np.random.default_rng(seed), behaviors)
+    engine = engine or PaymentEngine(*net, np.random.default_rng(seed), behaviors)
     return engine.execute_payment(path, "pay-0", fail_at=fail_at), engine
 
 
@@ -123,73 +125,65 @@ class TestChoreography:
         assert kinds.count(FAIL) == 1 and FULFILL not in kinds
 
     def test_intermediary_without_balance_fails_cleanly(self, line_graph):
-        ch = line_graph.channels["e1"]
-        ch.policy_vu.balance_msat += ch.policy_uv.balance_msat  # drain b's side
-        ch.policy_uv.balance_msat = 0
-        before = {
-            cid: (c.policy_uv.balance_msat, c.policy_vu.balance_msat)
-            for cid, c in line_graph.channels.items()
-        }
+        g, balances, _ = line_graph
+        balances["e1", "c"] += balances["e1", "b"]  # drain b's side
+        balances["e1", "b"] = 0
+        before = dict(balances)
         outcome, _ = run_payment(line_graph, ["e0", "e1"], "a")
         assert outcome.status == "failed"
         assert outcome.failed_at_hop == 1
-        after = {
-            cid: (c.policy_uv.balance_msat, c.policy_vu.balance_msat)
-            for cid, c in line_graph.channels.items()
-        }
-        assert after == before
-        line_graph.check_conservation()
+        assert balances == before
+        check_conservation(g, balances)
 
     def test_sender_without_balance_fails_at_hop_zero(self, line_graph):
-        ch = line_graph.channels["e0"]
-        ch.policy_vu.balance_msat += ch.policy_uv.balance_msat
-        ch.policy_uv.balance_msat = 0
+        _, balances, _ = line_graph
+        balances["e0", "b"] += balances["e0", "a"]
+        balances["e0", "a"] = 0
         outcome, _ = run_payment(line_graph, ["e0"], "a")
         assert outcome.status == "failed" and outcome.failed_at_hop == 0
         assert not outcome.messages
 
     def test_fulfilled_payment_moves_balances(self, line_graph):
+        g, balances, _ = line_graph
         amount = 100_000
-        e0_before = line_graph.channels["e0"].policy_uv.balance_msat
+        e0_before = balances["e0", "a"]
         outcome, _ = run_payment(line_graph, ["e0", "e1"], "a", amount=amount)
         assert outcome.status == "fulfilled"
-        e0, e1 = line_graph.channels["e0"], line_graph.channels["e1"]
-        fee = e1.policy_uv.fee_msat(amount)
-        assert e0.policy_uv.balance_msat == e0_before - (amount + fee)
-        line_graph.check_conservation()
+        fee = g.channels["e1"].policy_uv.fee_msat(amount)
+        assert balances["e0", "a"] == e0_before - (amount + fee)
+        check_conservation(g, balances)
 
     def test_structurally_invalid_path_rejected(self, line_graph):
-        path = path_from_channels(line_graph, "a", ["e0"], 1000)
+        path = path_from_channels(line_graph[0], "a", ["e0"], 1000)
         bad = dataclasses.replace(
             path, hops=(dataclasses.replace(path.hops[0], channel="e2"),)
         )
-        engine = PaymentEngine(line_graph, np.random.default_rng(0))
+        engine = PaymentEngine(*line_graph, np.random.default_rng(0))
         with pytest.raises(ValueError):
             engine.execute_payment(bad, "bad-0")
 
     def test_determinism_byte_identical(self):
         results = []
         for _ in range(2):
-            g = split_balances(
-                make_graph(["a", "b", "c"], [("e0", "a", "b", {"sigma_ms": 4.0}),
-                                             ("e1", "b", "c", {"sigma_ms": 4.0})])
-            )
-            outcome, _ = run_payment(g, ["e0", "e1"], "a", seed=77)
+            g, latencies = make_graph(["a", "b", "c"], [("e0", "a", "b", {"sigma_ms": 4.0}),
+                                                         ("e1", "b", "c", {"sigma_ms": 4.0})])
+            outcome, _ = run_payment((g, split_balances(g), latencies), ["e0", "e1"], "a", seed=77)
             results.append(repr(outcome))
         assert results[0] == results[1]
 
     def test_engine_clock_monotone_across_payments(self, line_graph):
-        engine = PaymentEngine(line_graph, np.random.default_rng(0))
+        engine = PaymentEngine(*line_graph, np.random.default_rng(0))
         o1, _ = run_payment(line_graph, ["e0"], "a", engine=engine)
         o2, _ = run_payment(line_graph, ["e0"], "a", engine=engine)
         assert o2.started_at >= o1.completed_at
 
     def test_settlement_overlaps_the_fulfill_upstream(self):
-        g = split_balances(make_graph(
+        g, latencies = make_graph(
             ["a", "b", "c"],
             [("e0", "a", "b", {"latency_ms": 5.0}), ("e1", "b", "c", {"latency_ms": 30.0})],
-        ))
-        o1, engine = run_payment(g, ["e0", "e1"], "a")
+        )
+        net = (g, split_balances(g), latencies)
+        o1, engine = run_payment(net, ["e0", "e1"], "a")
         # forward: e0's five messages end at 25 ms, e1's at 175 ms
         assert [(m.channel, m.delivered_at) for m in o1.messages[:10]] == (
             [("e0", t * MS) for t in (5, 10, 15, 20, 25)]
@@ -213,7 +207,7 @@ class TestChoreography:
         assert o1.completed_at == 210 * MS
         # the engine drains the queue: the next payment starts after e1's
         # last settlement message, not when the first one completed
-        o2, _ = run_payment(g, ["e0", "e1"], "a", engine=engine)
+        o2, _ = run_payment(net, ["e0", "e1"], "a", engine=engine)
         assert o2.started_at == 325 * MS
 
 
@@ -230,11 +224,12 @@ class TestAbortedPayment:
         # a's side of each parallel channel holds 3500 msat; every add of a
         # path crossing e0 twice fits a's unreduced balance, but once the
         # last hop has settled, e0's first hop (3000 msat) no longer does
-        g = split_balances(make_graph(
+        g, latencies = make_graph(
             ["a", "b"],
             [("e0", "a", "b", {"capacity_sat": 7}), ("e1", "a", "b", {"capacity_sat": 7})],
-        ))
-        engine = PaymentEngine(g, np.random.default_rng(0))
+        )
+        balances = split_balances(g)
+        engine = PaymentEngine(g, balances, latencies, np.random.default_rng(0))
         aborted = path_from_channels(g, "a", ["e0", "e1", "e0"], 1000)
         with pytest.raises(RuntimeError, match="settling 3000 over e0 exceeds balance"):
             engine.execute_payment(aborted, "p0")
@@ -243,7 +238,7 @@ class TestAbortedPayment:
         assert outcome.status == "fulfilled"
         assert outcome.completed_at - outcome.started_at == 60 * MS
         assert {m.payment_id for m in outcome.messages} == {"p1"}
-        g.check_conservation()
+        check_conservation(g, balances)
 
 
 class TestOnionOpacity:
@@ -255,7 +250,7 @@ class TestOnionOpacity:
         assert outcome.status == "fulfilled"
         by_node = {v.node: v for v in rec.views}
         b = by_node["b"]
-        path = path_from_channels(line_graph, "a", ["e0", "e1", "e2"], 100_000)
+        path = path_from_channels(line_graph[0], "a", ["e0", "e1", "e2"], 100_000)
         assert b.in_channel == "e0"
         assert b.next_channel == "e1"
         assert b.forward_amount_msat == path.hops[1].forward_amount_msat
@@ -278,38 +273,37 @@ class TestConservationProperty:
     )
     @settings(max_examples=25, deadline=None)
     def test_mixed_outcomes_conserve_capacity(self, amounts, seed):
-        g = split_balances(
-            make_graph(
-                ["a", "b", "c", "d"],
-                [("e0", "a", "b", {"capacity_sat": 500}), ("e1", "b", "c", {"capacity_sat": 500}),
-                 ("e2", "c", "d", {"capacity_sat": 500}), ("e3", "a", "d", {"capacity_sat": 500})],
-            )
+        g, latencies = make_graph(
+            ["a", "b", "c", "d"],
+            [("e0", "a", "b", {"capacity_sat": 500}), ("e1", "b", "c", {"capacity_sat": 500}),
+             ("e2", "c", "d", {"capacity_sat": 500}), ("e3", "a", "d", {"capacity_sat": 500})],
         )
-        pub = public_view(g)
-        engine = PaymentEngine(g, np.random.default_rng(seed))
+        balances = split_balances(g)
+        engine = PaymentEngine(g, balances, latencies, np.random.default_rng(seed))
         nodes = sorted(g.nodes)
         rng = np.random.default_rng(seed + 1)
         for i, amount in enumerate(amounts):
             s, t = (nodes[int(x)] for x in rng.integers(len(nodes), size=2))
             if s == t:
                 continue
-            path = find_route(pub, Payment(s, t, amount))
+            path = find_route(g, Payment(s, t, amount))
             if path is None:
                 continue
             fail_at = t if i % 3 == 0 else None
             engine.execute_payment(path, f"p{i}", fail_at=fail_at)
-        g.check_conservation()
+        check_conservation(g, balances)
 
 
-def assert_probes_match_engine(graph, vantage, channels, n, seed):
-    """probe_batch against n sequential engine probes from equal generators."""
-    path = path_from_channels(graph, vantage, channels, 1000)
+def assert_probes_match_engine(net, vantage, channels, n, seed):
+    """probe_batch against n sequential engine probes from equal generators;
+    `net` is (graph, balances, latencies)."""
+    path = path_from_channels(net[0], vantage, channels, 1000)
     target = path.hops[-1].to
     engine_rng = np.random.default_rng(seed)
-    engine = PaymentEngine(graph, engine_rng)
+    engine = PaymentEngine(*net, engine_rng)
     outcomes = [engine.execute_payment(path, f"probe-{i}", fail_at=target) for i in range(n)]
     batch_rng = np.random.default_rng(seed)
-    batch = probe_batch(graph, vantage, path, n, batch_rng)
+    batch = probe_batch(*net, vantage, path, n, batch_rng)
 
     assert all(o.status == "failed" for o in outcomes)
     assert [o.failed_at_hop for o in outcomes] == [batch.failed_at_hop] * n
@@ -323,7 +317,7 @@ def assert_probes_match_engine(graph, vantage, channels, n, seed):
 
 # per-direction balances: none, enough only for the last hop (1000 msat,
 # no fee), or plenty; forward amounts grow by about 1000 msat of fees per hop
-BALANCES = (None, 0, 1_500) + (10**9,) * 5
+BALANCES = (0, 1_500) + (10**9,) * 5
 
 
 @st.composite
@@ -338,10 +332,11 @@ def probed_graphs(draw):
         mean = draw(st.one_of(st.floats(0.0, 1.5), st.floats(0.0, 200.0)))
         std = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
         rows.append((f"e{i}", u, v, {"latency_ms": mean, "sigma_ms": std}))
-    g = make_graph(sorted(set(names)), rows)
-    for ch in g.channels.values():
-        ch.policy_uv.balance_msat = draw(st.sampled_from(BALANCES))
-        ch.policy_vu.balance_msat = draw(st.sampled_from(BALANCES))
+    g, latencies = make_graph(sorted(set(names)), rows)
+    balances = {}
+    for cid, ch in g.channels.items():
+        balances[cid, ch.u] = draw(st.sampled_from(BALANCES))
+        balances[cid, ch.v] = draw(st.sampled_from(BALANCES))
     # a walk may revisit nodes, including the target before its last hop
     e0 = g.channels["e0"]
     vantage = node = draw(st.sampled_from([e0.u, e0.v]))
@@ -350,7 +345,7 @@ def probed_graphs(draw):
         ch = draw(st.sampled_from(sorted(g.channels_at(node), key=lambda c: c.id)))
         channels.append(ch.id)
         node = ch.other_end(node)
-    return g, vantage, channels
+    return (g, balances, latencies), vantage, channels
 
 
 class TestProbeBatch:
@@ -360,35 +355,37 @@ class TestProbeBatch:
         assert TRAVERSALS_PER_EDGE == TRAVERSAL_WEIGHT_DEFAULT == 6
 
     def test_noisy_path_matches_engine(self):
-        g = split_balances(make_graph(
+        g, latencies = make_graph(
             ["a", "b", "c", "d"],
             [("e0", "a", "b", {"sigma_ms": 4.0}), ("e1", "b", "c", {"sigma_ms": 9.0}),
              ("e2", "c", "d", {"latency_ms": 80.0, "sigma_ms": 25.0})],
-        ))
-        batch = assert_probes_match_engine(g, "a", ["e0", "e1", "e2"], 20, seed=3)
+        )
+        batch = assert_probes_match_engine((g, split_balances(g), latencies), "a",
+                                           ["e0", "e1", "e2"], 20, seed=3)
         assert batch.failed_at_hop == 3 and batch.discarded == 0
         assert len(set(batch.samples_ms)) > 1
 
     def test_first_hop_shortfall_discards_all_without_draws(self, line_graph):
-        line_graph.channels["e0"].policy_uv.balance_msat = 0
+        line_graph[1]["e0", "a"] = 0
         batch = assert_probes_match_engine(line_graph, "a", ["e0", "e1"], 4, seed=0)
         assert batch.failed_at_hop == 0
         assert batch.discarded == 4 and batch.samples_ms == []
 
     def test_mid_path_shortfall_discards_all(self, line_graph):
-        line_graph.channels["e1"].policy_uv.balance_msat = 0
+        line_graph[1]["e1", "b"] = 0
         batch = assert_probes_match_engine(line_graph, "a", ["e0", "e1", "e2"], 4, seed=0)
         assert batch.failed_at_hop == 1
         assert batch.discarded == 4
         assert batch.durations_ms == [60.0] * 4  # one hop forward, one fail back
 
     def test_small_means_hit_the_clamp(self):
-        g = split_balances(make_graph(
+        g, latencies = make_graph(
             ["a", "b", "c"],
             [("e0", "a", "b", {"latency_ms": 0.2, "sigma_ms": 0.5}),
              ("e1", "b", "c", {"latency_ms": 0.0})],
-        ))
-        batch = assert_probes_match_engine(g, "a", ["e0", "e1"], 10, seed=5)
+        )
+        batch = assert_probes_match_engine((g, split_balances(g), latencies), "a",
+                                           ["e0", "e1"], 10, seed=5)
         assert min(batch.samples_ms) >= 12.0  # every traversal at least 1 ms
         assert 12.0 in batch.samples_ms
 
@@ -397,18 +394,19 @@ class TestProbeBatch:
         assert batch.failed_at_hop == 1 and batch.discarded == 3
 
     def test_missing_latency_rejected(self, line_graph):
-        line_graph.channels["e1"].latency = None
-        path = path_from_channels(line_graph, "a", ["e0", "e1"], 1000)
-        with pytest.raises(ValueError, match="no latency"):
-            probe_batch(line_graph, "a", path, 2, np.random.default_rng(0))
+        g, _, latencies = line_graph
+        del latencies["e1"]
+        path = path_from_channels(g, "a", ["e0", "e1"], 1000)
+        with pytest.raises(KeyError, match="e1"):
+            probe_batch(*line_graph, "a", path, 2, np.random.default_rng(0))
 
     def test_invalid_hops_rejected(self, line_graph):
-        path = path_from_channels(line_graph, "a", ["e0"], 1000)
+        path = path_from_channels(line_graph[0], "a", ["e0"], 1000)
         for hop in (dataclasses.replace(path.hops[0], channel="e2"),
                     dataclasses.replace(path.hops[0], forward_amount_msat=0)):
             bad = dataclasses.replace(path, hops=(hop,))
             with pytest.raises(ValueError):
-                probe_batch(line_graph, "a", bad, 2, np.random.default_rng(0))
+                probe_batch(*line_graph, "a", bad, 2, np.random.default_rng(0))
 
     @given(case=probed_graphs(), n=st.integers(1, 6), seed=st.integers(0, 2**31))
     @settings(max_examples=200, deadline=None)
@@ -436,10 +434,11 @@ def payment_sequences(draw):
                               st.floats(0.0, 200.0)))
         std = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
         rows.append((f"e{i}", u, v, {"latency_ms": mean, "sigma_ms": std}))
-    g = make_graph(names, rows)
-    for ch in g.channels.values():
-        ch.policy_uv.balance_msat = draw(st.sampled_from(ENGINE_BALANCES))
-        ch.policy_vu.balance_msat = draw(st.sampled_from(ENGINE_BALANCES))
+    g, latencies = make_graph(names, rows)
+    balances = {}
+    for cid, ch in g.channels.items():
+        balances[cid, ch.u] = draw(st.sampled_from(ENGINE_BALANCES))
+        balances[cid, ch.v] = draw(st.sampled_from(ENGINE_BALANCES))
     starts = sorted({n for ch in g.channels.values() for n in (ch.u, ch.v)})
     payments = []
     for _ in range(draw(st.integers(1, 8))):
@@ -454,13 +453,11 @@ def payment_sequences(draw):
         fail_at = draw(st.one_of(st.none(), st.just(node), st.sampled_from(names)))
         payments.append((start, channels, amount, fail_at))
     malicious = frozenset(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
-    return g, payments, malicious
+    return g, balances, latencies, payments, malicious
 
 
-def engine_state(graph, observer, engine, outcome):
-    balances = {cid: (ch.policy_uv.balance_msat, ch.policy_vu.balance_msat)
-                for cid, ch in graph.channels.items()}
-    return (outcome, list(observer.observations), engine.queue.now, balances,
+def engine_state(observer, engine, outcome):
+    return (outcome, list(observer.observations), engine.queue.now, dict(engine.balances),
             engine.rng.bit_generator.state)
 
 
@@ -470,23 +467,22 @@ class TestReferenceEngine:
     @given(case=payment_sequences(), retry=st.booleans(), seed=st.integers(0, 2**31))
     @settings(max_examples=200, deadline=None)
     def test_random_payment_sequences_match(self, case, retry, seed):
-        g, payments, malicious = case
+        g, balances, latencies, payments, malicious = case
         runs = []
         for engine_class in (PaymentEngine, ReferenceEngine):
-            graph = copy_graph(g)
             observer = AdversaryObserver(AdversaryConfig(malicious, source_attack_enabled=retry))
-            engine = engine_class(graph, np.random.default_rng(seed),
+            engine = engine_class(g, dict(balances), latencies, np.random.default_rng(seed),
                                   {node: observer for node in malicious})
-            runs.append((graph, observer, engine))
+            runs.append((observer, engine))
         for k, (start, channels, amount, fail_at) in enumerate(payments):
             path = path_from_channels(g, start, channels, amount)
             for _ in range(2):  # the attempt, then its retry after an adversarial fail
                 states = [
-                    engine_state(graph, observer, engine,
+                    engine_state(observer, engine,
                                  engine.execute_payment(path, f"p{k}", fail_at=fail_at))
-                    for graph, observer, engine in runs
+                    for observer, engine in runs
                 ]
                 assert states[0] == states[1]
                 if not (states[0][0].status == "failed" and retry
-                        and runs[0][1].adversarially_failed(f"p{k}")):
+                        and runs[0][0].adversarially_failed(f"p{k}")):
                     break
