@@ -11,12 +11,13 @@ maximum-likelihood guess.  A First-Spy estimator (guess the adjacent node)
 serves as the baseline.
 
 Both candidate-path walks, the anonymity-set reduction and the estimator,
-take one cheapest channel per neighbour, as the victim's route search
-would: weighed by the policy of the direction the payment crossed it.
-They choose it inside the graph's neighbour groups
-(`ChannelGraph.neighbour_groups`), which hold each node's channels grouped
-by neighbour and are built once per graph, so a walk never rescans a
-node's channels per neighbour.
+cross one channel per neighbour, picked by the rule the victim's route
+search picks by (`TraversalRules.cross`): among the channels that can
+carry the amount in the payment's direction, the cheapest under the policy
+the payment crossed it by.  They pick it inside the graph's neighbour
+groups (`ChannelGraph.neighbour_groups`), which hold each node's channels
+grouped by neighbour and are built once per graph, so a walk never rescans
+a node's channels per neighbour.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .graph import ChannelGraph, NodeId
 from .latency import LatencyModel, normal_logpdf
-from .routing import RoutingParams, TraversalRules, cheapest_edge, feasible_endpoints
+from .routing import RoutingParams, TraversalRules, feasible_endpoints
 from .sim import HopView, NodeBehavior
 
 TOWARD_SOURCE = "toward-source"
@@ -47,7 +48,6 @@ class AdversaryConfig:
     malicious_nodes: frozenset[NodeId]
     source_attack_enabled: bool = True
     timelock_reduction_enabled: bool = True
-    sigma_floor_ms: float = SIGMA_FLOOR_MS
 
     def __post_init__(self):
         if not self.malicious_nodes:
@@ -238,9 +238,10 @@ def reduce_anonymity_set(
 
     Nodes are kept only if some simple path from the anchor satisfies the
     capacity and (destination leg, unless ablated) time-lock constraints
-    jointly; the walk uses the cheapest channel per node pair, mirroring
-    what the victim's route search would have picked, and never re-crosses
-    the observer.
+    jointly.  The walk crosses the channel of each node pair that the
+    victim's route search would have picked (`TraversalRules.cross`): the
+    cheapest one with capacity for the amount it carries.  It never
+    re-crosses the observer.
     """
     params = params or RoutingParams()
     if obs.edge_observed not in g.channels:
@@ -275,9 +276,8 @@ def estimate_endpoint(
         raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     t_weight = model.traversal_weight
     delta_ms = obs.delta_t_ms
-    floor = cfg.sigma_floor_ms
+    floor = SIGMA_FLOOR_MS
     anchor, seed, rules = _walk_setup(obs, g, cfg)
-    paid = rules.paid
 
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean
@@ -292,12 +292,10 @@ def estimate_endpoint(
         for nb, sides in g.neighbour_groups(cur):
             if nb in on_path:
                 continue  # before choosing its channel: that choice would be dropped
-            side = cheapest_edge(sides, amount_c, params, paid)
-            if side is None:
+            crossed = rules.cross(sides, amount_c, delta_c, params)
+            if crossed is None:
                 continue
-            step = rules.step(side, amount_c, delta_c)
-            if step is None:
-                continue
+            side, step = crossed
             g_e = model.edge_gaussian(side[0].id)
             mean_n = mean_c + t_weight * g_e.mean
             var_n = var_c + t_weight * g_e.variance

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latency import Gaussian
-
 log = logging.getLogger(__name__)
 
 NodeId = str
@@ -35,6 +33,22 @@ GLOBAL_DEFAULT_RTT = (250.0, 50.0)
 
 class SnapshotError(ValueError):
     """Malformed snapshot document."""
+
+
+@dataclass(frozen=True)
+class Gaussian:
+    """Normal distribution with mean/std in milliseconds."""
+
+    mean: float
+    std: float
+
+    def __post_init__(self):
+        if self.std < 0:
+            raise ValueError(f"negative std {self.std}")
+
+    @property
+    def variance(self) -> float:
+        return self.std * self.std
 
 
 @dataclass
@@ -330,7 +344,6 @@ class RegionLatencyTable:
     """Round-trip-time table keyed by unordered region pair (ms)."""
 
     entries: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
-    default_rtt: tuple[float, float] = GLOBAL_DEFAULT_RTT
 
     @staticmethod
     def _key(a: str, b: str) -> tuple[str, str]:
@@ -342,13 +355,13 @@ class RegionLatencyTable:
     def lookup_one_way(self, region_a: str | None, region_b: str | None) -> Gaussian:
         """One-way Gaussian for a region pair: half of the measured RTT.
 
-        A pair missing from the table, or with an unknown region, takes the
-        table's global default.
+        A pair missing from the table, or with an unknown region, takes
+        `GLOBAL_DEFAULT_RTT`.
         """
         if region_a is None or region_b is None:
-            rtt = self.default_rtt
+            rtt = GLOBAL_DEFAULT_RTT
         else:
-            rtt = self.entries.get(self._key(region_a, region_b), self.default_rtt)
+            rtt = self.entries.get(self._key(region_a, region_b), GLOBAL_DEFAULT_RTT)
         return Gaussian(rtt[0] / 2.0, rtt[1] / 2.0)
 
     def regions(self) -> list[str]:
@@ -398,8 +411,8 @@ def assign_latencies(
     """One-way latency Gaussian of every channel, from the region table.
 
     Nodes without a region get one drawn uniformly from the table's regions,
-    deterministically from rng_seed.  Missing region pairs fall back to the
-    table's global default entry.
+    deterministically from rng_seed.  Missing region pairs fall back to
+    `GLOBAL_DEFAULT_RTT`.
     """
     rng = np.random.default_rng(rng_seed)
     regions = table.regions()

@@ -36,6 +36,7 @@ from .graph import (
     NodeId,
     RegionLatencyTable,
     DEFAULT_REGION_RTT,
+    MSAT_PER_SAT,
     assign_latencies,
     betweenness_ranking,
     check_conservation,
@@ -74,6 +75,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_AMOUNTS_SAT = (1, 10, 100, 1_000, 10_000, 100_000)
 PROBE_AMOUNT_MSAT = 1_000
+# Every synthetic channel's capacity and, in both directions, its policy.
+SYNTHETIC_CAPACITY_SAT = 1_000_000
+SYNTHETIC_POLICY = dict(base_fee_msat=1_000, fee_rate_ppm=10, timelock_delta=40)
 
 
 class ConfigError(ValueError):
@@ -221,16 +225,9 @@ def generate_workload(
     return out
 
 
-def generate_synthetic_graph(
-    kind: str,
-    n: int,
-    seed: int = 0,
-    capacity_sat: int = 1_000_000,
-    base_fee_msat: int = 1_000,
-    fee_rate_ppm: int = 10,
-    timelock_delta: int = 40,
-) -> ChannelGraph:
-    """Deterministic test topology with uniform default policies."""
+def generate_synthetic_graph(kind: str, n: int, seed: int = 0) -> ChannelGraph:
+    """Deterministic test topology: every channel holds `SYNTHETIC_CAPACITY_SAT`
+    and both directions charge `SYNTHETIC_POLICY`."""
     if n < 2:
         raise ConfigError("synthetic graph needs n >= 2")
     names = [f"n{i:03d}" for i in range(n)]
@@ -254,9 +251,9 @@ def generate_synthetic_graph(
                 id=f"c{idx:04d}",
                 u=u,
                 v=v,
-                capacity_msat=capacity_sat * 1000,
-                policy_uv=DirectedPolicy(base_fee_msat, fee_rate_ppm, timelock_delta),
-                policy_vu=DirectedPolicy(base_fee_msat, fee_rate_ppm, timelock_delta),
+                capacity_msat=SYNTHETIC_CAPACITY_SAT * MSAT_PER_SAT,
+                policy_uv=DirectedPolicy(**SYNTHETIC_POLICY),
+                policy_vu=DirectedPolicy(**SYNTHETIC_POLICY),
             )
         )
     return g

@@ -13,36 +13,19 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+from .graph import Gaussian
+from .sim import LATENCY_FLOOR_NS, NS_PER_MS, TRAVERSALS_PER_EDGE
+
 log = logging.getLogger(__name__)
 
-# Every hop of an htlc add/settle round trip crosses its edge six times:
-# the add itself, the four commitment/revocation handshake messages, and the
-# returning fulfill (or fail).
-TRAVERSAL_WEIGHT_DEFAULT = 6
-
-MEAN_FLOOR_MS = 1.0
+# Estimated edge means are clamped at the simulator's floor for one traversal.
+MEAN_FLOOR_MS = LATENCY_FLOOR_NS / NS_PER_MS
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class InsufficientSamples(ValueError):
     """Raised when an estimate is requested from fewer than two probes."""
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """Normal distribution with mean/std in milliseconds."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError(f"negative std {self.std}")
-
-    @property
-    def variance(self) -> float:
-        return self.std * self.std
 
 
 def normal_logpdf(x: float, mean: float, std: float, sigma_floor: float = 0.0) -> float:
@@ -76,7 +59,7 @@ class LatencyModel:
     """Per-channel Gaussian latency map used by the timing estimators."""
 
     edges: dict[str, Gaussian] = field(default_factory=dict)
-    traversal_weight: int = TRAVERSAL_WEIGHT_DEFAULT
+    traversal_weight: int = TRAVERSALS_PER_EDGE
     default: Gaussian = Gaussian(125.0, 25.0)
     fallback_count: int = 0
 
@@ -118,7 +101,7 @@ def estimate_next_hop(
     added in quadrature to the path-level sample spread.
 
     A negative mean (prior estimates overshooting the path measurement) is
-    clamped to 1 ms and logged rather than aborting the model build.
+    clamped to `MEAN_FLOOR_MS` and logged rather than aborting the model build.
     """
     n = len(samples_ms)
     if n < 2:
@@ -140,7 +123,7 @@ def estimate_next_hop(
 
 def aggregate_models(
     estimates: list[EdgeLatencyEstimate],
-    traversal_weight: int = TRAVERSAL_WEIGHT_DEFAULT,
+    traversal_weight: int = TRAVERSALS_PER_EDGE,
 ) -> LatencyModel:
     """Merge per-vantage estimates into one model.
 

@@ -6,6 +6,10 @@ before it adds the downstream forwarder's fee.  Edge selection minimizes
 fee(a) + a * timelock_delta * risk_factor, the weight most deployed client
 software uses.
 
+Route search and the adversary's candidate-path walks pick a node pair's
+channel by one rule, `TraversalRules.cross`: the cheapest channel that can
+carry the amount in the payment's direction, ties by channel id.
+
 The search for one (destination, amount) is a `RouteSearch`
 that pauses as soon as the requested source settles and resumes from there
 for the next source, so payments to the same destination and amount share
@@ -102,7 +106,7 @@ def forwarded_amount(policy: DirectedPolicy, incoming_msat: int) -> int | None:
     where only the delivered amount is known.
     """
     # fee(f) <= fee(incoming) for every f <= incoming, so this f fits
-    f = incoming_msat - policy.base_fee_msat - (incoming_msat * policy.fee_rate_ppm) // 1_000_000
+    f = incoming_msat - policy.fee_msat(incoming_msat)
     if f < 1:
         return None
     while f + 1 + policy.fee_msat(f + 1) <= incoming_msat:
@@ -110,35 +114,74 @@ def forwarded_amount(policy: DirectedPolicy, incoming_msat: int) -> int | None:
     return f
 
 
-def cheapest_edge(
-    sides: tuple[ChannelSide, ...],
-    amount_msat: int,
-    params: RoutingParams,
-    paid: int,
-) -> ChannelSide | None:
-    """Lowest-weight enabled channel of one neighbour group; ties by channel id.
+@dataclass(frozen=True)
+class TraversalRules:
+    """Which channel of a node pair a payment crosses, and what crossing costs.
 
-    `sides` are the channels between one node and one neighbour
-    (`ChannelGraph.neighbour_groups`), weighed by the policy at index `paid`
-    of each side: the one of the direction the payment crosses, as route
-    search weighs it (`TraversalRules.paid`).  A lone channel is taken
-    whenever that policy is enabled: with a positive amount and finite
-    params its weight is finite, so no weight needs computing.
+    A walk from the anchor moves with the payment: the amount shrinks by
+    fees and the consumed time-lock deltas stay within the budget.  A walk
+    toward the anchor, as backward route search is, moves against it and
+    the amount grows by fees.  Every edge must be enabled in the payment's
+    direction and have capacity for the amount it carries.
     """
-    if len(sides) == 1:
-        side = sides[0]
-        return side if side[paid].enabled else None
-    best: tuple[float, str] | None = None
-    best_side = None
-    for side in sides:
-        w = edge_weight(amount_msat, side[paid], params)
-        if math.isinf(w):
-            continue
-        key = (w, side[0].id)
-        if best is None or key < best:
-            best = key
-            best_side = side
-    return best_side
+
+    direction: str  # "from-anchor" | "toward-anchor"
+    timelock_budget: int | None = None
+
+    def step(self, side: ChannelSide, amount: int, delta_used: int):
+        """State after crossing `side`'s channel away from the walk's current
+        node, None if infeasible.
+
+        State is (amount over the next edge, timelock consumed so far); the
+        delta component stays 0 when no budget applies so it never distorts
+        dominance checks.
+        """
+        channel, policy_out, policy_in = side
+        if self.direction == "from-anchor":
+            if not policy_out.enabled:
+                return None
+            nxt = forwarded_amount(policy_out, amount)
+            if nxt is None or channel.capacity_msat < nxt:
+                return None
+            if self.timelock_budget is None:
+                return nxt, 0
+            delta = delta_used + policy_out.timelock_delta
+            if delta > self.timelock_budget:
+                return None
+            return nxt, delta
+        # toward-anchor: the payment flowed other end -> current node, so the
+        # walk moves against it and the amount grows by the fee of the edge
+        # the walk just crossed.  `amount` is what arrived at the current node.
+        if not policy_in.enabled or channel.capacity_msat < amount:
+            return None
+        return amount + policy_in.fee_msat(amount), 0
+
+    def cross(self, sides: tuple[ChannelSide, ...], amount: int, delta_used: int,
+              params: RoutingParams) -> tuple[ChannelSide, tuple[int, int]] | None:
+        """The channel of one neighbour group (`ChannelGraph.neighbour_groups`)
+        the payment crosses and the `step` state after it, or None.
+
+        Among the channels `step` can cross, the least (weight, channel id)
+        wins, weighed under the policy the payment crossed by: the walk
+        node's own from the anchor, the neighbour's toward it.
+        """
+        if len(sides) == 1:
+            state = self.step(sides[0], amount, delta_used)
+            return None if state is None else (sides[0], state)
+        paid = 1 if self.direction == "from-anchor" else 2
+        best = None
+        for side in sides:
+            state = self.step(side, amount, delta_used)
+            if state is None:
+                continue
+            key = (edge_weight(amount, side[paid], params), side[0].id)
+            if best is None or key < best[0]:
+                best = (key, side, state)
+        return None if best is None else best[1:]
+
+
+# Route search runs backward from the destination, against the payment.
+_TOWARD_DEST = TraversalRules("toward-anchor")
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +273,20 @@ class RouteSearch:
             # u's channels are relaxed even when u is the source: a later
             # source resumes from here and never pops u again
             amount_over_edge = req_in[u]
-            for ch in g.channels_at(u):
-                x = ch.other_end(u)
+            for x, sides in g.neighbour_groups(u):
                 if x in settled:
                     continue
-                policy = ch.policy_from(x)  # x would forward toward u
-                w_e = edge_weight(amount_over_edge, policy, params)
-                if math.isinf(w_e):
+                # x would forward toward u: the walk from u crosses against
+                # the payment, as a source-leg walk toward its anchor does
+                crossed = _TOWARD_DEST.cross(sides, amount_over_edge, 0, params)
+                if crossed is None:
                     continue
-                if ch.capacity_msat < amount_over_edge:
-                    continue
-                cand = (w_u + w_e, hops_u + 1)
+                (ch, _, policy), (amount_in, _) = crossed
+                cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
                 if x in best and best[x] <= cand:
                     continue
                 best[x] = cand
-                req_in[x] = amount_over_edge + policy.fee_msat(amount_over_edge)
+                req_in[x] = amount_in
                 succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
                 heapq.heappush(heap, (cand[0], cand[1], x))
         # the loop stops once the source settles or the heap runs dry, and
@@ -270,7 +312,8 @@ def find_route(
     """Cheapest capacity-valid route, or None.
 
     Backward Dijkstra from the destination; tie-breaks on (weight,
-    hop count, node id) for deterministic replay.  `search` resumes a
+    hop count, node id), then channel id within one node pair, for
+    deterministic replay.  `search` resumes a
     `RouteSearch` built for this graph, destination, amount and params;
     without one a fresh search runs.
     """
@@ -326,56 +369,6 @@ def path_from_channels(
 # candidate-path walks
 
 
-@dataclass(frozen=True)
-class TraversalRules:
-    """Feasibility rules for walking candidate payment paths.
-
-    Shared by the anonymity-set reduction and the endpoint estimators'
-    candidate search, so both agree on what a feasible path is: fees are
-    applied, every edge must have capacity for the amount it carries, and
-    downstream the consumed time-lock deltas stay within the budget.
-    """
-
-    direction: str  # "from-anchor" | "toward-anchor"
-    timelock_budget: int | None = None
-
-    @property
-    def paid(self) -> int:
-        """Index in a `ChannelSide` of the policy the payment crossed the
-        channel under: the walk node's own from the anchor, where the payment
-        left that node, and the neighbour's toward it, where the payment came
-        from the neighbour."""
-        return 1 if self.direction == "from-anchor" else 2
-
-    def step(self, side: ChannelSide, amount: int, delta_used: int):
-        """State after crossing `side`'s channel away from the walk's current
-        node, None if infeasible.
-
-        State is (amount over the next edge, timelock consumed so far); the
-        delta component stays 0 when no budget applies so it never distorts
-        dominance checks.
-        """
-        channel, policy_out, policy_in = side
-        if self.direction == "from-anchor":
-            if not policy_out.enabled:
-                return None
-            nxt = forwarded_amount(policy_out, amount)
-            if nxt is None or channel.capacity_msat < nxt:
-                return None
-            if self.timelock_budget is None:
-                return nxt, 0
-            delta = delta_used + policy_out.timelock_delta
-            if delta > self.timelock_budget:
-                return None
-            return nxt, delta
-        # toward-anchor: the payment flowed other end -> current node, so the
-        # walk moves against it and the amount grows by the fee of the edge
-        # the walk just crossed.  `amount` is what arrived at the current node.
-        if not policy_in.enabled or channel.capacity_msat < amount:
-            return None
-        return amount + policy_in.fee_msat(amount), 0
-
-
 def feasible_endpoints(
     g: ChannelGraph,
     anchor: NodeId,
@@ -390,10 +383,10 @@ def feasible_endpoints(
     from different paths are never merged; a node joins the set as soon as
     one prefix reaching it satisfies every constraint.  A lock budget or
     tight capacities bound the search depth; without either the walk
-    enumerates every simple path.  Each step takes the cheapest channel to
-    a neighbour, as route search would.
+    enumerates every simple path.  Each step crosses the channel to a
+    neighbour that `TraversalRules.cross` picks, the cheapest one that can
+    carry the amount, as route search would.
     """
-    paid = rules.paid
     members = {anchor}
     stack = [(anchor, amount_msat, 0, frozenset({anchor}) | forbidden)]
     while stack:
@@ -401,12 +394,10 @@ def feasible_endpoints(
         for nxt_node, sides in g.neighbour_groups(node):
             if nxt_node in visited:
                 continue
-            side = cheapest_edge(sides, amount, params, paid)
-            if side is None:
+            crossed = rules.cross(sides, amount, delta_used, params)
+            if crossed is None:
                 continue
-            state = rules.step(side, amount, delta_used)
-            if state is None:
-                continue
+            state = crossed[1]
             members.add(nxt_node)
             stack.append((nxt_node, state[0], state[1], visited | {nxt_node}))
     return frozenset(members)

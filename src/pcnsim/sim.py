@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Balances, ChannelGraph, Latencies, NodeId
-from .latency import Gaussian
+from .graph import Balances, ChannelGraph, Gaussian, Latencies, NodeId
 from .routing import Hop, PaymentPath
 
 NS_PER_MS = 1_000_000
@@ -83,8 +82,8 @@ class SchedulingError(RuntimeError):
 class EventQueue:
     """Min-heap of (fire_at, insertion sequence, event) tuples."""
 
-    def __init__(self, start_ns: int = 0):
-        self.now = start_ns
+    def __init__(self):
+        self.now = 0
         self._heap: list[tuple[int, int, object]] = []
         self._seq = itertools.count()
 

@@ -10,6 +10,11 @@ closures, one pair per message, that the loop must match draw for draw.
 walks as they were written before they read the graph's neighbour groups:
 every choice of channel rescans all channels at the node.  They
 share `_walk_setup` and `TraversalRules.step` with the walks under test.
+
+Every walk here picks a node pair's channel by the corrected rule, the one
+route search uses: the cheapest (weight, channel id) among the channels the
+payment could cross, enabled in its direction and with capacity for the
+amount it carries (`_can_cross`), not the cheapest regardless of capacity.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from collections import deque
 
 from pcnsim.adversary import (
+    SIGMA_FLOOR_MS,
     TOWARD_DESTINATION,
     EstimationError,
     EstimationResult,
@@ -161,15 +167,34 @@ def _neighbours(g, node):
     return {ch.other_end(node) for ch in g.channels_at(node)}
 
 
-def _cheapest(g, frm, to, amount, risk_factor):
+def _can_cross(ch, frm, amount, direction, used_delta=0, budget=None):
+    """Whether a walk at `amount` could cross `ch`, which the payment leaves
+    `frm` by.  From the anchor `amount` arrived at `frm`: the amount `frm`
+    forwards must exist and fit the capacity, and the deltas stay within
+    `budget`.  Toward the anchor `amount` is what `ch` carried, so it must
+    fit the capacity."""
+    policy = ch.policy_from(frm)
+    if not policy.enabled:
+        return False
+    if direction == "toward-anchor":
+        return ch.capacity_msat >= amount
+    nxt = _inverted_amount(policy, amount)
+    if nxt is None or ch.capacity_msat < nxt:
+        return False
+    return budget is None or used_delta + policy.timelock_delta <= budget
+
+
+def _cheapest(g, frm, to, amount, risk_factor, direction, used_delta=0, budget=None):
+    """The channel frm -> to of least (weight under frm's policy, channel id)
+    among those `_can_cross` accepts, or None."""
     best_key = None
     best = None
     for ch in g.channels_at(frm):
         if ch.other_end(frm) != to:
             continue
-        policy = ch.policy_from(frm)
-        if not policy.enabled:
+        if not _can_cross(ch, frm, amount, direction, used_delta, budget):
             continue
+        policy = ch.policy_from(frm)
         w = fee(policy, amount) + amount * policy.timelock_delta * risk_factor
         key = (w, ch.id)
         if best_key is None or key < best_key:
@@ -189,7 +214,8 @@ def candidate_paths(
     """All feasible simple candidate paths beyond the observed edge.
 
     Yields (endpoint, edge_id_list).  Walks use the cheapest channel per
-    node pair at the current amount.  Downstream ("from-anchor") the amount
+    node pair at the current amount among those that can carry it
+    (`_can_cross`).  Downstream ("from-anchor") the amount
     shrinks by fees and each edge must have capacity for it; consumed
     time-lock deltas must stay within `budget` when one is given.  Upstream
     ("toward-anchor") the amount grows by the fee of the edge just crossed
@@ -202,24 +228,18 @@ def candidate_paths(
         results.append((node, list(edges)))
         for nb in sorted(_neighbours(g, node) - visited):
             if direction == "from-anchor":
-                ch = _cheapest(g, node, nb, amount, risk_factor)
+                ch = _cheapest(g, node, nb, amount, risk_factor, direction, used_delta, budget)
                 if ch is None:
                     continue
                 policy = ch.policy_from(node)
                 nxt = _inverted_amount(policy, amount)
-                if nxt is None or ch.capacity_msat < nxt:
-                    continue
                 delta = used_delta + policy.timelock_delta
-                if budget is not None and delta > budget:
-                    continue
                 dfs(nb, nxt, delta, visited | {nb}, edges + [ch.id])
             else:
-                ch = _cheapest(g, nb, node, amount, risk_factor)
+                ch = _cheapest(g, nb, node, amount, risk_factor, direction)
                 if ch is None:
                     continue
                 policy = ch.policy_from(nb)
-                if ch.capacity_msat < amount:
-                    continue
                 nxt = amount + fee(policy, amount)
                 dfs(nb, nxt, used_delta, visited | {nb}, edges + [ch.id])
 
@@ -299,17 +319,20 @@ def brute_estimate(
 # reference candidate-path walks: one rescan of the node's channels per neighbour
 
 
-def _reference_edges(params, direction):
-    """Edge chooser: one cheapest channel per neighbor, like route search,
-    weighed in the direction the payment crossed it."""
+def _reference_edges(params, rules):
+    """Edge chooser: one cheapest channel per neighbor among those the
+    payment could cross, like route search, weighed in the direction the
+    payment crossed it."""
+    direction, budget = rules.direction, rules.timelock_budget
 
-    def candidates(g, node, amount):
+    def candidates(g, node, amount, used_delta):
         out = []
         for nb in sorted(_neighbours(g, node)):
             if direction == "from-anchor":
-                ch = _cheapest(g, node, nb, amount, params.risk_factor)
+                ch = _cheapest(g, node, nb, amount, params.risk_factor, direction,
+                               used_delta, budget)
             else:
-                ch = _cheapest(g, nb, node, amount, params.risk_factor)
+                ch = _cheapest(g, nb, node, amount, params.risk_factor, direction)
             if ch is not None:
                 out.append(ch)
         return out
@@ -323,12 +346,12 @@ def reference_anonymity_set(obs, g, cfg, params=None) -> frozenset[NodeId]:
     if obs.edge_observed not in g.channels:
         raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     anchor, seed, rules = _walk_setup(obs, g, cfg)
-    edge_candidates = _reference_edges(params, rules.direction)
+    edge_candidates = _reference_edges(params, rules)
     members = {anchor}
     stack = [(anchor, seed, 0, frozenset({anchor, obs.observer}))]
     while stack:
         node, amount, delta_used, visited = stack.pop()
-        for ch in edge_candidates(g, node, amount):
+        for ch in edge_candidates(g, node, amount, delta_used):
             nxt_node = ch.other_end(node)
             if nxt_node in visited:
                 continue
@@ -348,9 +371,9 @@ def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
         raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     t_weight = model.traversal_weight
     delta_ms = obs.delta_t_ms
-    floor = cfg.sigma_floor_ms
+    floor = SIGMA_FLOOR_MS
     anchor, seed, rules = _walk_setup(obs, g, cfg)
-    edge_candidates = _reference_edges(params, rules.direction)
+    edge_candidates = _reference_edges(params, rules)
 
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean
@@ -362,7 +385,7 @@ def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
     )
     while queue:
         cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = queue.popleft()
-        for ch in edge_candidates(g, cur, amount_c):
+        for ch in edge_candidates(g, cur, amount_c, delta_c):
             nb = ch.other_end(cur)
             if nb in on_path:
                 continue

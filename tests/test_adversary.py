@@ -238,10 +238,12 @@ class TestFirstSpy:
         assert first_spy_estimate(obs, g).top == "c" != "d"
 
 
-def random_attack_graph(seed, n=10, extra_edges=4, one_sided=0):
+def random_attack_graph(seed, n=10, extra_edges=4, one_sided=0, starved=0):
     """Connected random graph, a spanning tree plus a few chords:
     (graph, balances, latencies).  `one_sided` channels have one direction
-    disabled, as a snapshot's missing policy leaves them."""
+    disabled, as a snapshot's missing policy leaves them.  `starved`
+    channels run parallel to others, charge no fee and hold 1 sat, so they
+    are the cheapest of their node pair but too small for most payments."""
     rng = np.random.default_rng(seed)
     names = [f"n{i:02d}" for i in range(n)]
     rows = []
@@ -261,6 +263,11 @@ def random_attack_graph(seed, n=10, extra_edges=4, one_sided=0):
         rows.append(row(f"x{k:02d}", names[int(i)], names[int(j)]))
     for k in rng.choice(len(rows), size=one_sided, replace=False):
         rows[int(k)][3][f"enabled_{rng.choice(['uv', 'vu'])}"] = False
+    if starved:  # nothing drawn otherwise, so other graphs stay as they were
+        for j, k in enumerate(rng.choice(len(rows), size=starved, replace=False)):
+            _, a, b, _ = rows[int(k)]
+            cid, _, _, over = row(f"s{j:02d}", a, b)
+            rows.append((cid, a, b, over | {"capacity_sat": 1, "base_fee": 0, "rate_ppm": 0}))
     g, latencies = make_graph(names, rows)
     return g, split_balances(g), latencies
 
@@ -384,6 +391,10 @@ class TestAnonymitySetSoundness:
     def test_true_endpoint_member_with_one_sided_channels(self, seed):
         self.check_members(random_attack_graph(seed, extra_edges=8, one_sided=6), seed + 50)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_true_endpoint_member_with_starved_parallel_channels(self, seed):
+        self.check_members(random_attack_graph(seed, starved=4), seed + 50)
+
 
 def source_leg_case(kind):
     """An observation at m of a payment that crossed b -> m, toward its
@@ -425,6 +436,53 @@ class TestSourceLegChannelChoice:
         )
         assert top == "a"
         assert estimate_endpoint(obs, g, model, AdversaryConfig(frozenset({"m"}))).top == top
+
+
+def starved_channel_case():
+    """s -> b for 1,000,000 msat over c1 (s-m), c2 (m-a) and q, observed at m
+    toward the destination.  Of the parallel a-b channels, p charges no fee
+    but holds 1 sat, so the payment crossed q (base fee 1000)."""
+    g, latencies = make_graph(
+        ["s", "m", "a", "b"],
+        [("c1", "s", "m"), ("c2", "m", "a"),
+         ("p", "a", "b", {"capacity_sat": 1, "base_fee": 0, "rate_ppm": 0}),
+         ("q", "a", "b", {"base_fee": 1000})],
+    )
+    path = find_route(g, Payment("s", "b", 1_000_000))
+    assert [h.channel for h in path.hops] == ["c1", "c2", "q"]
+    cfg = AdversaryConfig(frozenset({"m"}), source_attack_enabled=False)
+    observer = AdversaryObserver(cfg)
+    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0),
+                           {"m": observer})
+    assert engine.execute_payment(path, "p0").status == "fulfilled"
+    (obs,) = observer.observations
+    assert obs.edge_observed == "c2"
+    return g, cfg, obs
+
+
+class TestStarvedParallelChannel:
+    """The walks skip a cheaper parallel channel that cannot carry the
+    amount, as route search does, so the payment's destination stays."""
+
+    def test_anonymity_set_matches_bruteforce(self):
+        g, cfg, obs = starved_channel_case()
+        anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
+        expected = brute_reduced_set(g, anchor, seed_amt, direction, budget, forbidden=("m",))
+        assert expected == {"a", "b"}
+        assert reduce_anonymity_set(obs, g, cfg) == expected
+
+    def test_estimate_matches_bruteforce(self):
+        g, cfg, obs = starved_channel_case()
+        model = LatencyModel({cid: Gaussian(10.0, 1.0) for cid in g.channels})
+        anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
+        top, _ = brute_estimate(
+            g=g, model=model, obs_edge_id="c2", observer="m", delta_ms=obs.delta_t_ms,
+            seed_amount=seed_amt, direction=direction, budget=budget,
+        )
+        assert top == "b"
+        result = estimate_endpoint(obs, g, model, cfg)
+        assert result.top == top
+        assert {node for node, _ in result.candidates} == {"a", "b"}
 
 
 class TestObservationExport:

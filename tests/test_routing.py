@@ -124,6 +124,11 @@ class TestFindRoute:
         path = find_route(g, Payment("a", "b", 1000))
         assert path.hops[0].channel == "cheap"
 
+    def test_parallel_channels_tie_by_channel_id(self):
+        g, _ = make_graph(["a", "b", "c"], [("z", "a", "b"), ("y", "a", "b"), ("e", "b", "c")])
+        path = find_route(g, Payment("a", "c", 1000))
+        assert [h.channel for h in path.hops] == ["y", "e"]
+
     def test_deterministic_tiebreak(self):
         g, _ = make_graph(
             ["s", "x", "y", "t"],

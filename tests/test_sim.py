@@ -22,7 +22,7 @@ from pcnsim.sim import (
     probe_batch,
     sample_latency,
 )
-from pcnsim.latency import TRAVERSAL_WEIGHT_DEFAULT
+from pcnsim.latency import LatencyModel
 from conftest import make_graph, split_balances
 from oracles import ReferenceEngine
 
@@ -352,7 +352,7 @@ class TestProbeBatch:
     """The closed-form probes are the engine's probes, draw for draw."""
 
     def test_traversals_match_estimator_default(self):
-        assert TRAVERSALS_PER_EDGE == TRAVERSAL_WEIGHT_DEFAULT == 6
+        assert LatencyModel().traversal_weight == TRAVERSALS_PER_EDGE == 6
 
     def test_noisy_path_matches_engine(self):
         g, latencies = make_graph(
