@@ -36,7 +36,6 @@ from .latency import (
     Gaussian,
     LatencyModel,
     aggregate_models,
-    estimate_first_hop,
     estimate_next_hop,
     path_distribution,
 )

@@ -8,13 +8,15 @@ Either time difference grows with the observer's distance from the
 respective endpoint, so ranking candidate endpoints by the likelihood of
 the observed difference under per-edge Gaussian latency models yields a
 maximum-likelihood guess.  A First-Spy estimator (guess the adjacent node)
-serves as the baseline.
+serves as the baseline.  `AdversaryObserver` is the engine's behaviour:
+each malicious node makes its choice, to fail or to forward and time, when
+an add is committed at it.
 
 Both candidate-path walks, the anonymity-set reduction and the estimator,
-cross one channel per neighbour, picked by the rule the victim's route
-search picks by (`TraversalRules.cross`): among the channels that can
-carry the amount in the payment's direction, the cheapest under the policy
-the payment crossed it by.  They pick it inside the graph's neighbour
+cross to a neighbour over each channel the victim's route search could have
+picked (`TraversalRules.cross`): among the channels that can carry the
+amount in the payment's direction, the cheapest at that amount under the
+policy the payment crossed it by.  They pick inside the graph's neighbour
 groups (`ChannelGraph.neighbour_groups`), which hold each node's channels
 grouped by neighbour and are built once per graph, so a walk never rescans
 a node's channels per neighbour.
@@ -92,11 +94,12 @@ class EstimationResult:
 
 
 class AdversaryObserver(NodeBehavior):
-    """Behavior hook shared by all malicious nodes of one run.
+    """The behaviour of one run's engine; only malicious nodes act.
 
-    Collects destination-leg observations passively; when the source attack
-    is enabled, the first malicious node to see a payment fails it once and
-    times the retry.
+    At its commit of an add a malicious intermediary fails the payment, if
+    the source attack is enabled and no malicious node has failed it yet,
+    and times the retry; otherwise it notes the add it forwards and times
+    the matching fulfill.
     """
 
     def __init__(self, config: AdversaryConfig):
@@ -110,48 +113,40 @@ class AdversaryObserver(NodeBehavior):
 
     # -- engine hooks --------------------------------------------------------
 
-    def wants_reject(self, view: HopView) -> bool:
-        if not self.config.source_attack_enabled:
-            return False
-        if view.node not in self.config.malicious_nodes or view.is_final:
-            return False
-        return view.payment_id not in self._failed_once
-
-    def on_fail_sent(self, t_ns: int, view: HopView) -> None:
-        if view.node not in self.config.malicious_nodes:
-            return
-        if view.payment_id in self._failed_once:
-            return
-        self._failed_once.add(view.payment_id)
-        self._pending_src[view.payment_id] = (
-            view.node, t_ns, view.in_channel, view.amount_msat, view.remaining_timelock,
-        )
-
-    def on_commit(self, t_ns: int, view: HopView) -> None:
-        pending = self._pending_src.get(view.payment_id)
-        if pending is None or pending[0] != view.node:
-            return
-        node, t0, channel, amount, timelock = pending
-        del self._pending_src[view.payment_id]
-        self.observations.append(
-            Observation(
-                payment_id=view.payment_id,
-                observer=node,
-                edge_observed=channel,
-                direction=TOWARD_SOURCE,
-                t0_ns=t0,
-                t1_ns=t_ns,
-                amount_msat=amount,
-                timelock_blocks=timelock,
+    def on_commit(self, t_ns: int, view: HopView) -> bool:
+        """Close a pending source observation, then fail the payment or note
+        the forwarded add.  The note is read only by a fulfill, which reaches
+        a node only in an attempt it forwarded, so noting it at the commit
+        records what the forward would."""
+        node, pid = view.node, view.payment_id
+        if node not in self.config.malicious_nodes:
+            return False  # a pending source entry always names a malicious node
+        pending = self._pending_src.get(pid)
+        if pending is not None and pending[0] == node:
+            _, t0, channel, amount, timelock = self._pending_src.pop(pid)
+            self.observations.append(
+                Observation(
+                    payment_id=pid,
+                    observer=node,
+                    edge_observed=channel,
+                    direction=TOWARD_SOURCE,
+                    t0_ns=t0,
+                    t1_ns=t_ns,
+                    amount_msat=amount,
+                    timelock_blocks=timelock,
+                )
             )
-        )
-
-    def on_forward(self, t_ns: int, view: HopView) -> None:
-        if view.node not in self.config.malicious_nodes:
-            return
-        self._pending_dest[(view.node, view.payment_id)] = (
+        if view.is_final:
+            return False
+        if self.config.source_attack_enabled and pid not in self._failed_once:
+            self._failed_once.add(pid)
+            self._pending_src[pid] = (node, t_ns, view.in_channel, view.amount_msat,
+                                      view.remaining_timelock)
+            return True
+        self._pending_dest[(node, pid)] = (
             t_ns, view.next_channel, view.forward_amount_msat, view.forward_timelock,
         )
+        return False
 
     def on_fulfill(self, t_ns: int, node: NodeId, payment_id: str) -> None:
         pending = self._pending_dest.pop((node, payment_id), None)
@@ -174,6 +169,7 @@ class AdversaryObserver(NodeBehavior):
     # -- selection ------------------------------------------------------------
 
     def adversarially_failed(self, payment_id: str) -> bool:
+        """Whether a malicious node rejected `payment_id` to time its retry."""
         return payment_id in self._failed_once
 
     def estimation_inputs(self) -> dict[str, dict[str, Observation]]:
@@ -238,10 +234,10 @@ def reduce_anonymity_set(
 
     Nodes are kept only if some simple path from the anchor satisfies the
     capacity and (destination leg, unless ablated) time-lock constraints
-    jointly.  The walk crosses the channel of each node pair that the
-    victim's route search would have picked (`TraversalRules.cross`): the
-    cheapest one with capacity for the amount it carries.  It never
-    re-crosses the observer.
+    jointly.  The walk crosses each channel of a node pair that the
+    victim's route search could have picked (`TraversalRules.cross`): the
+    cheapest one with capacity for the amount it carries, at that amount.
+    It never re-crosses the observer.
     """
     params = params or RoutingParams()
     if obs.edge_observed not in g.channels:
@@ -292,19 +288,16 @@ def estimate_endpoint(
         for nb, sides in g.neighbour_groups(cur):
             if nb in on_path:
                 continue  # before choosing its channel: that choice would be dropped
-            crossed = rules.cross(sides, amount_c, delta_c, params)
-            if crossed is None:
-                continue
-            side, step = crossed
-            g_e = model.edge_gaussian(side[0].id)
-            mean_n = mean_c + t_weight * g_e.mean
-            var_n = var_c + t_weight * g_e.variance
-            ll_n = normal_logpdf(delta_ms, mean_n, math.sqrt(var_n), floor)
-            if ll_n <= ll_cur:
-                continue  # only increasing likelihood
-            if ll_n > best_ll.get(nb, -math.inf):
-                best_ll[nb] = ll_n
-            queue.append((nb, mean_n, var_n, step[0], step[1], on_path | {nb}, ll_n))
+            for side, step in rules.cross(sides, amount_c, delta_c, params):
+                g_e = model.edge_gaussian(side[0].id)
+                mean_n = mean_c + t_weight * g_e.mean
+                var_n = var_c + t_weight * g_e.variance
+                ll_n = normal_logpdf(delta_ms, mean_n, math.sqrt(var_n), floor)
+                if ll_n <= ll_cur:
+                    continue  # only increasing likelihood
+                if ll_n > best_ll.get(nb, -math.inf):
+                    best_ll[nb] = ll_n
+                queue.append((nb, mean_n, var_n, step[0], step[1], on_path | {nb}, ll_n))
     if not best_ll:
         raise EstimationError(f"no candidates for payment {obs.payment_id}")
     ranked = tuple(

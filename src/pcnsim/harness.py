@@ -48,7 +48,6 @@ from .latency import (
     InsufficientSamples,
     LatencyModel,
     aggregate_models,
-    estimate_first_hop,
     estimate_next_hop,
 )
 from .metrics import (
@@ -357,12 +356,9 @@ def build_latency_model(
             samples = batch.samples_ms
             if batch.discarded:
                 log.warning("%d probes to %s failed early", batch.discarded, cid)
+            priors = [per_edge[p] for p in channel_path[:-1]]
             try:
-                if len(channel_path) == 1:
-                    est = estimate_first_hop(samples, cfg.traversal_weight)
-                else:
-                    priors = [per_edge[p] for p in channel_path[:-1]]
-                    est = estimate_next_hop(samples, priors, cfg.traversal_weight)
+                est = estimate_next_hop(samples, priors, cfg.traversal_weight)
             except InsufficientSamples:
                 continue
             per_edge[cid] = est
@@ -435,8 +431,7 @@ def run_single(
     model, _ = build_latency_model(g, balances, latencies, adv_cfg.malicious_nodes, cfg, ss_probe)
 
     observer = AdversaryObserver(adv_cfg)
-    behaviors = {node: observer for node in adv_cfg.malicious_nodes}
-    engine = PaymentEngine(g, balances, latencies, np.random.default_rng(ss_engine), behaviors)
+    engine = PaymentEngine(g, balances, latencies, np.random.default_rng(ss_engine), observer)
     workload = generate_workload(g, cfg, np.random.default_rng(ss_workload), amount_sat)
 
     truth: GroundTruth = {}
@@ -451,11 +446,7 @@ def run_single(
         outcome = engine.execute_payment(path, pid)
         if cfg.export_timeline:
             outcomes.append(outcome)
-        if (
-            outcome.status == "failed"
-            and cfg.retry_attack
-            and observer.adversarially_failed(pid)
-        ):
+        if observer.adversarially_failed(pid):
             # the sender retries over the same path right after the fail
             outcome = engine.execute_payment(path, pid)
             if cfg.export_timeline:

@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .graph import Gaussian
+from .graph import Gaussian, RegionLatencyTable
 from .sim import LATENCY_FLOOR_NS, NS_PER_MS, TRAVERSALS_PER_EDGE
 
 log = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class LatencyModel:
 
     edges: dict[str, Gaussian] = field(default_factory=dict)
     traversal_weight: int = TRAVERSALS_PER_EDGE
-    default: Gaussian = Gaussian(125.0, 25.0)
+    default: Gaussian = RegionLatencyTable().lookup_one_way(None, None)
     fallback_count: int = 0
 
     def edge_gaussian(self, channel_id: str) -> Gaussian:
@@ -72,31 +72,17 @@ class LatencyModel:
         return g
 
 
-def estimate_first_hop(samples_ms: list[float], traversal_weight: int) -> Gaussian:
-    """Estimate the first edge of a one-hop probing path.
-
-    mean = sum(samples) / (T*n).  Residuals for the spread are taken against
-    T*mean so both operands are full round-trip durations; the raw quotient
-    would mix per-traversal and per-round-trip units.
-    """
-    n = len(samples_ms)
-    if n < 2:
-        raise InsufficientSamples(f"need >= 2 probes, got {n}")
-    t = traversal_weight
-    mean = sum(samples_ms) / (t * n)
-    resid = sum((s - t * mean) ** 2 for s in samples_ms)
-    std = math.sqrt(resid / (t * n))
-    return Gaussian(mean, std)
-
-
 def estimate_next_hop(
     samples_ms: list[float],
     prior_hops: list[Gaussian],
     traversal_weight: int,
 ) -> Gaussian:
-    """Estimate the last edge of a longer probing path.
+    """Estimate the last edge of a probing path from its round trips.
 
-    The mean subtracts the already-estimated prefix edges; the variance of
+    The path mean is sum(samples) / (T*n), per traversal; the residuals for
+    the spread are taken against T times it, so both operands are full
+    round-trip durations.  The edge's mean subtracts the already-estimated
+    prefix edges (`prior_hops`, empty for a one-hop path); the variance of
     that subtraction inherits the prior estimates' variances, so they are
     added in quadrature to the path-level sample spread.
 
@@ -106,8 +92,6 @@ def estimate_next_hop(
     n = len(samples_ms)
     if n < 2:
         raise InsufficientSamples(f"need >= 2 probes, got {n}")
-    if not prior_hops:
-        raise ValueError("estimate_next_hop needs at least one prior hop")
     t = traversal_weight
     path_mean = sum(samples_ms) / (t * n)
     mean = path_mean - sum(g.mean for g in prior_hops)

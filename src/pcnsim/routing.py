@@ -8,7 +8,8 @@ software uses.
 
 Route search and the adversary's candidate-path walks pick a node pair's
 channel by one rule, `TraversalRules.cross`: the cheapest channel that can
-carry the amount in the payment's direction, ties by channel id.
+carry the amount in the payment's direction, weighed at the amount it
+carries, ties by channel id.
 
 The search for one (destination, amount) is a `RouteSearch`
 that pauses as soon as the requested source settles and resumes from there
@@ -116,7 +117,7 @@ def forwarded_amount(policy: DirectedPolicy, incoming_msat: int) -> int | None:
 
 @dataclass(frozen=True)
 class TraversalRules:
-    """Which channel of a node pair a payment crosses, and what crossing costs.
+    """Which channels of a node pair a payment may cross, and what crossing costs.
 
     A walk from the anchor moves with the payment: the amount shrinks by
     fees and the consumed time-lock deltas stay within the budget.  A walk
@@ -157,27 +158,37 @@ class TraversalRules:
         return amount + policy_in.fee_msat(amount), 0
 
     def cross(self, sides: tuple[ChannelSide, ...], amount: int, delta_used: int,
-              params: RoutingParams) -> tuple[ChannelSide, tuple[int, int]] | None:
-        """The channel of one neighbour group (`ChannelGraph.neighbour_groups`)
-        the payment crosses and the `step` state after it, or None.
+              params: RoutingParams) -> tuple[tuple[ChannelSide, tuple[int, int]], ...]:
+        """The channels of one neighbour group (`ChannelGraph.neighbour_groups`)
+        the payment may have crossed, each with the `step` state after it.
 
-        Among the channels `step` can cross, the least (weight, channel id)
-        wins, weighed under the policy the payment crossed by: the walk
-        node's own from the anchor, the neighbour's toward it.
+        Route search picks the least (weight, channel id) at the amount a
+        channel carries among the group's channels that could carry it:
+        enabled in the payment's direction, with capacity for it, weighed
+        under the policy the payment crossed by (the walk node's own from
+        the anchor, the neighbour's toward it).  A channel `step` can cross
+        is kept when it is that pick at the amount it would carry.  Toward
+        the anchor every channel carries `amount`, so at most one is kept;
+        from the anchor each carries what the walk node would forward over
+        it, so several may be.
         """
         if len(sides) == 1:
             state = self.step(sides[0], amount, delta_used)
-            return None if state is None else (sides[0], state)
-        paid = 1 if self.direction == "from-anchor" else 2
-        best = None
+            return () if state is None else ((sides[0], state),)
+        from_anchor = self.direction == "from-anchor"
+        paid = 1 if from_anchor else 2
+        crossings = []
         for side in sides:
             state = self.step(side, amount, delta_used)
             if state is None:
                 continue
-            key = (edge_weight(amount, side[paid], params), side[0].id)
-            if best is None or key < best[0]:
-                best = (key, side, state)
-        return None if best is None else best[1:]
+            carried = state[0] if from_anchor else amount
+            pick = min((edge_weight(carried, other[paid], params), other[0].id)
+                       for other in sides
+                       if other[paid].enabled and other[0].capacity_msat >= carried)
+            if pick[1] == side[0].id:
+                crossings.append((side, state))
+        return tuple(crossings)
 
 
 # Route search runs backward from the destination, against the payment.
@@ -278,17 +289,16 @@ class RouteSearch:
                     continue
                 # x would forward toward u: the walk from u crosses against
                 # the payment, as a source-leg walk toward its anchor does
-                crossed = _TOWARD_DEST.cross(sides, amount_over_edge, 0, params)
-                if crossed is None:
-                    continue
-                (ch, _, policy), (amount_in, _) = crossed
-                cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
-                if x in best and best[x] <= cand:
-                    continue
-                best[x] = cand
-                req_in[x] = amount_in
-                succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
-                heapq.heappush(heap, (cand[0], cand[1], x))
+                # at most one channel: every one carries the same amount
+                for (ch, _, policy), (amount_in, _) in _TOWARD_DEST.cross(
+                        sides, amount_over_edge, 0, params):
+                    cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
+                    if x in best and best[x] <= cand:
+                        continue
+                    best[x] = cand
+                    req_in[x] = amount_in
+                    succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
+                    heapq.heappush(heap, (cand[0], cand[1], x))
         # the loop stops once the source settles or the heap runs dry, and
         # a source with a successor was pushed, so it has settled
         if source not in succ:
@@ -383,9 +393,9 @@ def feasible_endpoints(
     from different paths are never merged; a node joins the set as soon as
     one prefix reaching it satisfies every constraint.  A lock budget or
     tight capacities bound the search depth; without either the walk
-    enumerates every simple path.  Each step crosses the channel to a
-    neighbour that `TraversalRules.cross` picks, the cheapest one that can
-    carry the amount, as route search would.
+    enumerates every simple path.  Each step crosses each channel to a
+    neighbour that `TraversalRules.cross` keeps: one route search could
+    have picked, the cheapest that can carry the amount it carries.
     """
     members = {anchor}
     stack = [(anchor, amount_msat, 0, frozenset({anchor}) | forbidden)]
@@ -394,10 +404,7 @@ def feasible_endpoints(
         for nxt_node, sides in g.neighbour_groups(node):
             if nxt_node in visited:
                 continue
-            crossed = rules.cross(sides, amount, delta_used, params)
-            if crossed is None:
-                continue
-            state = crossed[1]
-            members.add(nxt_node)
-            stack.append((nxt_node, state[0], state[1], visited | {nxt_node}))
+            for _, state in rules.cross(sides, amount, delta_used, params):
+                members.add(nxt_node)
+                stack.append((nxt_node, state[0], state[1], visited | {nxt_node}))
     return frozenset(members)

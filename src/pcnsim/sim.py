@@ -19,6 +19,11 @@ going back, or the settlement handshake.  Delivering a record logs it as a
 of the script, runs the step that follows: the receiving node's decision
 after a forward hop, the relay upstream (and settlement) after a back one.
 
+The engine runs one `NodeBehavior` for every node, with two hooks.
+`on_commit` sees each committed add and returns the receiving node's
+decision to reject it; the node also rejects when it cannot forward.
+`on_fulfill` sees each fulfill delivered.
+
 The engine reads the graph's public data and keeps a run's private state in
 the two maps it is given: the balances, which settlement moves, and the
 true latencies, from which every message's traversal time is drawn.
@@ -27,7 +32,8 @@ Probes (payments crafted to fail at their last hop) are evaluated in closed
 form by `probe_batch` rather than on the engine: they move no balances and
 their messages are strictly sequential, so one vectorised draw per probed
 path gives, draw for draw, the durations, failing hop and random-stream
-state of running each probe through `PaymentEngine.execute_payment`.
+state of running each probe through an engine whose behaviour rejects at
+the path's last node.
 """
 
 from __future__ import annotations
@@ -134,25 +140,20 @@ class HopView:
 
 
 class NodeBehavior:
-    """Per-node policy and observation hooks; the default is honest."""
+    """What every node of an engine does beyond forwarding; the default is
+    honest.
 
-    def wants_reject(self, view: HopView) -> bool:
+    One behaviour serves all nodes of an engine, so each hook names the node
+    it is called for.
+    """
+
+    def on_commit(self, t_ns: int, view: HopView) -> bool:
+        """Incoming add fully committed at view.node, before it acts; a true
+        return rejects the payment there."""
         return False
-
-    def on_commit(self, t_ns: int, view: HopView) -> None:
-        """Incoming add fully committed at view.node (before it acts)."""
-
-    def on_forward(self, t_ns: int, view: HopView) -> None:
-        """view.node sent its outgoing add."""
 
     def on_fulfill(self, t_ns: int, node: NodeId, payment_id: str) -> None:
         """A fulfill for payment_id was delivered to node."""
-
-    def on_fail_sent(self, t_ns: int, view: HopView) -> None:
-        """view.node rejected the payment and sent the fail upstream."""
-
-
-HONEST = NodeBehavior()
 
 
 @dataclass(frozen=True)
@@ -186,35 +187,25 @@ class PaymentEngine:
     """
 
     def __init__(self, graph: ChannelGraph, balances: Balances, latencies: Latencies, rng,
-                 behaviors: dict[NodeId, NodeBehavior] | None = None):
+                 behavior: NodeBehavior | None = None):
         self.graph = graph
         self.balances = balances
         self.latencies = latencies
         self.rng = rng
-        self.behaviors = behaviors or {}
+        self.behavior = behavior or NodeBehavior()
         self.queue = EventQueue()
 
-    def _behavior(self, node: NodeId) -> NodeBehavior:
-        return self.behaviors.get(node, HONEST)
-
-    def execute_payment(
-        self,
-        path: PaymentPath,
-        payment_id: str,
-        fail_at: NodeId | None = None,
-    ) -> PaymentOutcome:
+    def execute_payment(self, path: PaymentPath, payment_id: str) -> PaymentOutcome:
         """Run one payment attempt to completion and drain the queue.
 
-        `fail_at` marks a node that must reject the payment when it would
-        otherwise act on it (used by crafted probe payments).  If the attempt
-        raises, its pending messages are dropped, so the next payment on this
-        engine starts from an empty queue.
+        If the attempt raises, its pending messages are dropped, so the next
+        payment on this engine starts from an empty queue.
         """
         hops = path.hops
         if not hops:
             raise ValueError("payment path must contain at least one hop")
         _check_hops(self.graph, path)
-        balances, queue, rng = self.balances, self.queue, self.rng
+        balances, queue, rng, behavior = self.balances, self.queue, self.rng, self.behavior
         outcome = PaymentOutcome(payment_id, None, None, queue.now, None)
         if not _can_forward(balances, hops[0].frm, hops[0]):
             outcome.status, outcome.failed_at_hop, outcome.completed_at = "failed", 0, queue.now
@@ -242,26 +233,22 @@ class PaymentEngine:
                 elif phase is FORWARD:
                     # the add is committed at `to`, which decides what happens next
                     view = self._view(path, payment_id, i)
-                    behavior = self._behavior(to)
-                    behavior.on_commit(now, view)
-                    if (to == fail_at or behavior.wants_reject(view)
+                    if (behavior.on_commit(now, view)
                             or not (view.is_final or _can_forward(balances, to, hops[i + 1]))):
                         # the first edge not added: the rejecting node's would-be
                         # outgoing hop (== len(hops) when the final node rejects)
                         outcome.failed_at_hop = i + 1
-                        behavior.on_fail_sent(now, view)
                         send(FAIL_BACK, i, 0)
                     elif view.is_final:
                         send(FULFILL_BACK, i, 0)
                     else:
-                        behavior.on_forward(now, view)
                         send(FORWARD, i + 1, 0)
                 elif phase is not SETTLE:
                     # a fulfill or fail reached `to`, which relays it upstream at once
                     if phase is FULFILL_BACK:
                         self._settle(hop)
                         send(SETTLE, i, 0)  # simulated, gates nothing
-                        self._behavior(to).on_fulfill(now, to, payment_id)
+                        behavior.on_fulfill(now, to, payment_id)
                     if i == 0:
                         outcome.status = "fulfilled" if phase is FULFILL_BACK else "failed"
                         outcome.completed_at = now
@@ -342,10 +329,10 @@ def probe_batch(graph: ChannelGraph, balances: Balances, latencies: Latencies,
     """Run `n` probes from `vantage` over `path`, each failed by the path's
     last node, with one vectorised draw.
 
-    Equivalent, draw for draw, to `n` sequential
-    `PaymentEngine(graph, balances, latencies, rng).execute_payment(path, pid,
-    fail_at=last node)`
-    calls on an engine with no behaviours.  Such a probe moves no balance,
+    Equivalent, draw for draw, to `n` sequential `execute_payment(path, pid)`
+    calls on a `PaymentEngine(graph, balances, latencies, rng, behavior)`
+    whose behaviour rejects at the path's last node and nowhere else.  Such
+    a probe moves no balance,
     so every probe stops at the same hop k, found by the checks the engine's
     receiving node makes in order; its messages are strictly sequential: the hop messages on
     channels 0..k, then one fail back on each of channels k..0.  A normal

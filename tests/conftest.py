@@ -3,6 +3,7 @@ import pytest
 
 from pcnsim.graph import Channel, ChannelGraph, DirectedPolicy, Node
 from pcnsim.latency import Gaussian
+from pcnsim.sim import NodeBehavior
 
 
 def make_graph(nodes, channels, capacity_sat=1_000_000, base_fee=1_000,
@@ -68,3 +69,18 @@ def line_graph():
         [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")],
     )
     return g, split_balances(g), latencies
+
+
+class RejectAt(NodeBehavior):
+    """Rejects every add committed at `node`, as a probe's target does, and
+    hands every call on to `inner` first."""
+
+    def __init__(self, node, inner=None):
+        self.node = node
+        self.inner = inner or NodeBehavior()
+
+    def on_commit(self, t_ns, view):
+        return self.inner.on_commit(t_ns, view) or view.node == self.node
+
+    def on_fulfill(self, t_ns, node, payment_id):
+        self.inner.on_fulfill(t_ns, node, payment_id)

@@ -6,15 +6,21 @@ the search code under test, so the two routes to each answer stay
 independent.  `ReferenceEngine` is the payment engine as it was written
 before `PaymentEngine` became one loop over message records: a chain of
 closures, one pair per message, that the loop must match draw for draw.
+It runs one behaviour through the same two hooks: `on_commit`, whose
+return rejects the add, and `on_fulfill`.
 `reference_estimate` and `reference_anonymity_set` are the candidate-path
 walks as they were written before they read the graph's neighbour groups:
 every choice of channel rescans all channels at the node.  They
 share `_walk_setup` and `TraversalRules.step` with the walks under test.
 
-Every walk here picks a node pair's channel by the corrected rule, the one
-route search uses: the cheapest (weight, channel id) among the channels the
-payment could cross, enabled in its direction and with capacity for the
-amount it carries (`_can_cross`), not the cheapest regardless of capacity.
+Every walk here picks a node pair's channels by the rule route search
+uses: a channel the payment could cross (`_can_cross`) is taken when it is
+the cheapest (weight, channel id) at the amount it carries among the
+channels enabled in the payment's direction with capacity for that amount.
+From the anchor each channel carries what the walk node would forward over
+it, so a walk may take several channels of one pair; weighing them all at
+the amount the walk node holds would cross a channel route search did not
+pick.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from pcnsim.sim import (
     FAIL,
     FULFILL,
     HANDSHAKE,
-    HONEST,
     EventQueue,
     HopView,
     MessageRecord,
@@ -185,21 +190,30 @@ def _can_cross(ch, frm, amount, direction, used_delta=0, budget=None):
 
 
 def _cheapest(g, frm, to, amount, risk_factor, direction, used_delta=0, budget=None):
-    """The channel frm -> to of least (weight under frm's policy, channel id)
-    among those `_can_cross` accepts, or None."""
-    best_key = None
-    best = None
-    for ch in g.channels_at(frm):
-        if ch.other_end(frm) != to:
-            continue
+    """The channels frm -> to a walk at `amount` crosses: each that
+    `_can_cross` accepts and that route search would pick at the amount it
+    carries, the least (weight under frm's policy, channel id) among the
+    channels frm -> to enabled from frm with capacity for that amount.
+    From the anchor a channel carries what frm forwards over it, toward the
+    anchor `amount`."""
+    pair = [ch for ch in g.channels_at(frm) if ch.other_end(frm) == to]
+
+    def key(ch, carried):
+        policy = ch.policy_from(frm)
+        return (fee(policy, carried) + carried * policy.timelock_delta * risk_factor, ch.id)
+
+    out = []
+    for ch in pair:
         if not _can_cross(ch, frm, amount, direction, used_delta, budget):
             continue
-        policy = ch.policy_from(frm)
-        w = fee(policy, amount) + amount * policy.timelock_delta * risk_factor
-        key = (w, ch.id)
-        if best_key is None or key < best_key:
-            best_key, best = key, ch
-    return best
+        carried = amount
+        if direction == "from-anchor":
+            carried = _inverted_amount(ch.policy_from(frm), amount)
+        rivals = [key(other, carried) for other in pair
+                  if other.policy_from(frm).enabled and other.capacity_msat >= carried]
+        if key(ch, carried) == min(rivals):
+            out.append(ch)
+    return out
 
 
 def candidate_paths(
@@ -213,9 +227,9 @@ def candidate_paths(
 ):
     """All feasible simple candidate paths beyond the observed edge.
 
-    Yields (endpoint, edge_id_list).  Walks use the cheapest channel per
-    node pair at the current amount among those that can carry it
-    (`_can_cross`).  Downstream ("from-anchor") the amount
+    Yields (endpoint, edge_id_list).  Walks use each channel of a node pair
+    that route search could have picked (`_cheapest`).  Downstream
+    ("from-anchor") the amount
     shrinks by fees and each edge must have capacity for it; consumed
     time-lock deltas must stay within `budget` when one is given.  Upstream
     ("toward-anchor") the amount grows by the fee of the edge just crossed
@@ -228,20 +242,17 @@ def candidate_paths(
         results.append((node, list(edges)))
         for nb in sorted(_neighbours(g, node) - visited):
             if direction == "from-anchor":
-                ch = _cheapest(g, node, nb, amount, risk_factor, direction, used_delta, budget)
-                if ch is None:
-                    continue
-                policy = ch.policy_from(node)
-                nxt = _inverted_amount(policy, amount)
-                delta = used_delta + policy.timelock_delta
-                dfs(nb, nxt, delta, visited | {nb}, edges + [ch.id])
+                for ch in _cheapest(g, node, nb, amount, risk_factor, direction,
+                                    used_delta, budget):
+                    policy = ch.policy_from(node)
+                    nxt = _inverted_amount(policy, amount)
+                    delta = used_delta + policy.timelock_delta
+                    dfs(nb, nxt, delta, visited | {nb}, edges + [ch.id])
             else:
-                ch = _cheapest(g, nb, node, amount, risk_factor, direction)
-                if ch is None:
-                    continue
-                policy = ch.policy_from(nb)
-                nxt = amount + fee(policy, amount)
-                dfs(nb, nxt, used_delta, visited | {nb}, edges + [ch.id])
+                for ch in _cheapest(g, nb, node, amount, risk_factor, direction):
+                    policy = ch.policy_from(nb)
+                    nxt = amount + fee(policy, amount)
+                    dfs(nb, nxt, used_delta, visited | {nb}, edges + [ch.id])
 
     dfs(anchor, seed_amount, 0, {anchor} | set(forbidden), [])
     return results
@@ -320,21 +331,19 @@ def brute_estimate(
 
 
 def _reference_edges(params, rules):
-    """Edge chooser: one cheapest channel per neighbor among those the
-    payment could cross, like route search, weighed in the direction the
-    payment crossed it."""
+    """Edge chooser: per neighbor, the channels route search could have
+    picked (`_cheapest`), weighed in the direction the payment crossed
+    them."""
     direction, budget = rules.direction, rules.timelock_budget
 
     def candidates(g, node, amount, used_delta):
         out = []
         for nb in sorted(_neighbours(g, node)):
             if direction == "from-anchor":
-                ch = _cheapest(g, node, nb, amount, params.risk_factor, direction,
-                               used_delta, budget)
+                out += _cheapest(g, node, nb, amount, params.risk_factor, direction,
+                                 used_delta, budget)
             else:
-                ch = _cheapest(g, nb, node, amount, params.risk_factor, direction)
-            if ch is not None:
-                out.append(ch)
+                out += _cheapest(g, nb, node, amount, params.risk_factor, direction)
         return out
 
     return candidates
@@ -439,16 +448,13 @@ class ReferenceEngine:
     """
 
     def __init__(self, graph: ChannelGraph, balances: Balances, latencies: Latencies, rng,
-                 behaviors: dict[NodeId, NodeBehavior] | None = None):
+                 behavior: NodeBehavior | None = None):
         self.graph = graph
         self.balances = balances
         self.latencies = latencies
         self.rng = rng
-        self.behaviors = behaviors or {}
+        self.behavior = behavior or NodeBehavior()
         self.queue = EventQueue()
-
-    def _behavior(self, node: NodeId) -> NodeBehavior:
-        return self.behaviors.get(node, HONEST)
 
     # -- message plumbing ---------------------------------------------------
 
@@ -483,17 +489,8 @@ class ReferenceEngine:
 
     # -- choreography -------------------------------------------------------
 
-    def execute_payment(
-        self,
-        path: PaymentPath,
-        payment_id: str,
-        fail_at: NodeId | None = None,
-    ) -> PaymentOutcome:
-        """Run one payment attempt to completion and drain the queue.
-
-        `fail_at` marks a node that must reject the payment when it would
-        otherwise act on it (used by crafted probe payments).
-        """
+    def execute_payment(self, path: PaymentPath, payment_id: str) -> PaymentOutcome:
+        """Run one payment attempt to completion and drain the queue."""
         if not path.hops:
             raise ValueError("payment path must contain at least one hop")
         _check_hops(self.graph, path)
@@ -504,7 +501,7 @@ class ReferenceEngine:
             run.failed_at_hop = 0
             run.completed_at = self.queue.now
             return self._finish(run)
-        self._start_hop(run, 0, fail_at)
+        self._start_hop(run, 0)
         while (action := self.queue.next_event()) is not None:
             action()
         assert run.status is not None, "payment did not complete"
@@ -527,29 +524,27 @@ class ReferenceEngine:
             forward_timelock=nxt.remaining_timelock if nxt else None,
         )
 
-    def _start_hop(self, run: _PaymentRun, hop_index: int, fail_at: NodeId | None) -> None:
+    def _start_hop(self, run: _PaymentRun, hop_index: int) -> None:
         hop = run.path.hops[hop_index]
         channel = hop.channel
-        if hop_index > 0:
-            view = self._view(run, hop_index - 1)
-            self._behavior(hop.frm).on_forward(self.queue.now, view)
 
         def committed():
             view = self._view(run, hop_index)
-            self._behavior(hop.to).on_commit(self.queue.now, view)
-            self._act(run, hop_index, fail_at)
+            rejects = self.behavior.on_commit(self.queue.now, view)
+            self._act(run, hop_index, rejects)
 
         def add_delivered():
             self._handshake(run, channel, hop.frm, hop.to, then=committed)
 
         self._send(run, channel, hop.frm, hop.to, ADD, on_delivery=add_delivered)
 
-    def _act(self, run: _PaymentRun, hop_index: int, fail_at: NodeId | None) -> None:
-        """Receiving node of hop `hop_index` decides what happens next."""
+    def _act(self, run: _PaymentRun, hop_index: int, rejects: bool) -> None:
+        """Receiving node of hop `hop_index` decides what happens next;
+        `rejects` is its behaviour's decision."""
         hops = run.path.hops
         node = hops[hop_index].to
         view = self._view(run, hop_index)
-        if node == fail_at or self._behavior(node).wants_reject(view):
+        if rejects:
             # the first edge not added: the rejecting node's would-be outgoing
             # hop (== len(hops) when the final node rejects)
             self._reject(run, hop_index, at_hop=hop_index + 1)
@@ -560,12 +555,10 @@ class ReferenceEngine:
         if not _can_forward(self.balances, node, hops[hop_index + 1]):
             self._reject(run, hop_index, at_hop=hop_index + 1)
             return
-        self._start_hop(run, hop_index + 1, fail_at)
+        self._start_hop(run, hop_index + 1)
 
     def _reject(self, run: _PaymentRun, hop_index: int, at_hop: int) -> None:
-        node = run.path.hops[hop_index].to
         run.failed_at_hop = at_hop
-        self._behavior(node).on_fail_sent(self.queue.now, self._view(run, hop_index))
         self._propagate_back(run, hop_index, FAIL)
 
     def _fulfill(self, run: _PaymentRun, hop_index: int) -> None:
@@ -581,7 +574,7 @@ class ReferenceEngine:
                 self._settle(hop)
                 # settlement handshake: simulated, gates nothing
                 self._handshake(run, channel, hop.to, hop.frm)
-                self._behavior(hop.frm).on_fulfill(self.queue.now, hop.frm, run.payment_id)
+                self.behavior.on_fulfill(self.queue.now, hop.frm, run.payment_id)
             if hop_index == 0:
                 run.status = "fulfilled" if kind == FULFILL else "failed"
                 run.completed_at = self.queue.now

@@ -66,8 +66,7 @@ def simulate_observations(graph, balances, latencies, malicious, n_payments, see
         malicious_nodes=frozenset(malicious), source_attack_enabled=retry
     )
     observer = AdversaryObserver(cfg)
-    behaviors = {m: observer for m in cfg.malicious_nodes}
-    engine = PaymentEngine(graph, balances, latencies, np.random.default_rng(seed), behaviors)
+    engine = PaymentEngine(graph, balances, latencies, np.random.default_rng(seed), observer)
     rng = np.random.default_rng(seed + 1)
     nodes = sorted(graph.nodes)
     truth = {}

@@ -53,8 +53,7 @@ def run_line_payment(retry, nodes=("a", "b", "c"), malicious=("b",), amount=100_
     g, latencies = make_graph(list(nodes), chans)
     cfg = AdversaryConfig(malicious_nodes=frozenset(malicious), source_attack_enabled=retry)
     observer = AdversaryObserver(cfg)
-    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0),
-                           {m: observer for m in malicious})
+    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0), observer)
     path = find_route(g, Payment(nodes[0], nodes[-1], amount))
     outcome = engine.execute_payment(path, "p0")
     if outcome.status == "failed" and observer.adversarially_failed("p0"):
@@ -90,6 +89,20 @@ class TestObserverCapture:
     def test_retry_disabled_no_source_observation(self):
         _, _, observer, _ = run_line_payment(retry=False)
         assert not [o for o in observer.observations if o.direction == TOWARD_SOURCE]
+
+    def test_balance_shortfall_is_no_adversarial_fail(self):
+        # b cannot forward, and with the source attack off it rejects for no
+        # other reason: the fail is the network's, not the adversary's
+        g, latencies = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
+        balances = split_balances(g)
+        balances["e1", "b"] = 0
+        cfg = AdversaryConfig(frozenset({"b"}), source_attack_enabled=False)
+        observer = AdversaryObserver(cfg)
+        engine = PaymentEngine(g, balances, latencies, np.random.default_rng(0), observer)
+        outcome = engine.execute_payment(find_route(g, Payment("a", "c", 100_000)), "p0")
+        assert outcome.status == "failed" and outcome.failed_at_hop == 1
+        assert not observer.adversarially_failed("p0")
+        assert observer.observations == []
 
     def test_closest_observer_selected_per_leg(self):
         nodes = ("a", "m1", "m2", "d")
@@ -232,7 +245,7 @@ class TestFirstSpy:
         )
         path = find_route(g, Payment("a", "d", 1000))
         engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0),
-                               {"b": observer})
+                               observer)
         engine.execute_payment(path, "px")
         obs = observer.estimation_inputs()["px"]["destination"]
         assert first_spy_estimate(obs, g).top == "c" != "d"
@@ -452,8 +465,7 @@ def starved_channel_case():
     assert [h.channel for h in path.hops] == ["c1", "c2", "q"]
     cfg = AdversaryConfig(frozenset({"m"}), source_attack_enabled=False)
     observer = AdversaryObserver(cfg)
-    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0),
-                           {"m": observer})
+    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0), observer)
     assert engine.execute_payment(path, "p0").status == "fulfilled"
     (obs,) = observer.observations
     assert obs.edge_observed == "c2"
@@ -483,6 +495,57 @@ class TestStarvedParallelChannel:
         result = estimate_endpoint(obs, g, model, cfg)
         assert result.top == top
         assert {node for node, _ in result.candidates} == {"a", "b"}
+
+
+def amount_dependent_channel_case():
+    """s -> c for 997,891 msat over c1 (s-m), c2 (m-a), q and e (b-c),
+    observed at m toward the destination.  Of the parallel a-b channels, p
+    (base fee 998, delta 100) is the cheaper at the 999,898 msat that reach
+    a, but q (1000 ppm, delta 40) is the cheaper at the 998,900 msat it
+    carries, so route search picked q; p's delta would exceed the lock
+    budget before c."""
+    g, latencies = make_graph(
+        ["s", "m", "a", "b", "c"],
+        [("c1", "s", "m"), ("c2", "m", "a"),
+         ("p", "a", "b", {"base_fee": 998, "rate_ppm": 0, "delta": 100}),
+         ("q", "a", "b", {"base_fee": 0, "rate_ppm": 1000, "delta": 40}),
+         ("e", "b", "c")],
+    )
+    path = find_route(g, Payment("s", "c", 997_891))
+    assert [h.channel for h in path.hops] == ["c1", "c2", "q", "e"]
+    cfg = AdversaryConfig(frozenset({"m"}), source_attack_enabled=False)
+    observer = AdversaryObserver(cfg)
+    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0), observer)
+    assert engine.execute_payment(path, "p0").status == "fulfilled"
+    (obs,) = observer.observations
+    assert obs.edge_observed == "c2"
+    return g, cfg, obs
+
+
+class TestAmountDependentParallelChannel:
+    """From the anchor the walks weigh each parallel channel at the amount
+    it would carry, as route search does, so the payment's destination
+    stays."""
+
+    def test_anonymity_set_matches_bruteforce(self):
+        g, cfg, obs = amount_dependent_channel_case()
+        anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
+        expected = brute_reduced_set(g, anchor, seed_amt, direction, budget, forbidden=("m",))
+        assert expected == {"a", "b", "c"}
+        assert reduce_anonymity_set(obs, g, cfg) == expected
+
+    def test_estimate_matches_bruteforce(self):
+        g, cfg, obs = amount_dependent_channel_case()
+        model = LatencyModel({cid: Gaussian(10.0, 1.0) for cid in g.channels})
+        anchor, seed_amt, direction, budget = observation_walk_inputs(obs, g)
+        top, _ = brute_estimate(
+            g=g, model=model, obs_edge_id="c2", observer="m", delta_ms=obs.delta_t_ms,
+            seed_amount=seed_amt, direction=direction, budget=budget,
+        )
+        assert top == "c"
+        result = estimate_endpoint(obs, g, model, cfg)
+        assert result.top == top
+        assert {node for node, _ in result.candidates} == {"a", "b", "c"}
 
 
 class TestObservationExport:

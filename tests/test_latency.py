@@ -10,11 +10,11 @@ from pcnsim.latency import (
     InsufficientSamples,
     LatencyModel,
     aggregate_models,
-    estimate_first_hop,
     estimate_next_hop,
     normal_logpdf,
     path_distribution,
 )
+from pcnsim.graph import RegionLatencyTable
 from pcnsim.routing import path_from_channels
 from pcnsim.sim import probe_batch
 from conftest import make_graph, split_balances
@@ -40,20 +40,22 @@ class TestGaussian:
 
 
 class TestFirstHop:
+    """A one-hop probing path: `estimate_next_hop` with no prior hops."""
+
     def test_degenerate_samples(self):
-        assert estimate_first_hop([60.0] * 5, 6) == Gaussian(10.0, 0.0)
+        assert estimate_next_hop([60.0] * 5, [], 6) == Gaussian(10.0, 0.0)
 
     def test_alternative_weighting(self):
-        assert estimate_first_hop([40.0, 40.0], 4) == Gaussian(10.0, 0.0)
+        assert estimate_next_hop([40.0, 40.0], [], 4) == Gaussian(10.0, 0.0)
 
     def test_spread(self):
-        est = estimate_first_hop([50.0, 70.0], 6)
+        est = estimate_next_hop([50.0, 70.0], [], 6)
         assert est.mean == 10.0
         assert est.std == pytest.approx(math.sqrt(200.0 / 12.0), rel=1e-12)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
-            estimate_first_hop([60.0], 6)
+            estimate_next_hop([60.0], [], 6)
 
 
 class TestNextHop:
@@ -147,6 +149,11 @@ class TestPathDistribution:
         assert model.fallback_count == 1
         assert total.mean == pytest.approx(10.0 + model.default.mean)
 
+    def test_default_is_the_unknown_region_latency(self):
+        # the fallback is what the simulator gives a channel of unknown regions
+        assert LatencyModel().default == RegionLatencyTable().lookup_one_way(None, None)
+        assert LatencyModel().default == Gaussian(125.0, 25.0)
+
     @given(split=st.integers(min_value=1, max_value=3))
     @settings(max_examples=10, deadline=None)
     def test_grouping_associative(self, split):
@@ -211,10 +218,7 @@ class TestNoiselessRecovery:
             path = path_from_channels(net[0], "a", channels, 1000)
             samples = probe_batch(*net, "a", path, n, rng).samples_ms
             assert len(samples) == n
-            if len(channels) == 1:
-                est = estimate_first_hop(samples, t)
-            else:
-                est = estimate_next_hop(samples, [estimates[c] for c in channels[:-1]], t)
+            est = estimate_next_hop(samples, [estimates[c] for c in channels[:-1]], t)
             estimates[channels[-1]] = est
             assert est.mean == true_mean  # bit-exact in a noiseless network
             assert est.std == 0.0

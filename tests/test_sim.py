@@ -23,7 +23,7 @@ from pcnsim.sim import (
     sample_latency,
 )
 from pcnsim.latency import LatencyModel
-from conftest import make_graph, split_balances
+from conftest import RejectAt, make_graph, split_balances
 from oracles import ReferenceEngine
 
 MS = 1_000_000  # ns
@@ -88,13 +88,12 @@ class TestSampleLatency:
         assert draws[0] == draws[1]
 
 
-def run_payment(net, channels, source, amount=100_000, fail_at=None, behaviors=None,
-                seed=0, engine=None):
+def run_payment(net, channels, source, amount=100_000, behavior=None, seed=0, engine=None):
     """`net` is (graph, balances, latencies)."""
     graph = net[0]
     path = path_from_channels(graph, source, channels, amount)
-    engine = engine or PaymentEngine(*net, np.random.default_rng(seed), behaviors)
-    return engine.execute_payment(path, "pay-0", fail_at=fail_at), engine
+    engine = engine or PaymentEngine(*net, np.random.default_rng(seed), behavior)
+    return engine.execute_payment(path, "pay-0"), engine
 
 
 class TestChoreography:
@@ -117,7 +116,7 @@ class TestChoreography:
         assert t1 - t0 == 60 * MS
 
     def test_probe_style_fail_roundtrip(self, line_graph):
-        outcome, _ = run_payment(line_graph, ["e0"], "a", fail_at="b")
+        outcome, _ = run_payment(line_graph, ["e0"], "a", behavior=RejectAt("b"))
         assert outcome.status == "failed"
         assert outcome.failed_at_hop == 1
         assert outcome.completed_at - outcome.started_at == 60 * MS
@@ -245,7 +244,7 @@ class TestOnionOpacity:
     def test_behavior_sees_only_its_own_payload(self, line_graph):
         rec = ViewRecorder()
         outcome, _ = run_payment(
-            line_graph, ["e0", "e1", "e2"], "a", behaviors={"b": rec, "c": rec}
+            line_graph, ["e0", "e1", "e2"], "a", behavior=rec
         )
         assert outcome.status == "fulfilled"
         by_node = {v.node: v for v in rec.views}
@@ -279,7 +278,8 @@ class TestConservationProperty:
              ("e2", "c", "d", {"capacity_sat": 500}), ("e3", "a", "d", {"capacity_sat": 500})],
         )
         balances = split_balances(g)
-        engine = PaymentEngine(g, balances, latencies, np.random.default_rng(seed))
+        reject = RejectAt(None)
+        engine = PaymentEngine(g, balances, latencies, np.random.default_rng(seed), reject)
         nodes = sorted(g.nodes)
         rng = np.random.default_rng(seed + 1)
         for i, amount in enumerate(amounts):
@@ -289,8 +289,8 @@ class TestConservationProperty:
             path = find_route(g, Payment(s, t, amount))
             if path is None:
                 continue
-            fail_at = t if i % 3 == 0 else None
-            engine.execute_payment(path, f"p{i}", fail_at=fail_at)
+            reject.node = t if i % 3 == 0 else None
+            engine.execute_payment(path, f"p{i}")
         check_conservation(g, balances)
 
 
@@ -300,8 +300,8 @@ def assert_probes_match_engine(net, vantage, channels, n, seed):
     path = path_from_channels(net[0], vantage, channels, 1000)
     target = path.hops[-1].to
     engine_rng = np.random.default_rng(seed)
-    engine = PaymentEngine(*net, engine_rng)
-    outcomes = [engine.execute_payment(path, f"probe-{i}", fail_at=target) for i in range(n)]
+    engine = PaymentEngine(*net, engine_rng, RejectAt(target))
+    outcomes = [engine.execute_payment(path, f"probe-{i}") for i in range(n)]
     batch_rng = np.random.default_rng(seed)
     batch = probe_batch(*net, vantage, path, n, batch_rng)
 
@@ -450,8 +450,8 @@ def payment_sequences(draw):
             node = ch.other_end(node)
         amount = draw(st.sampled_from([1_000, 50_000]))
         # a probe of the last node, or a node anywhere (on the path or not)
-        fail_at = draw(st.one_of(st.none(), st.just(node), st.sampled_from(names)))
-        payments.append((start, channels, amount, fail_at))
+        reject_at = draw(st.one_of(st.none(), st.just(node), st.sampled_from(names)))
+        payments.append((start, channels, amount, reject_at))
     malicious = frozenset(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
     return g, balances, latencies, payments, malicious
 
@@ -472,14 +472,15 @@ class TestReferenceEngine:
         for engine_class in (PaymentEngine, ReferenceEngine):
             observer = AdversaryObserver(AdversaryConfig(malicious, source_attack_enabled=retry))
             engine = engine_class(g, dict(balances), latencies, np.random.default_rng(seed),
-                                  {node: observer for node in malicious})
+                                  RejectAt(None, observer))
             runs.append((observer, engine))
-        for k, (start, channels, amount, fail_at) in enumerate(payments):
+        for k, (start, channels, amount, reject_at) in enumerate(payments):
             path = path_from_channels(g, start, channels, amount)
+            for _, engine in runs:
+                engine.behavior.node = reject_at
             for _ in range(2):  # the attempt, then its retry after an adversarial fail
                 states = [
-                    engine_state(observer, engine,
-                                 engine.execute_payment(path, f"p{k}", fail_at=fail_at))
+                    engine_state(observer, engine, engine.execute_payment(path, f"p{k}"))
                     for observer, engine in runs
                 ]
                 assert states[0] == states[1]
