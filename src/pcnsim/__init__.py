@@ -44,9 +44,6 @@ from .metrics import (
     PaymentTruth,
     compromised_share,
     f1,
-    full_deanonymization,
-    precision,
-    recall,
 )
 from .routing import (
     Payment,

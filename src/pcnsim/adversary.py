@@ -238,6 +238,11 @@ def reduce_anonymity_set(
     victim's route search could have picked (`TraversalRules.cross`): the
     cheapest one with capacity for the amount it carries, at that amount.
     It never re-crosses the observer.
+
+    Only the destination leg has a lock budget to bound the walk.  The
+    source leg has none and enumerates every simple path from the anchor:
+    on 200-node scale-free graphs each of 20 sampled source-leg walks ran
+    past 5 s.  Call this with destination observations.
     """
     params = params or RoutingParams()
     if obs.edge_observed not in g.channels:

@@ -13,6 +13,7 @@ the one graph, unchanged, to every layer.
 from __future__ import annotations
 
 import logging
+import numbers
 import random
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,6 @@ import numpy as np
 from .adversary import (
     AdversaryConfig,
     AdversaryObserver,
-    EstimationResult,
     Observation,
     estimate_endpoint,
     first_spy_estimate,
@@ -55,9 +55,6 @@ from .metrics import (
     MetricsReport,
     PaymentTruth,
     compromised_share,
-    full_deanonymization,
-    precision,
-    recall,
     report,
 )
 from .routing import (
@@ -105,6 +102,18 @@ class ScenarioConfig:
     risk_factor: float = 1.5e-8
 
     def __post_init__(self):
+        for name in (
+            "m", "base_seed", "payments_per_run", "repetitions", "traversal_weight",
+            "probes_per_path", "probe_max_depth", "max_estimates_per_channel",
+            "final_cltv_delta",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("retry_attack", "timelock_reduction", "report_ablation", "export_timeline"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         if self.scenario not in ("central", "random", "list"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.scenario != "list" and self.m < 1:
@@ -156,7 +165,6 @@ class RunRecord:
     seed: int
     truth: GroundTruth
     observations: list[Observation]
-    estimates: dict[tuple[str, str], list[EstimationResult]]
     reports: list[MetricsReport]
     compromised: float
     unrouted: int
@@ -462,48 +470,32 @@ def run_single(
     check_conservation(g, balances)
 
     inputs = observer.estimation_inputs()
-    estimates: dict[tuple[str, str], list[EstimationResult]] = {
-        ("timing", "source"): [],
-        ("timing", "destination"): [],
-        ("first_spy", "source"): [],
-        ("first_spy", "destination"): [],
+    guesses: dict[tuple[str, str], dict[str, NodeId]] = {
+        (estimator, target): {}
+        for estimator in ("timing", "first_spy")
+        for target in ("source", "destination")
     }
-    ablated_dst: list[EstimationResult] = []
+    ablated_dst: dict[str, NodeId] = {}
     ablated_cfg = replace(adv_cfg, timelock_reduction_enabled=False)
     for pid in sorted(inputs):
         for target in sorted(inputs[pid]):
             obs = inputs[pid][target]
-            estimates[("timing", target)].append(
-                estimate_endpoint(obs, g, model, adv_cfg, params)
-            )
-            estimates[("first_spy", target)].append(first_spy_estimate(obs, g))
+            guesses["timing", target][pid] = estimate_endpoint(obs, g, model, adv_cfg, params).top
+            guesses["first_spy", target][pid] = first_spy_estimate(obs, g).top
             if cfg.report_ablation and target == "destination":
-                ablated_dst.append(
-                    estimate_endpoint(obs, g, model, ablated_cfg, params)
-                )
+                ablated_dst[pid] = estimate_endpoint(obs, g, model, ablated_cfg, params).top
 
-    reports = [
-        report("timing", "source", estimates[("timing", "source")], truth),
-        report("timing", "destination", estimates[("timing", "destination")], truth),
-        report("first_spy", "source", estimates[("first_spy", "source")], truth),
-        report("first_spy", "destination", estimates[("first_spy", "destination")], truth),
-        full_deanonymization(
-            "timing", estimates[("timing", "source")], estimates[("timing", "destination")], truth
-        ),
-        full_deanonymization(
-            "first_spy",
-            estimates[("first_spy", "source")],
-            estimates[("first_spy", "destination")],
-            truth,
-        ),
-    ]
+    reports: dict[tuple[str, str], MetricsReport] = {}
+    for estimator in ("timing", "first_spy"):
+        src, dst = guesses[estimator, "source"], guesses[estimator, "destination"]
+        both = {pid: (guess, dst[pid]) for pid, guess in src.items() if pid in dst}
+        for target, leg in (("source", src), ("destination", dst), ("both", both)):
+            reports[estimator, target] = report(estimator, target, leg, truth)
     ablation_delta = None
     if cfg.report_ablation:
-        base_dst = estimates[("timing", "destination")]
-        ablation_delta = (
-            precision(base_dst, truth) - precision(ablated_dst, truth),
-            recall(base_dst, truth) - recall(ablated_dst, truth),
-        )
+        base = reports["timing", "destination"]
+        off = report("timing_ablated", "destination", ablated_dst, truth)
+        ablation_delta = (base.precision - off.precision, base.recall - off.recall)
     return RunRecord(
         scenario=cfg.scenario,
         m=len(adv_cfg.malicious_nodes),
@@ -511,8 +503,7 @@ def run_single(
         seed=seed,
         truth=truth,
         observations=list(observer.observations),
-        estimates=estimates,
-        reports=reports,
+        reports=list(reports.values()),
         compromised=compromised_share(truth),
         unrouted=unrouted,
         ablation_delta=ablation_delta,

@@ -61,15 +61,10 @@ class LatencyModel:
     edges: dict[str, Gaussian] = field(default_factory=dict)
     traversal_weight: int = TRAVERSALS_PER_EDGE
     default: Gaussian = RegionLatencyTable().lookup_one_way(None, None)
-    fallback_count: int = 0
 
     def edge_gaussian(self, channel_id: str) -> Gaussian:
         """Look up a channel, falling back to the model default."""
-        g = self.edges.get(channel_id)
-        if g is None:
-            self.fallback_count += 1
-            return self.default
-        return g
+        return self.edges.get(channel_id, self.default)
 
 
 def estimate_next_hop(

@@ -1,11 +1,16 @@
-"""Attack-success metrics: precision, recall, F1, path compromise."""
+"""Attack-success metrics: one scorer for every estimator and target.
+
+`report` scores an estimator's top guesses for the source, the destination
+or both endpoints of each payment by precision (share of guessed payments
+guessed right), recall (share of all routed payments guessed right) and
+F1.  `compromised_share` counts the payments an adversary could observe.
+"""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 
-from .adversary import EstimationResult
 from .graph import NodeId
 
 log = logging.getLogger(__name__)
@@ -22,6 +27,8 @@ class PaymentTruth:
 
 
 GroundTruth = dict[str, PaymentTruth]
+# a guessed endpoint, or for target "both" the guessed (source, destination)
+Guess = NodeId | tuple[NodeId, NodeId]
 
 
 @dataclass(frozen=True)
@@ -35,37 +42,14 @@ class MetricsReport:
     total: int
 
 
-def _true_endpoint(truth: PaymentTruth, target: str) -> NodeId:
+def _true_endpoint(truth: PaymentTruth, target: str) -> Guess:
     if target == "source":
         return truth.source
     if target == "destination":
         return truth.dest
+    if target == "both":
+        return (truth.source, truth.dest)
     raise ValueError(f"unknown target {target!r}")
-
-
-def _correct_count(results: list[EstimationResult], truth: GroundTruth) -> int:
-    n = 0
-    for r in results:
-        if r.payment_id not in truth:
-            raise KeyError(f"result for unknown payment {r.payment_id}")
-        if r.top == _true_endpoint(truth[r.payment_id], r.target):
-            n += 1
-    return n
-
-
-def precision(results: list[EstimationResult], truth: GroundTruth) -> float:
-    """Share of classified payments whose top guess matches the truth."""
-    if not results:
-        log.warning("precision over zero classified payments, reporting 0")
-        return 0.0
-    return _correct_count(results, truth) / len(results)
-
-
-def recall(results: list[EstimationResult], truth: GroundTruth) -> float:
-    """Share of all payments (classified or not) guessed correctly."""
-    if not truth:
-        raise ValueError("recall undefined without any payments")
-    return _correct_count(results, truth) / len(truth)
 
 
 def f1(precision_value: float, recall_value: float) -> float:
@@ -76,17 +60,39 @@ def f1(precision_value: float, recall_value: float) -> float:
 
 
 def report(
-    estimator: str, target: str, results: list[EstimationResult], truth: GroundTruth
+    estimator: str, target: str, guesses: dict[str, Guess], truth: GroundTruth
 ) -> MetricsReport:
-    d = precision(results, truth)
-    r = recall(results, truth)
+    """Score `guesses`, payment id -> guessed endpoint (for target "both",
+    the guessed (source, destination) pair), against `truth`.
+
+    A payment is classified if it has a guess and correct if the guess is
+    its true endpoint, or both true endpoints.  Precision over zero
+    classified payments is reported as 0 and logged.  A guess about a
+    payment not in `truth` raises KeyError, and an empty `truth`
+    ValueError.
+    """
+    correct = 0
+    for pid, guess in guesses.items():
+        if pid not in truth:
+            raise KeyError(f"guess for unknown payment {pid}")
+        if guess == _true_endpoint(truth[pid], target):
+            correct += 1
+    if not truth:
+        raise ValueError("metrics undefined without any payments")
+    if guesses:
+        d = correct / len(guesses)
+    else:
+        log.warning("%s/%s precision over zero classified payments, reporting 0",
+                    estimator, target)
+        d = 0.0
+    r = correct / len(truth)
     return MetricsReport(
         estimator=estimator,
         target=target,
         precision=d,
         recall=r,
         f1=f1(d, r),
-        classified=len(results),
+        classified=len(guesses),
         total=len(truth),
     )
 
@@ -97,36 +103,3 @@ def compromised_share(truth: GroundTruth) -> float:
         return 0.0
     hit = sum(1 for t in truth.values() if t.observed_by)
     return hit / len(truth)
-
-
-def full_deanonymization(
-    estimator: str,
-    results_src: list[EstimationResult],
-    results_dst: list[EstimationResult],
-    truth: GroundTruth,
-) -> MetricsReport:
-    """Both-endpoint metrics: classified iff both legs were observed,
-    correct iff both guesses match the truth."""
-    if not truth:
-        raise ValueError("full deanonymization undefined without payments")
-    src_by_pid = {r.payment_id: r for r in results_src}
-    dst_by_pid = {r.payment_id: r for r in results_dst}
-    both = sorted(set(src_by_pid) & set(dst_by_pid))
-    correct = 0
-    for pid in both:
-        t = truth[pid]
-        if src_by_pid[pid].top == t.source and dst_by_pid[pid].top == t.dest:
-            correct += 1
-    d = correct / len(both) if both else 0.0
-    if not both:
-        log.warning("full deanonymization over zero classified payments")
-    r = correct / len(truth)
-    return MetricsReport(
-        estimator=estimator,
-        target="both",
-        precision=d,
-        recall=r,
-        f1=f1(d, r),
-        classified=len(both),
-        total=len(truth),
-    )

@@ -20,6 +20,7 @@ from pcnsim.harness import (
     run_single,
 )
 from pcnsim import cli
+from pcnsim.adversary import TOWARD_DESTINATION
 from pcnsim.graph import RegionLatencyTable, assign_latencies
 from pcnsim.latency import aggregate_models
 from pcnsim.routing import Payment, RouteSearch, RoutingParams, find_route
@@ -231,17 +232,26 @@ class TestRunSingle:
             assert t.path_nodes[0] == t.source and t.path_nodes[-1] == t.dest
 
     def test_estimate_streams_share_payments(self):
+        # both estimators classify every payment observed on a leg, and
+        # "both" the payments observed on both legs
         rec = run_single(self.graph(), tiny_cfg(payments_per_run=40), 100, seed=2)
-        for target in ("source", "destination"):
-            timing = {r.payment_id for r in rec.estimates[("timing", target)]}
-            fs = {r.payment_id for r in rec.estimates[("first_spy", target)]}
-            assert timing == fs
+        legs = {
+            target: {o.payment_id for o in rec.observations
+                     if (o.direction == TOWARD_DESTINATION) == (target == "destination")}
+            for target in ("source", "destination")
+        }
+        legs["both"] = legs["source"] & legs["destination"]
+        assert legs["both"]
+        assert len(rec.reports) == 6
+        for r in rec.reports:
+            assert r.classified == len(legs[r.target])
 
     def test_no_source_attack_no_source_estimates(self):
         rec = run_single(self.graph(), tiny_cfg(retry_attack=False), 100, seed=0)
-        assert not rec.estimates[("timing", "source")]
-        assert not rec.estimates[("first_spy", "source")]
-        assert rec.estimates[("timing", "destination")]
+        classified = {(r.estimator, r.target): r.classified for r in rec.reports}
+        assert classified["timing", "source"] == 0
+        assert classified["first_spy", "source"] == 0
+        assert classified["timing", "destination"] > 0
 
 
 class TestWorkloadRouting:
@@ -450,11 +460,17 @@ class TestCli:
         {**SMALL_RUN, "final_cltv_delta": -3},
         {**SMALL_RUN, "scenario": "list", "node_list": "n001"},
         {**SMALL_RUN, "risk_factor": float("inf")},
+        {**SMALL_RUN, "repetitions": 1.5},
+        {**SMALL_RUN, "base_seed": "x"},
+        {**SMALL_RUN, "m": True},
+        {**SMALL_RUN, "payments_per_run": 2.5},
+        {**SMALL_RUN, "retry_attack": "no"},
     ], ids=[
         "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
         "zero-traversal-weight", "negative-probes", "zero-payments",
         "negative-risk-factor", "negative-final-cltv-delta", "node-list-not-a-list",
-        "infinite-risk-factor",
+        "infinite-risk-factor", "fractional-repetitions", "string-seed", "boolean-m",
+        "fractional-payments", "string-retry-attack",
     ])
     def test_malformed_config_clean_error(self, tmp_path, capsys, document):
         cfg_file = tmp_path / "cfg.json"
@@ -502,6 +518,15 @@ class TestCli:
             cwd=cwd,
             capture_output=True, text=True, timeout=120,
         )
+
+    def test_imports_without_networkx(self, tmp_path):
+        # networkx is a dev extra: the package and its CLI must not need it
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "sys.modules['networkx'] = None; import pcnsim, pcnsim.cli")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("script, extra", [
         ("sweep_adversary_size.py", ["--out", "unused"]),

@@ -1,16 +1,11 @@
+import unittest
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcnsim.adversary import EstimationResult
-from pcnsim.metrics import (
-    PaymentTruth,
-    compromised_share,
-    f1,
-    full_deanonymization,
-    precision,
-    recall,
-    report,
-)
+from pcnsim.metrics import PaymentTruth, compromised_share, f1, report
+
+NODES = ("a", "b", "c")
 
 
 def truth_entry(pid, source="s", dest="t", observed=("m",)):
@@ -21,47 +16,46 @@ def truth_entry(pid, source="s", dest="t", observed=("m",)):
     )
 
 
-def result(pid, guess, target="source"):
-    return EstimationResult(payment_id=pid, target=target, candidates=((guess, 0.0),))
-
-
-def make_case(correct, wrong, total, target="source"):
+def make_case(correct, wrong, total):
     truth = {f"p{i}": truth_entry(f"p{i}") for i in range(total)}
-    results = [result(f"p{i}", "s" if i < correct else "x", target)
-               for i in range(correct + wrong)]
-    return results, truth
+    guesses = {f"p{i}": "s" if i < correct else "x" for i in range(correct + wrong)}
+    return guesses, truth
+
+
+def score(guesses, truth, target="source"):
+    return report("timing", target, guesses, truth)
 
 
 class TestPrecisionRecall:
     def test_three_of_four(self):
-        results, truth = make_case(correct=3, wrong=1, total=10)
-        assert precision(results, truth) == 0.75
+        guesses, truth = make_case(correct=3, wrong=1, total=10)
+        assert score(guesses, truth).precision == 0.75
 
     def test_all_correct(self):
-        results, truth = make_case(correct=4, wrong=0, total=4)
-        assert precision(results, truth) == 1.0
+        guesses, truth = make_case(correct=4, wrong=0, total=4)
+        assert score(guesses, truth).precision == 1.0
 
     def test_none_classified_flagged_zero(self, caplog):
         _, truth = make_case(0, 0, 5)
         with caplog.at_level("WARNING"):
-            assert precision([], truth) == 0.0
+            assert score({}, truth).precision == 0.0
         assert "zero classified" in caplog.text
 
     def test_recall_three_of_ten(self):
-        results, truth = make_case(correct=3, wrong=1, total=10)
-        assert recall(results, truth) == 0.3
+        guesses, truth = make_case(correct=3, wrong=1, total=10)
+        assert score(guesses, truth).recall == 0.3
 
     def test_recall_unobserved_adversary(self):
         _, truth = make_case(0, 0, 6)
-        assert recall([], truth) == 0.0
+        assert score({}, truth).recall == 0.0
 
     def test_recall_all_observed_correct(self):
-        results, truth = make_case(correct=5, wrong=0, total=5)
-        assert recall(results, truth) == 1.0
+        guesses, truth = make_case(correct=5, wrong=0, total=5)
+        assert score(guesses, truth).recall == 1.0
 
     def test_recall_needs_payments(self):
         with pytest.raises(ValueError):
-            recall([], {})
+            score({}, {})
 
     @given(correct=st.integers(0, 20), wrong=st.integers(0, 20), extra=st.integers(0, 20))
     @settings(max_examples=50, deadline=None)
@@ -69,10 +63,9 @@ class TestPrecisionRecall:
         total = correct + wrong + extra
         if total == 0:
             return
-        results, truth = make_case(correct, wrong, total)
-        d = precision(results, truth)
-        r = recall(results, truth)
-        assert r == pytest.approx(d * len(results) / total, abs=1e-12)
+        guesses, truth = make_case(correct, wrong, total)
+        rep = score(guesses, truth)
+        assert rep.recall == pytest.approx(rep.precision * len(guesses) / total, abs=1e-12)
 
 
 class TestF1:
@@ -107,42 +100,34 @@ class TestCompromisedShare:
 
 
 class TestFullDeanonymization:
+    """Target "both": a guess is the (source, destination) pair, correct
+    only if both endpoints match."""
+
     def truth(self):
         return {f"p{i}": truth_entry(f"p{i}") for i in range(5)}
 
     def test_both_correct_counts(self):
-        truth = self.truth()
-        rep = full_deanonymization(
-            "timing",
-            [result("p0", "s", "source")],
-            [result("p0", "t", "destination")],
-            truth,
-        )
+        rep = score({"p0": ("s", "t")}, self.truth(), "both")
         assert rep.classified == 1 and rep.precision == 1.0
         assert rep.recall == 0.2
 
     def test_one_wrong_is_classified_incorrect(self):
-        truth = self.truth()
-        rep = full_deanonymization(
-            "timing",
-            [result("p0", "s", "source")],
-            [result("p0", "x", "destination")],
-            truth,
-        )
+        rep = score({"p0": ("s", "x")}, self.truth(), "both")
         assert rep.classified == 1 and rep.precision == 0.0
 
     def test_single_leg_not_classified(self):
-        truth = self.truth()
-        rep = full_deanonymization("timing", [result("p0", "s", "source")], [], truth)
+        # a payment seen on one leg only has no pair to guess
+        rep = score({}, self.truth(), "both")
         assert rep.classified == 0 and rep.precision == 0.0
 
     def test_matches_set_intersection_recount(self):
         truth = {f"p{i}": truth_entry(f"p{i}") for i in range(20)}
-        src = [result(f"p{i}", "s" if i % 2 == 0 else "x", "source") for i in range(12)]
-        dst = [result(f"p{i}", "t" if i % 3 == 0 else "y", "destination") for i in range(4, 16)]
-        rep = full_deanonymization("timing", src, dst, truth)
+        src = {f"p{i}": "s" if i % 2 == 0 else "x" for i in range(12)}
+        dst = {f"p{i}": "t" if i % 3 == 0 else "y" for i in range(4, 16)}
+        both = {pid: (src[pid], dst[pid]) for pid in src.keys() & dst.keys()}
+        rep = score(both, truth, "both")
         # independent recount over the intersection
-        pids = {r.payment_id for r in src} & {r.payment_id for r in dst}
+        pids = src.keys() & dst.keys()
         correct = sum(1 for p in pids
                       if int(p[1:]) % 2 == 0 and int(p[1:]) % 3 == 0)
         assert rep.classified == len(pids)
@@ -151,22 +136,60 @@ class TestFullDeanonymization:
 
     def test_precision_bounded_by_single_legs(self):
         truth = self.truth()
-        src = [result(f"p{i}", "s" if i < 2 else "x", "source") for i in range(4)]
-        dst = [result(f"p{i}", "t" if i % 2 else "y", "destination") for i in range(4)]
-        rep = full_deanonymization("t", src, dst, truth)
-        shared = {r.payment_id for r in src} & {r.payment_id for r in dst}
-        src_p = precision([r for r in src if r.payment_id in shared], truth)
-        dst_p = precision([r for r in dst if r.payment_id in shared], truth)
+        src = {f"p{i}": "s" if i < 2 else "x" for i in range(4)}
+        dst = {f"p{i}": "t" if i % 2 else "y" for i in range(4)}
+        rep = score({pid: (src[pid], dst[pid]) for pid in src}, truth, "both")
+        src_p = score(src, truth, "source").precision
+        dst_p = score(dst, truth, "destination").precision
         assert rep.precision <= min(src_p, dst_p) + 1e-12
+
+
+@st.composite
+def scoring_cases(draw):
+    """(target, truth, guesses) over a few payments between three nodes."""
+    target = draw(st.sampled_from(["source", "destination", "both"]))
+    truth = {}
+    for i in range(draw(st.integers(1, 12))):
+        s, t = draw(st.lists(st.sampled_from(NODES), min_size=2, max_size=2, unique=True))
+        truth[f"p{i}"] = truth_entry(f"p{i}", source=s, dest=t)
+    node = st.sampled_from(NODES)
+    guess = st.tuples(node, node) if target == "both" else node
+    guessed = draw(st.lists(st.sampled_from(sorted(truth)), unique=True))
+    return target, truth, {pid: draw(guess) for pid in guessed}
 
 
 class TestReport:
     def test_reorder_invariant(self):
-        results, truth = make_case(correct=3, wrong=2, total=8)
-        fwd = report("timing", "source", results, truth)
-        rev = report("timing", "source", list(reversed(results)), truth)
+        guesses, truth = make_case(correct=3, wrong=2, total=8)
+        fwd = score(guesses, truth)
+        rev = score(dict(reversed(guesses.items())), truth)
         assert fwd == rev
 
     def test_unknown_payment_rejected(self):
         with pytest.raises(KeyError):
-            precision([result("ghost", "s")], {})
+            score({"ghost": "s"}, {})
+
+    @given(case=scoring_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_recount(self, case):
+        target, truth, guesses = case
+        true = {
+            pid: {"source": t.source, "destination": t.dest, "both": (t.source, t.dest)}[target]
+            for pid, t in truth.items()
+        }
+        correct = len(set(guesses.items()) & set(true.items()))
+        logs = unittest.TestCase()
+        with logs.assertNoLogs("pcnsim.metrics") if guesses else logs.assertLogs(
+            "pcnsim.metrics", "WARNING"
+        ):
+            rep = report("timing", target, guesses, truth)
+        precision = correct / len(guesses) if guesses else 0.0
+        recall = correct / len(truth)
+        assert (rep.estimator, rep.target) == ("timing", target)
+        assert (rep.precision, rep.recall) == (precision, recall)
+        assert (rep.classified, rep.total) == (len(guesses), len(truth))
+        assert rep.f1 == pytest.approx(
+            2 * precision * recall / (precision + recall) if correct else 0.0, rel=1e-12
+        )
+        with pytest.raises(KeyError):
+            report("timing", target, {**guesses, "ghost": true["p0"]}, truth)
