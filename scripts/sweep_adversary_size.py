@@ -11,14 +11,19 @@ Example:
 """
 
 import argparse
-import csv
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pcnsim.cli import INPUT_ERRORS, add_graph_options, load_graph
-from pcnsim.harness import ScenarioConfig, run_experiment
+from pcnsim.harness import (
+    AGGREGATE_CSV_FIELDS,
+    ScenarioConfig,
+    aggregate_rows,
+    run_experiment,
+    write_table,
+)
 
 
 def main():
@@ -66,10 +71,7 @@ def main():
         failures += result.failures
     if rows:
         out_file = os.path.join(args.out, "sweep.csv")
-        with open(out_file, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_table(out_file, AGGREGATE_CSV_FIELDS, aggregate_rows(rows))
         print(f"wrote {out_file} ({len(rows)} rows)")
     for failure in failures:
         print(f"FAILED: {failure}", file=sys.stderr)

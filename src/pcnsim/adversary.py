@@ -24,7 +24,6 @@ a node's channels per neighbour.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -207,7 +206,10 @@ def _walk_setup(obs: Observation, g: ChannelGraph, cfg: AdversaryConfig):
     Destination leg: the observed amount arrives at the anchor over the
     observed edge and shrinks by fees beyond it; the observed remaining
     timelock, less the observed edge's own delta, bounds how many deltas
-    the downstream hops may still consume.  Source leg: the far endpoint
+    the downstream hops may still consume.  That budget still holds the
+    route's final CLTV delta, which no hop consumes, so it exceeds the true
+    downstream deltas by exactly that much (40 blocks by default); whether
+    to subtract it is an open modelling question.  Source leg: the far endpoint
     forwarded the observed amount, so the walk grows it by the observed
     edge's fee first; the lock budget is unbounded from below.
     """
@@ -323,27 +325,3 @@ def first_spy_estimate(obs: Observation, g: ChannelGraph) -> EstimationResult:
         target="destination" if obs.direction == TOWARD_DESTINATION else "source",
         candidates=((anchor, 0.0),),
     )
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-OBSERVATION_CSV_FIELDS = [
-    "payment_id", "observer", "channel_id", "direction",
-    "t0_ns", "t1_ns", "amount_msat", "timelock_blocks",
-]
-
-
-def export_observations(path, observations: list[Observation]) -> None:
-    rows = sorted(
-        observations, key=lambda o: (o.t0_ns, o.payment_id, o.observer, o.direction)
-    )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(OBSERVATION_CSV_FIELDS)
-        for o in rows:
-            w.writerow(
-                [o.payment_id, o.observer, o.edge_observed, o.direction,
-                 o.t0_ns, o.t1_ns, o.amount_msat, o.timelock_blocks]
-            )

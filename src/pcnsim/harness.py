@@ -4,7 +4,8 @@ A scenario places the adversary (top-betweenness nodes, a random sample, or
 an explicit list), generates a payment workload, runs a probing campaign to
 build the adversary's latency model, executes the workload on the event
 engine while the malicious nodes observe, and scores both estimator
-families against the ground truth.  Every run is a pure function of
+families against the ground truth; `emit_results` writes every file an
+experiment produces.  Every run is a pure function of
 (graph, config, seed).  The graph holds only public data and no run
 changes it: each run builds its own balance and latency maps and passes
 the one graph, unchanged, to every layer.
@@ -12,10 +13,13 @@ the one graph, unchanged, to every layer.
 
 from __future__ import annotations
 
+import csv
 import logging
 import numbers
+import os
 import random
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -95,7 +99,6 @@ class ScenarioConfig:
     probes_per_path: int = 100
     probe_max_depth: int = 3
     max_estimates_per_channel: int = 3
-    workload_mode: str = "per-amount"  # or "mixed"
     report_ablation: bool = False
     export_timeline: bool = False
     final_cltv_delta: int = 40
@@ -125,13 +128,17 @@ class ScenarioConfig:
         if (
             not isinstance(self.amounts_sat, (tuple, list))
             or not self.amounts_sat
-            or not all(isinstance(a, int) and a >= 1 for a in self.amounts_sat)
+            or not all(
+                isinstance(a, int) and not isinstance(a, bool) and a >= 1
+                for a in self.amounts_sat
+            )
         ):
             raise ConfigError(
                 f"amounts_sat must be a non-empty list of positive integers, "
                 f"got {self.amounts_sat!r}"
             )
         for name, low in (
+            ("base_seed", 0),
             ("payments_per_run", 1),
             ("repetitions", 1),
             ("traversal_weight", 1),
@@ -141,8 +148,6 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
-        if self.workload_mode not in ("per-amount", "mixed"):
-            raise ConfigError(f"unknown workload mode {self.workload_mode!r}")
         try:
             self.routing_params()
         except ValueError as exc:
@@ -219,16 +224,12 @@ def generate_workload(
     if len(ids) < 2:
         raise ConfigError("workload needs at least two nodes")
     out = []
-    for i in range(cfg.payments_per_run):
+    for _ in range(cfg.payments_per_run):
         while True:
             s, t = (ids[int(k)] for k in rng.integers(len(ids), size=2))
             if s != t:
                 break
-        if cfg.workload_mode == "mixed":
-            amt = cfg.amounts_sat[i % len(cfg.amounts_sat)] * 1000
-        else:
-            amt = amount_sat * 1000
-        out.append((s, t, amt))
+        out.append((s, t, amount_sat * 1000))
     return out
 
 
@@ -538,6 +539,8 @@ def run_experiment(
     return ExperimentResult(records=records, aggregate=_aggregate(records), failures=failures)
 
 
+# Every file a run writes, declared once each: its columns here, its rows
+# and their order in `emit_results`.
 METRICS_CSV_FIELDS = [
     "scenario", "estimator", "target", "m", "amount_sat", "seed",
     "precision", "recall", "f1", "compromised_share",
@@ -546,63 +549,71 @@ AGGREGATE_CSV_FIELDS = [
     "scenario", "m", "amount_sat", "estimator", "target", "runs",
     "precision_mean", "recall_mean", "f1_mean", "compromised_mean",
 ]
+OBSERVATION_CSV_FIELDS = [
+    "payment_id", "observer", "channel_id", "direction",
+    "t0_ns", "t1_ns", "amount_msat", "timelock_blocks",
+]
+TIMELINE_CSV_FIELDS = ["time_ns", "payment_id", "from_node", "to_node", "channel_id", "kind"]
+
+
+def write_table(path, fields: list[str], rows) -> None:
+    """One CSV file: the header `fields`, then `rows` in the order given.
+
+    `csv` writes a Python float with `repr`, so equal rows give equal bytes;
+    a numpy float would print differently, so every value must be a plain
+    Python one.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(fields)
+        w.writerows(rows)
+
+
+def aggregate_rows(aggregate: list[dict]) -> list[list]:
+    """`ExperimentResult.aggregate` as rows of `AGGREGATE_CSV_FIELDS`."""
+    return [[row[name] for name in AGGREGATE_CSV_FIELDS] for row in aggregate]
 
 
 def emit_results(result: ExperimentResult, out_dir) -> list[str]:
-    """Write metrics, aggregate and observation CSVs; return the paths.
+    """Write every output file of an experiment; return the paths.
 
-    Output is fully ordered and floats are written with repr, so two runs
-    of the same experiment produce byte-identical files.
+    One table per file, each fully ordered: the per-run metrics, their
+    aggregate, the observations and, when any run kept its payment
+    outcomes, the message timeline.  Two runs of the same experiment
+    produce byte-identical files.
     """
-    import csv
-    import os
+    records = result.records
+    metrics = [
+        [rec.scenario, rep.estimator, rep.target, rec.m, rec.amount_sat, rec.seed,
+         rep.precision, rep.recall, rep.f1, rec.compromised]
+        for rec in records for rep in rec.reports
+    ]
+    observations = [
+        [o.payment_id, o.observer, o.edge_observed, o.direction,
+         o.t0_ns, o.t1_ns, o.amount_msat, o.timelock_blocks]
+        for rec in records for o in rec.observations
+    ]
+    tables = [
+        ("metrics.csv", METRICS_CSV_FIELDS, sorted(metrics, key=itemgetter(0, 3, 4, 5, 1, 2))),
+        ("metrics_aggregate.csv", AGGREGATE_CSV_FIELDS, aggregate_rows(result.aggregate)),
+        ("observations.csv", OBSERVATION_CSV_FIELDS,
+         sorted(observations, key=itemgetter(4, 0, 1, 3))),
+    ]
+    if any(rec.outcomes for rec in records):
+        # one row per delivered message, ordered by delivery time
+        timeline = [
+            [m.delivered_at, m.payment_id, m.frm, m.to, m.channel, m.kind]
+            for rec in records for outcome in rec.outcomes for m in outcome.messages
+        ]
+        tables.append(("timeline.csv", TIMELINE_CSV_FIELDS,
+                       sorted(timeline, key=itemgetter(0, 1, 4, 5))))
 
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    rows = []
-    for rec in result.records:
-        for rep in rec.reports:
-            rows.append(
-                [rec.scenario, rep.estimator, rep.target, rec.m, rec.amount_sat,
-                 rec.seed, repr(rep.precision), repr(rep.recall), repr(rep.f1),
-                 repr(rec.compromised)]
-            )
-    rows.sort(key=lambda r: (r[0], r[3], r[4], r[5], r[1], r[2]))
-    with open(metrics_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(METRICS_CSV_FIELDS)
-        w.writerows(rows)
-    written.append(metrics_path)
-
-    agg_path = os.path.join(out_dir, "metrics_aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(AGGREGATE_CSV_FIELDS)
-        for row in result.aggregate:
-            w.writerow(
-                [row["scenario"], row["m"], row["amount_sat"], row["estimator"],
-                 row["target"], row["runs"], repr(row["precision_mean"]),
-                 repr(row["recall_mean"]), repr(row["f1_mean"]),
-                 repr(row["compromised_mean"])]
-            )
-    written.append(agg_path)
-
-    from .adversary import export_observations
-
-    obs_path = os.path.join(out_dir, "observations.csv")
-    all_obs = [o for rec in result.records for o in rec.observations]
-    export_observations(obs_path, all_obs)
-    written.append(obs_path)
-
-    all_outcomes = [o for rec in result.records for o in rec.outcomes]
-    if all_outcomes:
-        from .sim import export_timeline
-
-        timeline_path = os.path.join(out_dir, "timeline.csv")
-        export_timeline(timeline_path, all_outcomes)
-        written.append(timeline_path)
+    for name, fields, rows in tables:
+        path = os.path.join(out_dir, name)
+        write_table(path, fields, rows)
+        written.append(path)
     return written
 
 

@@ -38,7 +38,6 @@ the path's last node.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -360,19 +359,3 @@ def probe_batch(graph: ChannelGraph, balances: Balances, latencies: Latencies,
     ns = np.maximum(LATENCY_FLOOR_NS, np.rint(ms * NS_PER_MS)).astype(np.int64)
     durations = ns.sum(axis=1) / NS_PER_MS
     return ProbeBatch(len(hops), k + 1, durations.tolist())
-
-
-TIMELINE_CSV_FIELDS = ["time_ns", "payment_id", "from_node", "to_node", "channel_id", "kind"]
-
-
-def export_timeline(path, outcomes: list[PaymentOutcome]) -> None:
-    """One row per delivered message, ordered by delivery time."""
-    rows = []
-    for outcome in outcomes:
-        for m in outcome.messages:
-            rows.append([m.delivered_at, m.payment_id, m.frm, m.to, m.channel, m.kind])
-    rows.sort(key=lambda r: (r[0], r[1], r[4], r[5]))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TIMELINE_CSV_FIELDS)
-        w.writerows(rows)

@@ -10,10 +10,10 @@ from pcnsim.adversary import (
     EstimationError,
     Observation,
     estimate_endpoint,
-    export_observations,
     first_spy_estimate,
     reduce_anonymity_set,
 )
+from pcnsim.harness import ExperimentResult, RunRecord, emit_results
 from pcnsim.latency import Gaussian, LatencyModel
 from pcnsim.routing import Payment, RoutingParams, find_route
 from pcnsim.sim import PaymentEngine
@@ -549,8 +549,11 @@ class TestAmountDependentParallelChannel:
 
 class TestObservationExport:
     def test_csv_schema(self, tmp_path):
-        path = tmp_path / "obs.csv"
-        export_observations(path, [mk_obs()])
-        lines = path.read_text().strip().splitlines()
+        record = RunRecord(
+            scenario="central", m=1, amount_sat=100, seed=0, truth={},
+            observations=[mk_obs()], reports=[], compromised=0.0, unrouted=0,
+        )
+        emit_results(ExperimentResult(records=[record], aggregate=[]), tmp_path)
+        lines = (tmp_path / "observations.csv").read_text().strip().splitlines()
         assert lines[0] == "payment_id,observer,channel_id,direction,t0_ns,t1_ns,amount_msat,timelock_blocks"
         assert len(lines) == 2

@@ -1,5 +1,7 @@
 import copy
+import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,10 @@ import numpy as np
 import pytest
 
 from pcnsim.harness import (
+    AGGREGATE_CSV_FIELDS,
+    METRICS_CSV_FIELDS,
+    OBSERVATION_CSV_FIELDS,
+    TIMELINE_CSV_FIELDS,
     ConfigError,
     ScenarioConfig,
     build_latency_model,
@@ -81,12 +87,6 @@ class TestWorkload:
         g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         wl = generate_workload(g, tiny_cfg(amounts_sat=(1,)), np.random.default_rng(0), 1)
         assert {amt for _, _, amt in wl} == {1000}
-
-    def test_mixed_mode_cycles_amounts(self):
-        g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
-        cfg = tiny_cfg(amounts_sat=(1, 10), workload_mode="mixed", payments_per_run=4)
-        wl = generate_workload(g, cfg, np.random.default_rng(0), 1)
-        assert [amt for _, _, amt in wl] == [1000, 10_000, 1000, 10_000]
 
     def test_seed_stable(self):
         g = generate_synthetic_graph("ring", 8)
@@ -266,11 +266,9 @@ class TestWorkloadRouting:
         rows += [("lx", "a", "c"), ("rx", "w", "z"), ("bridge", "e", "v", {"capacity_sat": 1})]
         return make_graph(left + right, rows)[0]
 
-    @pytest.mark.parametrize("mode", ["per-amount", "mixed"])
-    def test_routes_match_fresh_search(self, mode):
+    def test_routes_match_fresh_search(self):
         g = self.bridged_graph()
-        cfg = tiny_cfg(scenario="random", payments_per_run=80, workload_mode=mode,
-                       amounts_sat=(100, 1_000))
+        cfg = tiny_cfg(scenario="random", payments_per_run=80, amounts_sat=(100, 1_000))
         seed, amount_sat = 4, 100
         rec = run_single(g, cfg, amount_sat, seed)
         # the workload stream run_single draws from
@@ -311,14 +309,21 @@ class TestRunExperiment:
         assert not a.failures
 
     def test_runs_leave_the_graph_unchanged(self, tmp_path):
-        # no run copies the graph, so none may change it
+        # no run copies the graph, so none may change it; and every file a
+        # rerun writes, the timeline and the ablation's runs included, is
+        # byte-identical
         g = generate_synthetic_graph("scale-free", 12, seed=7)
         before = copy.deepcopy(g)
-        cfg = tiny_cfg(amounts_sat=(10, 100), repetitions=2, scenario="random", m=3)
+        cfg = tiny_cfg(amounts_sat=(10, 100), repetitions=2, scenario="random", m=3,
+                       export_timeline=True, report_ablation=True)
         outputs = []
         for run_dir in ("one", "two"):
             paths = emit_results(run_experiment(g, cfg), tmp_path / run_dir)
-            outputs.append([Path(p).read_bytes() for p in paths])
+            outputs.append({Path(p).name: Path(p).read_bytes() for p in paths})
+        assert sorted(outputs[0]) == [
+            "metrics.csv", "metrics_aggregate.csv", "observations.csv", "timeline.csv",
+        ]
+        assert all(body.count(b"\n") > 1 for body in outputs[0].values())
         assert outputs[0] == outputs[1]
         assert g == before
 
@@ -361,6 +366,18 @@ class TestEmitResults:
         emit_results(result, tmp_path)
         assert (tmp_path / "metrics.csv").read_bytes() == first
         assert not (tmp_path / "timeline.csv").exists()
+
+    def test_readme_quotes_the_headers(self):
+        # the column constants are the one schema; the README quotes them
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        for name, fields in (
+            ("metrics.csv", METRICS_CSV_FIELDS),
+            ("observations.csv", OBSERVATION_CSV_FIELDS),
+            ("timeline.csv", TIMELINE_CSV_FIELDS),
+        ):
+            quoted = re.search(rf"`{re.escape(name)}`[^`]*`([^`]*)`", readme)
+            assert quoted is not None, name
+            assert quoted.group(1).split(",") == fields, name
 
     def test_timeline_export_optional(self, tmp_path):
         g = generate_synthetic_graph("path", 4, seed=0)
@@ -448,36 +465,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("document", [
-        [1, 2],
-        {**SMALL_RUN, "amounts_sat": 5},
-        {**SMALL_RUN, "amounts_sat": [0]},
-        {**SMALL_RUN, "amounts_sat": ["10"]},
-        {**SMALL_RUN, "traversal_weight": 0},
-        {**SMALL_RUN, "probes_per_path": -1},
-        {**SMALL_RUN, "payments_per_run": 0},
-        {**SMALL_RUN, "risk_factor": -1},
-        {**SMALL_RUN, "final_cltv_delta": -3},
-        {**SMALL_RUN, "scenario": "list", "node_list": "n001"},
-        {**SMALL_RUN, "risk_factor": float("inf")},
-        {**SMALL_RUN, "repetitions": 1.5},
-        {**SMALL_RUN, "base_seed": "x"},
-        {**SMALL_RUN, "m": True},
-        {**SMALL_RUN, "payments_per_run": 2.5},
-        {**SMALL_RUN, "retry_attack": "no"},
+    @pytest.mark.parametrize("document, options", [
+        ([1, 2], []),
+        ({**SMALL_RUN, "amounts_sat": 5}, []),
+        ({**SMALL_RUN, "amounts_sat": [0]}, []),
+        ({**SMALL_RUN, "amounts_sat": ["10"]}, []),
+        ({**SMALL_RUN, "traversal_weight": 0}, []),
+        ({**SMALL_RUN, "probes_per_path": -1}, []),
+        ({**SMALL_RUN, "payments_per_run": 0}, []),
+        ({**SMALL_RUN, "risk_factor": -1}, []),
+        ({**SMALL_RUN, "final_cltv_delta": -3}, []),
+        ({**SMALL_RUN, "scenario": "list", "node_list": "n001"}, []),
+        ({**SMALL_RUN, "risk_factor": float("inf")}, []),
+        ({**SMALL_RUN, "repetitions": 1.5}, []),
+        ({**SMALL_RUN, "base_seed": "x"}, []),
+        ({**SMALL_RUN, "m": True}, []),
+        ({**SMALL_RUN, "payments_per_run": 2.5}, []),
+        ({**SMALL_RUN, "retry_attack": "no"}, []),
+        ({**SMALL_RUN, "base_seed": -1}, []),
+        (SMALL_RUN, ["--seed", "-1"]),
+        ({**SMALL_RUN, "amounts_sat": [True]}, []),
+        ({**SMALL_RUN, "workload_mode": "per-amount"}, []),
     ], ids=[
         "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
         "zero-traversal-weight", "negative-probes", "zero-payments",
         "negative-risk-factor", "negative-final-cltv-delta", "node-list-not-a-list",
         "infinite-risk-factor", "fractional-repetitions", "string-seed", "boolean-m",
-        "fractional-payments", "string-retry-attack",
+        "fractional-payments", "string-retry-attack", "negative-seed",
+        "negative-seed-option", "boolean-amount", "unknown-field",
     ])
-    def test_malformed_config_clean_error(self, tmp_path, capsys, document):
+    def test_malformed_config_clean_error(self, tmp_path, capsys, document, options):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(document))
         code = cli.main([
             "run", "--synthetic", "path:4", "--config", str(cfg_file),
-            "--out", str(tmp_path / "r"),
+            "--out", str(tmp_path / "r"), *options,
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -527,6 +549,24 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_sweep_writes_one_row_per_cell(self, tmp_path):
+        proc = self.run_script(tmp_path, "sweep_adversary_size.py", "--synthetic", "scale-free:10",
+                               "--m", "1", "2", "--amounts", "100", "1000", "--seeds", "1",
+                               "--payments", "6", "--probes", "3", "--out", "out")
+        assert proc.returncode == 0, proc.stderr
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == AGGREGATE_CSV_FIELDS
+        cells = [tuple(row[:5]) for row in rows]
+        assert sorted(cells) == sorted(
+            (scenario, m, amount, estimator, target)
+            for scenario in ("central", "random")
+            for m in ("1", "2")
+            for amount in ("100", "1000")
+            for estimator in ("first_spy", "timing")
+            for target in ("both", "destination", "source")
+        )
 
     @pytest.mark.parametrize("script, extra", [
         ("sweep_adversary_size.py", ["--out", "unused"]),
