@@ -54,9 +54,9 @@ def main():
             for scenario in args.scenarios
             for m in args.m
         ]
+        os.makedirs(args.out, exist_ok=True)
     except INPUT_ERRORS as exc:
         p.error(str(exc))
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     failures = []
     for cfg in configs:

@@ -48,7 +48,6 @@ from .metrics import (
 from .routing import (
     Payment,
     PaymentPath,
-    RouteSearch,
     RoutingParams,
     edge_weight,
     find_route,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from .graph import (
@@ -144,6 +145,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         graph = load_graph(args)
         table = _load_table(args.latency_table) if args.latency_table else DEFAULT_REGION_RTT
+        os.makedirs(args.out, exist_ok=True)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,7 @@ class Gaussian:
         return self.std * self.std
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectedPolicy:
     """One direction of a channel: its forwarding terms."""
 
@@ -69,7 +69,7 @@ class DirectedPolicy:
         return self.base_fee_msat + (amount_msat * self.fee_rate_ppm) // 1_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Channel:
     """Bidirectional payment channel between u and v (u < v lexicographically)."""
 
@@ -131,12 +131,16 @@ class ChannelGraph:
     _groups: dict[NodeId, tuple[NeighbourGroup, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # key -> a result derived from the graph alone (`derived`); filled on
+    # first use, emptied by add_node and add_channel
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def add_node(self, node: Node) -> None:
         if not node.id:
             raise ValueError("node id must be non-empty")
         self.nodes[node.id] = node
         self.adjacency.setdefault(node.id, [])
+        self._derived.clear()
 
     def add_channel(self, channel: Channel) -> None:
         if channel.id in self.channels:
@@ -147,6 +151,23 @@ class ChannelGraph:
         self.adjacency[channel.u].append(channel.id)
         self.adjacency[channel.v].append(channel.id)
         self._groups.clear()
+        self._derived.clear()
+
+    def derived(self, key, build):
+        """`build()`, called once per `key` and kept until the graph changes.
+
+        For work that depends only on the public graph and `key` (the
+        betweenness ranking, probe paths, route trees), so that every run
+        of an experiment shares it and a kept result is exactly what a
+        fresh `build()` would return.  Channels and their policies are
+        frozen, so no caller edits one under a kept result, and
+        `add_node` and `add_channel` drop every kept result.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def channels_at(self, node: NodeId) -> list[Channel]:
         return [self.channels[cid] for cid in self.adjacency.get(node, [])]
@@ -177,19 +198,22 @@ class ConservationError(AssertionError):
 # snapshot ingestion
 
 
-def _parse_policy(raw, record_name: str) -> DirectedPolicy:
-    if raw is None:
-        # one-sided channel: keep the edge, disable the unknown direction
-        return DirectedPolicy(enabled=False)
+def _parse_policy(raw, record_name: str, known: dict[tuple, DirectedPolicy]) -> DirectedPolicy:
+    """The record's policy: one shared frozen object per distinct policy in `known`."""
     try:
-        return DirectedPolicy(
-            base_fee_msat=int(raw.get("base_fee_msat", 0)),
-            fee_rate_ppm=int(raw.get("fee_rate_ppm", 0)),
-            timelock_delta=int(raw.get("time_lock_delta", 0)),
-            enabled=not bool(raw.get("disabled", False)),
+        # a missing policy is a one-sided channel: keep the edge, disable
+        # the unknown direction
+        fields = (0, 0, 0, False) if raw is None else (
+            int(raw.get("base_fee_msat", 0)),
+            int(raw.get("fee_rate_ppm", 0)),
+            int(raw.get("time_lock_delta", 0)),
+            not bool(raw.get("disabled", False)),
         )
+        if fields not in known:
+            known[fields] = DirectedPolicy(*fields)
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SnapshotError(f"malformed policy in {record_name}: {exc}") from exc
+    return known[fields]
 
 
 def _records(document: dict, key: str) -> list:
@@ -221,6 +245,7 @@ def load_snapshot(document: dict) -> ChannelGraph:
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
     g = ChannelGraph()
+    policies: dict[tuple, DirectedPolicy] = {}
     for i, raw in enumerate(_records(document, "nodes")):
         name = f"nodes[{i}]"
         pub_key = _text(raw, "pub_key", name)
@@ -248,8 +273,8 @@ def load_snapshot(document: dict) -> ChannelGraph:
         if n1 == n2:
             g.rejections.append(f"{name} ({cid}): self-loop")
             continue
-        p1 = _parse_policy(raw.get("node1_policy"), name)
-        p2 = _parse_policy(raw.get("node2_policy"), name)
+        p1 = _parse_policy(raw.get("node1_policy"), name, policies)
+        p2 = _parse_policy(raw.get("node2_policy"), name, policies)
         if n1 > n2:
             n1, n2 = n2, n1
             p1, p2 = p2, p1
@@ -452,12 +477,17 @@ def betweenness_ranking(g: ChannelGraph) -> list[NodeId]:
     (symmetric positions in a grid, say) come out of the float summation
     a few ulps apart, in an order set by the summation order rather than by
     the graph, and the rounding makes such ties fall back to the node id.
+    Computed once per graph; each call returns a fresh list.
     """
+    return list(g.derived("betweenness ranking", lambda: _ranking(g)))
+
+
+def _ranking(g: ChannelGraph) -> tuple[NodeId, ...]:
     ids = sorted(g.nodes)
     scores = _betweenness_scores(ids, g.channels.values())
     rounded = [float(f"{s:.9e}") for s in scores]
     order = sorted(range(len(ids)), key=lambda i: (-rounded[i], ids[i]))
-    return [ids[i] for i in order]
+    return tuple(ids[i] for i in order)
 
 
 def _betweenness_scores(ids: list[NodeId], channels) -> np.ndarray:

@@ -64,7 +64,6 @@ from .metrics import (
 from .routing import (
     Payment,
     PaymentPath,
-    RouteSearch,
     RoutingParams,
     find_route,
     path_from_channels,
@@ -75,6 +74,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_AMOUNTS_SAT = (1, 10, 100, 1_000, 10_000, 100_000)
 PROBE_AMOUNT_MSAT = 1_000
+# Probe paths kept per graph, about 0.6 KiB each (2.5 MiB): the plans of
+# the ten top-betweenness vantages of criterion 5's 200-node graph, depth
+# 3, take 3,223.  A random scenario's vantages rarely repeat, so a larger
+# store would mostly hold paths no later run reads.
+_PROBE_PATHS_KEPT = 1 << 12
 # Every synthetic channel's capacity and, in both directions, its policy.
 SYNTHETIC_CAPACITY_SAT = 1_000_000
 SYNTHETIC_POLICY = dict(base_fee_msat=1_000, fee_rate_ppm=10, timelock_delta=40)
@@ -252,6 +256,7 @@ def generate_synthetic_graph(kind: str, n: int, seed: int = 0) -> ChannelGraph:
     g = ChannelGraph()
     for name in names:
         g.add_node(Node(id=name))
+    policy = DirectedPolicy(**SYNTHETIC_POLICY)
     for idx, (a, b) in enumerate(edges):
         u, v = sorted((names[a], names[b]))
         g.add_channel(
@@ -260,8 +265,8 @@ def generate_synthetic_graph(kind: str, n: int, seed: int = 0) -> ChannelGraph:
                 u=u,
                 v=v,
                 capacity_msat=SYNTHETIC_CAPACITY_SAT * MSAT_PER_SAT,
-                policy_uv=DirectedPolicy(**SYNTHETIC_POLICY),
-                policy_vu=DirectedPolicy(**SYNTHETIC_POLICY),
+                policy_uv=policy,
+                policy_vu=policy,
             )
         )
     return g
@@ -333,6 +338,29 @@ def probe_plan(
     return [(cid, path) for _, cid, path in plan]
 
 
+def probe_paths(
+    g: ChannelGraph, vantage: NodeId, max_depth: int, params: RoutingParams
+) -> tuple[tuple[str, tuple[str, ...], PaymentPath], ...]:
+    """`probe_plan` with each probing path built by `path_from_channels`:
+    (channel to estimate, probing path channels, probe payment path).
+
+    Built once per graph, vantage, depth and params and kept on the graph,
+    the oldest vantages' paths dropped first past `_PROBE_PATHS_KEPT`.
+    """
+    kept = g.derived("probe paths", dict)
+    key = (vantage, max_depth, params)
+    paths = kept.get(key)
+    if paths is None:
+        paths = kept[key] = tuple(
+            (cid, tuple(channels),
+             path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
+            for cid, channels in probe_plan(g, vantage, max_depth)
+        )
+        while sum(map(len, kept.values())) > _PROBE_PATHS_KEPT:
+            del kept[next(iter(kept))]
+    return paths
+
+
 def build_latency_model(
     graph: ChannelGraph,
     balances: Balances,
@@ -351,15 +379,13 @@ def build_latency_model(
     """
     estimates: list[EdgeLatencyEstimate] = []
     children = rng_seed_seq.spawn(len(malicious))
+    params = cfg.routing_params()
     for vantage, child in zip(sorted(malicious), children):
         rng = np.random.default_rng(child)
         per_edge: dict[str, Gaussian] = {}
-        for cid, channel_path in probe_plan(graph, vantage, cfg.probe_max_depth):
+        for cid, channel_path, path in probe_paths(graph, vantage, cfg.probe_max_depth, params):
             if any(prefix not in per_edge for prefix in channel_path[:-1]):
                 continue  # a prior estimate failed; cannot isolate this edge
-            path = path_from_channels(
-                graph, vantage, channel_path, PROBE_AMOUNT_MSAT, cfg.routing_params()
-            )
             batch = probe_batch(graph, balances, latencies, vantage, path,
                                 cfg.probes_per_path, rng)
             samples = batch.samples_ms
@@ -401,21 +427,12 @@ def _route_workload(
 ) -> list[PaymentPath | None]:
     """`find_route` for every payment, in workload order.
 
-    Routes depend only on the graph, the destination and the amount, and
-    no payment changes the graph, so the payments to one
-    (destination, amount) share one resumable search.  One search is alive
-    at a time, which keeps memory at a single search's state.
+    Routes depend only on the graph, the destination, the amount and the
+    params, and no payment changes the graph, so every payment to one
+    destination and amount follows one route tree that the graph keeps
+    across the runs of an experiment.
     """
-    groups: dict[tuple[NodeId, int], list[int]] = {}
-    for i, (_, t, amount) in enumerate(workload):
-        groups.setdefault((t, amount), []).append(i)
-    paths: list[PaymentPath | None] = [None] * len(workload)
-    for (t, amount), indices in groups.items():
-        search = RouteSearch(g, t, amount, params)
-        for i in indices:
-            paths[i] = find_route(g, Payment(workload[i][0], t, amount), params, search=search)
-        del search
-    return paths
+    return [find_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
 
 
 def run_single(

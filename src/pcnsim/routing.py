@@ -11,19 +11,21 @@ channel by one rule, `TraversalRules.cross`: the cheapest channel that can
 carry the amount in the payment's direction, weighed at the amount it
 carries, ties by channel id.
 
-The search for one (destination, amount) is a `RouteSearch`
-that pauses as soon as the requested source settles and resumes from there
-for the next source, so payments to the same destination and amount share
-one search instead of each running its own.
+Route search never reads a balance, so one search per (destination,
+amount, params) serves every source: it settles the whole graph into a
+route tree, one channel per node, which the graph keeps for every later
+run (`ChannelGraph.derived`).  `find_route` follows the tree from the
+source and rebuilds the path with `path_from_channels`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
-from .graph import ChannelGraph, ChannelId, ChannelSide, DirectedPolicy, NodeId
+from .graph import Channel, ChannelGraph, ChannelId, ChannelSide, DirectedPolicy, NodeId
 
 DEFAULT_RISK_FACTOR = 1.5e-8
 DEFAULT_FINAL_CLTV_DELTA = 40
@@ -240,107 +242,101 @@ def _build_path(
 # route search
 
 
-class RouteSearch:
-    """Backward Dijkstra from one destination for one amount.
+# Route-tree cells kept per graph, one 4-byte channel index per node and
+# tree (16 MiB): every tree of a 1000-payment run on 3000 nodes fits.
+_ROUTE_TREE_CELLS = 1 << 22
 
-    `route(source)` pops nodes until `source` settles and then pauses.  The
-    order in which nodes settle does not depend on the source, so a search
-    resumed for the next source holds exactly the state a fresh search
-    would hold when that source settles: every source gets the route
-    `find_route` would give it.
+
+def _route_index(g: ChannelGraph) -> tuple[dict[NodeId, int], dict[ChannelId, int], list[Channel]]:
+    """Each node's index into a route tree, each channel's tree entry, and
+    the channels by tree entry."""
+    channels = list(g.channels.values())
+    return ({node: i for i, node in enumerate(g.nodes)},
+            {ch.id: i for i, ch in enumerate(channels)}, channels)
+
+
+def _route_tree(g: ChannelGraph, dest: NodeId, amount_msat: int,
+                params: RoutingParams) -> array:
+    """Backward Dijkstra from `dest` for `amount_msat`, run until every node
+    it reaches has settled.
+
+    Tie-breaks on (weight, hop count, node id), then channel id within one
+    node pair.  Returns each node's channel toward `dest` on its cheapest
+    capacity-valid route, as an index into `_route_index`'s channels, -1
+    for none.  A node's successor never changes once it settles, so the
+    tree gives every source the route a search stopped at that source
+    would give.
     """
-
-    def __init__(
-        self,
-        g: ChannelGraph,
-        dest: NodeId,
-        amount_msat: int,
-        params: RoutingParams | None = None,
-    ):
-        if dest not in g.nodes:
-            raise KeyError(f"destination {dest!r} missing from graph")
-        self.g = g
-        self.dest = dest
-        self.amount_msat = amount_msat
-        self.params = params or RoutingParams()
-        # state per node: (weight from node to dest, hops) and the amount
-        # the node must receive
-        self.best: dict[NodeId, tuple[float, int]] = {dest: (0.0, 0)}
-        self.req_in: dict[NodeId, int] = {dest: amount_msat}
-        self.succ: dict[NodeId, tuple[ChannelId, NodeId, int, int]] = {}
-        self.heap: list[tuple[float, int, NodeId]] = [(0.0, 0, dest)]
-        self.settled: set[NodeId] = set()
-
-    def route(self, source: NodeId) -> PaymentPath | None:
-        """Cheapest capacity-valid route from `source`, or None."""
-        g, params = self.g, self.params
-        best, req_in, succ = self.best, self.req_in, self.succ
-        heap, settled = self.heap, self.settled
-        while source not in settled and heap:
-            w_u, hops_u, u = heapq.heappop(heap)
-            if u in settled:
+    # state per node: (weight from node to dest, hops) and the amount the
+    # node must receive
+    best: dict[NodeId, tuple[float, int]] = {dest: (0.0, 0)}
+    req_in: dict[NodeId, int] = {dest: amount_msat}
+    succ: dict[NodeId, ChannelId] = {}
+    heap: list[tuple[float, int, NodeId]] = [(0.0, 0, dest)]
+    settled: set[NodeId] = set()
+    while heap:
+        w_u, hops_u, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        amount_over_edge = req_in[u]
+        for x, sides in g.neighbour_groups(u):
+            if x in settled:
                 continue
-            settled.add(u)
-            # u's channels are relaxed even when u is the source: a later
-            # source resumes from here and never pops u again
-            amount_over_edge = req_in[u]
-            for x, sides in g.neighbour_groups(u):
-                if x in settled:
+            # x would forward toward u: the walk from u crosses against
+            # the payment, as a source-leg walk toward its anchor does
+            # at most one channel: every one carries the same amount
+            for (ch, _, policy), (amount_in, _) in _TOWARD_DEST.cross(
+                    sides, amount_over_edge, 0, params):
+                cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
+                if x in best and best[x] <= cand:
                     continue
-                # x would forward toward u: the walk from u crosses against
-                # the payment, as a source-leg walk toward its anchor does
-                # at most one channel: every one carries the same amount
-                for (ch, _, policy), (amount_in, _) in _TOWARD_DEST.cross(
-                        sides, amount_over_edge, 0, params):
-                    cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
-                    if x in best and best[x] <= cand:
-                        continue
-                    best[x] = cand
-                    req_in[x] = amount_in
-                    succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
-                    heapq.heappush(heap, (cand[0], cand[1], x))
-        # the loop stops once the source settles or the heap runs dry, and
-        # a source with a successor was pushed, so it has settled
-        if source not in succ:
-            return None
-        # walk successor pointers source -> dest
-        rows: list[tuple[ChannelId, NodeId, NodeId, int, int]] = []
-        node = source
-        while node != self.dest:
-            cid, nxt, amount, delta = succ[node]
-            rows.append((cid, node, nxt, amount, delta))
-            node = nxt
-        return _build_path(rows, params.final_cltv_delta)
+                best[x] = cand
+                req_in[x] = amount_in
+                succ[x] = ch.id
+                heapq.heappush(heap, (cand[0], cand[1], x))
+    node_index, channel_index, _ = g.derived("route index", lambda: _route_index(g))
+    tree = array("i", [-1]) * len(node_index)
+    for node, cid in succ.items():
+        tree[node_index[node]] = channel_index[cid]
+    return tree
 
 
 def find_route(
     g: ChannelGraph,
     payment: Payment,
     params: RoutingParams | None = None,
-    search: RouteSearch | None = None,
 ) -> PaymentPath | None:
     """Cheapest capacity-valid route, or None.
 
-    Backward Dijkstra from the destination; tie-breaks on (weight,
-    hop count, node id), then channel id within one node pair, for
-    deterministic replay.  `search` resumes a
-    `RouteSearch` built for this graph, destination, amount and params;
-    without one a fresh search runs.
+    Follows the route tree of the payment's (destination, amount, params),
+    built by `_route_tree` on first use and kept on the graph, oldest
+    trees dropped first past `_ROUTE_TREE_CELLS`.  `path_from_channels`
+    then rebuilds the hops, by the fee recursion and delta sum the search
+    used.
     """
     params = params or RoutingParams()
-    if payment.source not in g.nodes or payment.dest not in g.nodes:
+    source, dest, amount = payment.source, payment.dest, payment.amount_msat
+    if source not in g.nodes or dest not in g.nodes:
         raise KeyError("payment endpoints missing from graph")
-    if search is None:
-        search = RouteSearch(g, payment.dest, payment.amount_msat, params)
-    elif (
-        search.g is not g
-        or search.dest != payment.dest
-        or search.amount_msat != payment.amount_msat
-        or search.params != params
-    ):
-        raise ValueError("route search was built for another graph, destination, "
-                         "amount or params")
-    return search.route(payment.source)
+    trees = g.derived("route trees", dict)
+    key = (dest, amount, params)
+    tree = trees.get(key)
+    if tree is None:
+        tree = trees[key] = _route_tree(g, dest, amount, params)
+        while len(trees) * len(tree) > _ROUTE_TREE_CELLS:
+            del trees[next(iter(trees))]
+    node_index, _, channels = g.derived("route index", lambda: _route_index(g))
+    route: list[ChannelId] = []
+    node = source
+    while node != dest:
+        entry = tree[node_index[node]]
+        if entry < 0:
+            return None
+        channel = channels[entry]
+        route.append(channel.id)
+        node = channel.other_end(node)
+    return path_from_channels(g, source, route, amount, params)
 
 
 def path_from_channels(

@@ -8,6 +8,9 @@ before `PaymentEngine` became one loop over message records: a chain of
 closures, one pair per message, that the loop must match draw for draw.
 It runs one behaviour through the same two hooks: `on_commit`, whose
 return rejects the add, and `on_fulfill`.
+`reference_route` is route search as it was written before `find_route`
+read route trees kept on the graph: one search per payment, stopped once
+its source settles.
 `reference_estimate` and `reference_anonymity_set` are the candidate-path
 walks as they were written before they read the graph's neighbour groups:
 every choice of channel rescans all channels at the node.  They
@@ -25,6 +28,7 @@ pick.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
@@ -37,7 +41,14 @@ from pcnsim.adversary import (
 )
 from pcnsim.graph import Balances, ChannelGraph, Latencies, NodeId
 from pcnsim.latency import normal_logpdf
-from pcnsim.routing import Hop, PaymentPath, RoutingParams
+from pcnsim.routing import (
+    _TOWARD_DEST,
+    Hop,
+    PaymentPath,
+    RoutingParams,
+    _build_path,
+    edge_weight,
+)
 from pcnsim.sim import (
     ADD,
     FAIL,
@@ -156,6 +167,50 @@ def brute_route(g, source, dest, amount, risk_factor):
         if best is None or weight < best:
             best = weight
     return best
+
+
+def reference_route(g, payment, params=None) -> PaymentPath | None:
+    """`find_route` as it was written before route trees: a backward
+    Dijkstra from the destination that stops once the source settles and
+    carries each hop's amount and delta along its successor pointers.
+
+    Tie-breaks on (weight, hop count, node id), then channel id within one
+    node pair (`TraversalRules.cross`).
+    """
+    params = params or RoutingParams()
+    source, dest, amount_msat = payment.source, payment.dest, payment.amount_msat
+    best = {dest: (0.0, 0)}
+    req_in = {dest: amount_msat}
+    succ = {}
+    heap = [(0.0, 0, dest)]
+    settled = set()
+    while source not in settled and heap:
+        w_u, hops_u, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        amount_over_edge = req_in[u]
+        for x, sides in g.neighbour_groups(u):
+            if x in settled:
+                continue
+            for (ch, _, policy), (amount_in, _) in _TOWARD_DEST.cross(
+                    sides, amount_over_edge, 0, params):
+                cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
+                if x in best and best[x] <= cand:
+                    continue
+                best[x] = cand
+                req_in[x] = amount_in
+                succ[x] = (ch.id, u, amount_over_edge, policy.timelock_delta)
+                heapq.heappush(heap, (cand[0], cand[1], x))
+    if source not in succ:
+        return None
+    rows = []
+    node = source
+    while node != dest:
+        cid, nxt, amount, delta = succ[node]
+        rows.append((cid, node, nxt, amount, delta))
+        node = nxt
+    return _build_path(rows, params.final_cltv_delta)
 
 
 def _inverted_amount(policy, incoming):

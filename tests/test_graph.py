@@ -362,6 +362,21 @@ class TestBetweenness:
         g, _ = make_graph(["a", "b"], [("c0", "a", "b")])
         assert betweenness_ranking(g) == ["a", "b"]
 
+    def test_ranking_follows_added_node_and_channel(self):
+        g, _ = make_graph(["a", "b"], [("c0", "a", "b")])
+        assert betweenness_ranking(g) == ["a", "b"]
+        g.add_node(Node("0"))
+        assert betweenness_ranking(g) == ["0", "a", "b"]
+        g.add_channel(Channel("c1", "0", "b", 1000, DirectedPolicy(), DirectedPolicy()))
+        assert betweenness_ranking(g) == ["b", "0", "a"]
+
+    def test_returned_ranking_is_a_copy(self):
+        g, _ = make_graph(["a", "b", "c"], [("c0", "a", "b"), ("c1", "b", "c")])
+        ranking = betweenness_ranking(g)
+        ranking.reverse()
+        ranking.append("z")
+        assert betweenness_ranking(g) == ["b", "a", "c"]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_bruteforce_on_random_graphs(self, seed):
         rng = np.random.default_rng(seed)

@@ -29,8 +29,9 @@ from pcnsim import cli
 from pcnsim.adversary import TOWARD_DESTINATION
 from pcnsim.graph import RegionLatencyTable, assign_latencies
 from pcnsim.latency import aggregate_models
-from pcnsim.routing import Payment, RouteSearch, RoutingParams, find_route
+from pcnsim.routing import Payment
 from conftest import make_graph, split_balances
+from oracles import reference_route
 
 
 def tiny_cfg(**kw):
@@ -255,8 +256,8 @@ class TestRunSingle:
 
 
 class TestWorkloadRouting:
-    """run_single shares one search per (destination, amount) and routes every
-    payment as a fresh per-payment search would."""
+    """run_single routes every payment as a fresh per-payment search would,
+    the payments to one (destination, amount) over one kept route tree."""
 
     def bridged_graph(self):
         # two rings joined by a 1 sat bridge that no 100 sat payment can cross
@@ -275,7 +276,7 @@ class TestWorkloadRouting:
         root = np.random.SeedSequence(entropy=(seed, amount_sat))
         workload = generate_workload(g, cfg, np.random.default_rng(root.spawn(5)[4]), amount_sat)
         params = cfg.routing_params()
-        fresh = [find_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
+        fresh = [reference_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
         assert 0 < sum(p is None for p in fresh) < len(fresh)
         assert len({(t, amount) for _, t, amount in workload}) < len(workload)
         routed = {f"p{amount_sat}s{seed}n{i:05d}": p for i, p in enumerate(fresh) if p is not None}
@@ -283,20 +284,6 @@ class TestWorkloadRouting:
         for pid, path in routed.items():
             assert rec.truth[pid].path_nodes == tuple(path.nodes())
         assert rec.unrouted == len(fresh) - len(routed)
-
-    def test_search_for_another_payment_rejected(self):
-        pub = self.bridged_graph()
-        payment = Payment("a", "c", 5_000)
-        for search in (
-            RouteSearch(pub, "d", 5_000),
-            RouteSearch(pub, "c", 6_000),
-            RouteSearch(pub, "c", 5_000, RoutingParams(risk_factor=0.0)),
-            RouteSearch(self.bridged_graph(), "c", 5_000),
-        ):
-            with pytest.raises(ValueError):
-                find_route(pub, payment, search=search)
-        same = RouteSearch(pub, "c", 5_000)
-        assert find_route(pub, payment, search=same) == find_route(pub, payment)
 
 
 class TestRunExperiment:
@@ -505,6 +492,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r").exists()
 
+    def test_out_is_a_file_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        code = cli.main(["run", "--synthetic", "path:4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken" in err
+        assert out.read_text() == "not a directory"
+
     def test_convert_malformed_clean_error(self, tmp_path, capsys):
         src = tmp_path / "describegraph.json"
         src.write_text(json.dumps([{"pub_key": "A"}]))
@@ -587,6 +583,15 @@ class TestCli:
         assert proc.returncode == 2
         assert "error: payments_per_run must be >= 1, got 0" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_sweep_out_is_a_file_clean_error(self, tmp_path):
+        (tmp_path / "taken").write_text("not a directory")
+        proc = self.run_script(tmp_path, "sweep_adversary_size.py", "--synthetic", "path:4",
+                               "--seeds", "1", "--payments", "2", "--out", "taken")
+        assert proc.returncode == 2
+        assert "error: " in proc.stderr and "taken" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (tmp_path / "taken").read_text() == "not a directory"
 
     @pytest.mark.parametrize("script, extra", [
         ("sweep_adversary_size.py", ["--out", "out", "--scenarios", "central"]),

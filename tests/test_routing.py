@@ -1,13 +1,16 @@
+import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcnsim.graph import Channel, ChannelGraph, DirectedPolicy, Node
+from pcnsim import harness, routing
+from pcnsim.harness import PROBE_AMOUNT_MSAT, probe_paths, probe_plan
 from pcnsim.routing import (
     Payment,
-    RouteSearch,
     RoutingParams,
     TraversalRules,
     edge_weight,
@@ -17,7 +20,7 @@ from pcnsim.routing import (
     path_from_channels,
 )
 from conftest import make_graph
-from oracles import brute_reduced_set, brute_route, path_amounts
+from oracles import brute_reduced_set, brute_route, path_amounts, reference_route
 
 
 PARAMS = RoutingParams()
@@ -208,63 +211,157 @@ class TestRouteOracle:
 CAPACITIES_SAT = (1, 2, 45, 1_000, 10**6)
 
 
+PARAMS_CHOICES = (
+    PARAMS,
+    RoutingParams(risk_factor=0.0),
+    RoutingParams(risk_factor=1e-3, final_cltv_delta=9),
+)
+
+
 @st.composite
-def resumed_searches(draw):
-    """A graph, one (destination, amount) and a source sequence."""
+def route_cases(draw):
+    """A multigraph and a sequence of (destination, amount, params) keys."""
     names = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1]),
         min_size=1, max_size=14,
     ))  # a repeated pair is a parallel channel; a name in no pair is unreachable
-    mixed = draw(st.booleans())
+    fees = draw(st.sampled_from(("uniform", "mixed", "free")))
     rows = []
     for i, (u, v) in enumerate(pairs):
         over = {"capacity_sat": draw(st.sampled_from(CAPACITIES_SAT))}
         for side in ("uv", "vu"):
             over[f"enabled_{side}"] = draw(st.sampled_from((True, True, True, False)))
-            if mixed:
+            if fees == "mixed":
                 over[f"base_fee_{side}"] = draw(st.integers(0, 3_000))
                 over[f"rate_ppm_{side}"] = draw(st.sampled_from((0, 10, 5_000)))
                 over[f"delta_{side}"] = draw(st.integers(0, 144))
+            elif fees == "free":  # under a zero risk factor every route ties on weight
+                over[f"base_fee_{side}"] = over[f"rate_ppm_{side}"] = 0
         rows.append((f"c{i}", u, v, over))
     g, _ = make_graph(names, rows)
-    dest = draw(st.sampled_from(names))
-    amount = draw(st.sampled_from((1_000, 40_000, 900_000)))
-    others = [n for n in names if n != dest]
-    sources = draw(st.lists(st.sampled_from(others), min_size=1, max_size=12))
-    return g, dest, amount, sources
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from((1_000, 40_000, 900_000)),
+                  st.sampled_from(PARAMS_CHOICES)),
+        min_size=1, max_size=6,
+    ))  # a repeated key reads the tree its first use built
+    return g, keys
 
 
-class TestRouteSearch:
-    """A search resumed for source after source routes like a fresh one."""
+def check_routes(g, keys):
+    """Every source's cached route equals the reference search's, hop for hop."""
+    for dest, amount, params in keys:
+        for source in sorted(g.nodes):
+            if source != dest:
+                payment = Payment(source, dest, amount)
+                assert find_route(g, payment, params) == reference_route(g, payment, params)
 
-    def check_resumed(self, g, dest, amount, sources):
-        search = RouteSearch(g, dest, amount, PARAMS)
-        for s in sources:
-            payment = Payment(s, dest, amount)
-            assert find_route(g, payment, PARAMS, search=search) == find_route(g, payment, PARAMS)
 
-    @given(case=resumed_searches())
+def fresh_probe_paths(g, vantage, depth, params):
+    """`probe_paths` built anew from `probe_plan` and `path_from_channels`."""
+    return tuple(
+        (cid, tuple(channels), path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
+        for cid, channels in probe_plan(g, vantage, depth)
+    )
+
+
+class TestRouteTree:
+    """A route read off a kept route tree equals a fresh search's."""
+
+    @given(case=route_cases())
     @settings(max_examples=300, deadline=None)
     @example(case=(
         make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c")])[0],
-        "a", 1_000, ["b", "d", "c", "b", "d"],
+        [("a", 1_000, PARAMS), ("c", 1_000, PARAMS), ("a", 1_000, PARAMS)],
     ))
-    def test_matches_fresh_search(self, case):
-        self.check_resumed(*case)
+    @example(case=(  # weight ties: aa - c - d has fewer hops than aa - a - b - d
+        make_graph(["aa", "a", "b", "c", "d"],
+                   [("db", "b", "d"), ("ba", "a", "b"), ("aaa", "a", "aa"),
+                    ("dc", "c", "d"), ("caa", "aa", "c")], base_fee=0, rate_ppm=0)[0],
+        [("d", 1_000, RoutingParams(risk_factor=0.0))],
+    ))
+    def test_matches_reference(self, case):
+        check_routes(*case)
 
-    def test_source_relaxed_before_pausing(self):
-        # d - a - b is cheaper than d - c - b; pausing at a without relaxing
-        # a's channels would leave b routed over c, or not at all
+    @given(case=route_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_probe_paths_match_fresh(self, case):
+        g, keys = case
+        check_routes(g, keys[:1])  # other kept results share the store
+        for _, _, params in keys:
+            for vantage, depth in itertools.product(sorted(g.nodes), range(4)):
+                assert probe_paths(g, vantage, depth, params) == fresh_probe_paths(
+                    g, vantage, depth, params)
+                assert probe_paths(g, vantage, depth, params) is probe_paths(
+                    g, vantage, depth, params)
+
+    def test_source_relaxed_when_settled(self):
+        # d - a - b is cheaper than d - c - b; a tree that stopped relaxing
+        # at a would leave b routed over c, or not at all
         g, _ = make_graph(
             ["a", "b", "c", "d"],
             [("da", "a", "d", {"base_fee": 0}), ("ab", "a", "b", {"base_fee": 0}),
              ("dc", "c", "d", {"base_fee": 0}), ("cb", "b", "c", {"base_fee": 500})],
         )
-        search = RouteSearch(g, "d", 1_000, PARAMS)
-        assert search.route("a").nodes() == ["a", "d"]
-        assert search.route("b").nodes() == ["b", "a", "d"]
-        self.check_resumed(g, "d", 1_000, ["a", "b", "c"])
+        assert find_route(g, Payment("a", "d", 1_000), PARAMS).nodes() == ["a", "d"]
+        assert find_route(g, Payment("b", "d", 1_000), PARAMS).nodes() == ["b", "a", "d"]
+        check_routes(g, [("d", 1_000, PARAMS)])
+
+
+class TestRouteCache:
+    """Kept route trees follow the graph and never serve another key."""
+
+    def test_cheaper_channel_added_is_used(self):
+        g, _ = make_graph(["a", "b", "c"], [("ab", "a", "b"), ("bc", "b", "c")])
+        assert [h.channel for h in find_route(g, Payment("a", "c", 1_000)).hops] == ["ab", "bc"]
+        g.add_channel(Channel("ac", "a", "c", 10**9, DirectedPolicy(), DirectedPolicy()))
+        assert [h.channel for h in find_route(g, Payment("a", "c", 1_000)).hops] == ["ac"]
+
+    def test_node_added_is_routed(self):
+        g, _ = make_graph(["a", "b"], [("ab", "a", "b")])
+        assert find_route(g, Payment("a", "b", 1_000)) is not None
+        g.add_node(Node("c"))
+        g.add_channel(Channel("bc", "b", "c", 10**9, DirectedPolicy(), DirectedPolicy()))
+        assert find_route(g, Payment("a", "c", 1_000)).nodes() == ["a", "b", "c"]
+
+    def test_tree_kept_per_key(self):
+        # the direct channel is cheap but holds 5 sat, and it charges a long
+        # time lock that only a positive risk factor weighs
+        g, _ = make_graph(
+            ["s", "m", "t"],
+            [("st", "s", "t", {"capacity_sat": 5, "base_fee": 0, "rate_ppm": 0, "delta": 10**6}),
+             ("sm", "m", "s", {"base_fee": 100, "rate_ppm": 0, "delta": 0}),
+             ("mt", "m", "t", {"base_fee": 100, "rate_ppm": 0, "delta": 0})],
+        )
+        keys = [(1_000, RoutingParams(risk_factor=0.0)), (9_000, RoutingParams(risk_factor=0.0)),
+                (1_000, RoutingParams(risk_factor=1.0))]
+        expected = [["s", "t"], ["s", "m", "t"], ["s", "m", "t"]]
+        for _ in range(2):  # the second pass reads kept trees
+            for (amount, params), nodes in zip(keys, expected):
+                path = find_route(g, Payment("s", "t", amount), params)
+                assert path.nodes() == nodes
+                assert path == reference_route(g, Payment("s", "t", amount), params)
+
+    def test_stores_stay_within_caps(self, monkeypatch):
+        # caps of two trees and of one vantage's probe paths: every result is
+        # still right, and the oldest entries go first
+        g = random_graph(3, n=8, p=0.5)
+        monkeypatch.setattr(routing, "_ROUTE_TREE_CELLS", 2 * len(g.nodes))
+        monkeypatch.setattr(harness, "_PROBE_PATHS_KEPT", len(g.channels))
+        names = sorted(g.nodes)
+        check_routes(g, [(dest, 1_000, PARAMS) for dest in names[:3]])
+        assert list(g.derived("route trees", dict)) == [(dest, 1_000, PARAMS) for dest in names[1:3]]
+        for vantage in names[:3]:
+            assert probe_paths(g, vantage, 3, PARAMS) == fresh_probe_paths(g, vantage, 3, PARAMS)
+        assert list(g.derived("probe paths", dict)) == [(names[2], 3, PARAMS)]
+
+    def test_policies_frozen(self):
+        g, _ = make_graph(["a", "b"], [("ab", "a", "b")])
+        ch = g.channels["ab"]
+        with pytest.raises(FrozenInstanceError):
+            ch.policy_uv.base_fee_msat = 0
+        with pytest.raises(FrozenInstanceError):
+            ch.capacity_msat = 0
 
 
 def reachable(g, anchor, amount, direction="from-anchor", budget=None):
