@@ -17,7 +17,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pcnsim.cli import INPUT_ERRORS, add_graph_options, load_graph
-from pcnsim.harness import ScenarioConfig, ablation_summary, run_experiment
+from pcnsim.harness import ScenarioConfig, ablation_summary, check_scenario, run_experiment
 
 
 def main():
@@ -41,6 +41,7 @@ def main():
             max_estimates_per_channel=2,
             report_ablation=True,
         )
+        check_scenario(graph, cfg)
     except INPUT_ERRORS as exc:
         p.error(str(exc))
     result = run_experiment(graph, cfg)

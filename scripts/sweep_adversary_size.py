@@ -21,6 +21,7 @@ from pcnsim.harness import (
     AGGREGATE_CSV_FIELDS,
     ScenarioConfig,
     aggregate_rows,
+    check_scenario,
     run_experiment,
     write_table,
 )
@@ -54,6 +55,8 @@ def main():
             for scenario in args.scenarios
             for m in args.m
         ]
+        for cfg in configs:
+            check_scenario(graph, cfg)
         os.makedirs(args.out, exist_ok=True)
     except INPUT_ERRORS as exc:
         p.error(str(exc))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .graph import ChannelGraph, NodeId
 from .latency import LatencyModel, normal_logpdf
-from .routing import RoutingParams, TraversalRules, feasible_endpoints
+from .routing import Hop, RoutingParams, TraversalRules, feasible_endpoints
 from .sim import HopView, NodeBehavior
 
 TOWARD_SOURCE = "toward-source"
@@ -40,8 +40,9 @@ SIGMA_FLOOR_MS = 0.1
 
 
 class EstimationError(RuntimeError):
-    """Estimation could not produce a candidate (distinct from 'no valid
-    endpoint exists', which reports the anchor as the only candidate)."""
+    """The observation names a channel the graph does not have.  (When no
+    endpoint beyond the anchor is feasible, the anchor is the only
+    candidate.)"""
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,26 @@ class AdversaryObserver(NodeBehavior):
     def __init__(self, config: AdversaryConfig):
         self.config = config
         self.observations: list[Observation] = []
-        # (node, payment) -> partially filled destination observation
-        self._pending_dest: dict[tuple[NodeId, str], tuple[int, str, int, int]] = {}
-        # payment -> (node, t0, edge, amount, timelock) waiting for the retry
-        self._pending_src: dict[str, tuple[NodeId, int, str, int, int]] = {}
+        # (node, payment) -> (t0, forwarded hop) of a destination observation
+        self._pending_dest: dict[tuple[NodeId, str], tuple[int, Hop]] = {}
+        # payment -> (node, t0, failed incoming hop) waiting for the retry
+        self._pending_src: dict[str, tuple[NodeId, int, Hop]] = {}
         self._failed_once: set[str] = set()
+
+    def _observe(self, payment_id: str, node: NodeId, hop: Hop, direction: str,
+                 t0_ns: int, t1_ns: int) -> None:
+        self.observations.append(
+            Observation(
+                payment_id=payment_id,
+                observer=node,
+                edge_observed=hop.channel,
+                direction=direction,
+                t0_ns=t0_ns,
+                t1_ns=t1_ns,
+                amount_msat=hop.forward_amount_msat,
+                timelock_blocks=hop.remaining_timelock,
+            )
+        )
 
     # -- engine hooks --------------------------------------------------------
 
@@ -122,48 +138,22 @@ class AdversaryObserver(NodeBehavior):
             return False  # a pending source entry always names a malicious node
         pending = self._pending_src.get(pid)
         if pending is not None and pending[0] == node:
-            _, t0, channel, amount, timelock = self._pending_src.pop(pid)
-            self.observations.append(
-                Observation(
-                    payment_id=pid,
-                    observer=node,
-                    edge_observed=channel,
-                    direction=TOWARD_SOURCE,
-                    t0_ns=t0,
-                    t1_ns=t_ns,
-                    amount_msat=amount,
-                    timelock_blocks=timelock,
-                )
-            )
+            _, t0, hop = self._pending_src.pop(pid)
+            self._observe(pid, node, hop, TOWARD_SOURCE, t0, t_ns)
         if view.is_final:
             return False
         if self.config.source_attack_enabled and pid not in self._failed_once:
             self._failed_once.add(pid)
-            self._pending_src[pid] = (node, t_ns, view.in_channel, view.amount_msat,
-                                      view.remaining_timelock)
+            self._pending_src[pid] = (node, t_ns, view.incoming)
             return True
-        self._pending_dest[(node, pid)] = (
-            t_ns, view.next_channel, view.forward_amount_msat, view.forward_timelock,
-        )
+        self._pending_dest[(node, pid)] = (t_ns, view.outgoing)
         return False
 
     def on_fulfill(self, t_ns: int, node: NodeId, payment_id: str) -> None:
         pending = self._pending_dest.pop((node, payment_id), None)
-        if pending is None:
-            return
-        t0, channel, amount, timelock = pending
-        self.observations.append(
-            Observation(
-                payment_id=payment_id,
-                observer=node,
-                edge_observed=channel,
-                direction=TOWARD_DESTINATION,
-                t0_ns=t0,
-                t1_ns=t_ns,
-                amount_msat=amount,
-                timelock_blocks=timelock,
-            )
-        )
+        if pending is not None:
+            t0, hop = pending
+            self._observe(payment_id, node, hop, TOWARD_DESTINATION, t0, t_ns)
 
     # -- selection ------------------------------------------------------------
 
@@ -305,8 +295,6 @@ def estimate_endpoint(
                 if ll_n > best_ll.get(nb, -math.inf):
                     best_ll[nb] = ll_n
                 queue.append((nb, mean_n, var_n, step[0], step[1], on_path | {nb}, ll_n))
-    if not best_ll:
-        raise EstimationError(f"no candidates for payment {obs.payment_id}")
     ranked = tuple(
         sorted(best_ll.items(), key=lambda item: (-item[1], item[0]))
     )

@@ -24,6 +24,7 @@ from .harness import (
     ConfigError,
     ScenarioConfig,
     ablation_summary,
+    check_scenario,
     emit_results,
     generate_synthetic_graph,
     run_experiment,
@@ -144,6 +145,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         graph = load_graph(args)
+        check_scenario(graph, cfg)
         table = _load_table(args.latency_table) if args.latency_table else DEFAULT_REGION_RTT
         os.makedirs(args.out, exist_ok=True)
     except INPUT_ERRORS as exc:

@@ -74,11 +74,12 @@ log = logging.getLogger(__name__)
 
 DEFAULT_AMOUNTS_SAT = (1, 10, 100, 1_000, 10_000, 100_000)
 PROBE_AMOUNT_MSAT = 1_000
-# Probe paths kept per graph, about 0.6 KiB each (2.5 MiB): the plans of
-# the ten top-betweenness vantages of criterion 5's 200-node graph, depth
-# 3, take 3,223.  A random scenario's vantages rarely repeat, so a larger
+# Probe paths kept per graph, about 420 bytes each (2.4 MiB): at depth 3
+# the plans of the ten top-betweenness vantages of criterion 5's 200-node
+# graph take 3,223, those of the top three of the 1000-node large-graph
+# snapshot 4,322.  A random scenario's vantages rarely repeat, so a larger
 # store would mostly hold paths no later run reads.
-_PROBE_PATHS_KEPT = 1 << 12
+_PROBE_PATHS_KEPT = 6_000
 # Every synthetic channel's capacity and, in both directions, its policy.
 SYNTHETIC_CAPACITY_SAT = 1_000_000
 SYNTHETIC_POLICY = dict(base_fee_msat=1_000, fee_rate_ppm=10, timelock_delta=40)
@@ -129,6 +130,8 @@ class ScenarioConfig:
             isinstance(n, str) for n in self.node_list
         ):
             raise ConfigError(f"node_list must be a list of node ids, got {self.node_list!r}")
+        if self.scenario == "list" and not self.node_list:
+            raise ConfigError("explicit scenario needs a node list")
         if (
             not isinstance(self.amounts_sat, (tuple, list))
             or not self.amounts_sat
@@ -192,26 +195,31 @@ class ExperimentResult:
 # scenario pieces
 
 
+def check_scenario(g: ChannelGraph, cfg: ScenarioConfig) -> None:
+    """Raise ConfigError if `cfg`'s adversary placement does not fit `g`.
+
+    `build_scenario` checks this in every run; `pcnsim run` and the
+    experiment scripts check it once before any run.
+    """
+    if cfg.scenario == "list":
+        unknown = [n for n in cfg.node_list if n not in g.nodes]
+        if unknown:
+            raise ConfigError(f"explicit node list contains unknown nodes: {unknown}")
+    elif cfg.m > len(g.nodes):
+        raise ConfigError(f"m={cfg.m} exceeds {len(g.nodes)} nodes")
+
+
 def build_scenario(g: ChannelGraph, cfg: ScenarioConfig, seed: int) -> AdversaryConfig:
     """Pick the malicious node set for one run."""
+    check_scenario(g, cfg)
     if cfg.scenario == "central":
-        ranked = betweenness_ranking(g)
-        if cfg.m > len(ranked):
-            raise ConfigError(f"m={cfg.m} exceeds {len(ranked)} nodes")
-        malicious = frozenset(ranked[: cfg.m])
+        malicious = frozenset(betweenness_ranking(g)[: cfg.m])
     elif cfg.scenario == "random":
         ids = sorted(g.nodes)
-        if cfg.m > len(ids):
-            raise ConfigError(f"m={cfg.m} exceeds {len(ids)} nodes")
         rng = np.random.default_rng(seed)
         picks = rng.choice(len(ids), size=cfg.m, replace=False)
         malicious = frozenset(ids[i] for i in picks)
     else:
-        unknown = [n for n in cfg.node_list if n not in g.nodes]
-        if unknown:
-            raise ConfigError(f"explicit node list contains unknown nodes: {unknown}")
-        if not cfg.node_list:
-            raise ConfigError("explicit scenario needs a node list")
         malicious = frozenset(cfg.node_list)
     return AdversaryConfig(
         malicious_nodes=malicious,
@@ -340,23 +348,24 @@ def probe_plan(
 
 def probe_paths(
     g: ChannelGraph, vantage: NodeId, max_depth: int, params: RoutingParams
-) -> tuple[tuple[str, tuple[str, ...], PaymentPath], ...]:
+) -> tuple[tuple[str, PaymentPath], ...]:
     """`probe_plan` with each probing path built by `path_from_channels`:
-    (channel to estimate, probing path channels, probe payment path).
+    (channel to estimate, probe payment path), whose last hop crosses that
+    channel.
 
     Built once per graph, vantage, depth and params and kept on the graph,
-    the oldest vantages' paths dropped first past `_PROBE_PATHS_KEPT`.
+    the oldest vantages' paths dropped first past `_PROBE_PATHS_KEPT`; the
+    paths just built are kept even when they alone exceed it.
     """
     kept = g.derived("probe paths", dict)
     key = (vantage, max_depth, params)
     paths = kept.get(key)
     if paths is None:
         paths = kept[key] = tuple(
-            (cid, tuple(channels),
-             path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
+            (cid, path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
             for cid, channels in probe_plan(g, vantage, max_depth)
         )
-        while sum(map(len, kept.values())) > _PROBE_PATHS_KEPT:
+        while len(kept) > 1 and sum(map(len, kept.values())) > _PROBE_PATHS_KEPT:
             del kept[next(iter(kept))]
     return paths
 
@@ -383,15 +392,16 @@ def build_latency_model(
     for vantage, child in zip(sorted(malicious), children):
         rng = np.random.default_rng(child)
         per_edge: dict[str, Gaussian] = {}
-        for cid, channel_path, path in probe_paths(graph, vantage, cfg.probe_max_depth, params):
-            if any(prefix not in per_edge for prefix in channel_path[:-1]):
+        for cid, path in probe_paths(graph, vantage, cfg.probe_max_depth, params):
+            prefix = path.hops[:-1]
+            if any(hop.channel not in per_edge for hop in prefix):
                 continue  # a prior estimate failed; cannot isolate this edge
             batch = probe_batch(graph, balances, latencies, vantage, path,
                                 cfg.probes_per_path, rng)
             samples = batch.samples_ms
             if batch.discarded:
                 log.warning("%d probes to %s failed early", batch.discarded, cid)
-            priors = [per_edge[p] for p in channel_path[:-1]]
+            priors = [per_edge[hop.channel] for hop in prefix]
             try:
                 est = estimate_next_hop(samples, priors, cfg.traversal_weight)
             except InsufficientSamples:
@@ -403,7 +413,7 @@ def build_latency_model(
                     estimate=est,
                     sample_count=len(samples),
                     source_vantage=vantage,
-                    hop_distance=len(channel_path),
+                    hop_distance=len(path.hops),
                 )
             )
     kept: list[EdgeLatencyEstimate] = []

@@ -15,7 +15,8 @@ Route search never reads a balance, so one search per (destination,
 amount, params) serves every source: it settles the whole graph into a
 route tree, one channel per node, which the graph keeps for every later
 run (`ChannelGraph.derived`).  `find_route` follows the tree from the
-source and rebuilds the path with `path_from_channels`.
+source and hands its channels to `path_from_channels`, which builds every
+`Hop`: the one record of what an HTLC carries over one channel.
 """
 
 from __future__ import annotations
@@ -57,8 +58,11 @@ class Payment:
             raise ValueError("amount must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hop:
+    """One HTLC of a payment: the channel it crosses from `frm` to `to`, the
+    amount it carries and the time lock it still holds."""
+
     channel: ChannelId
     frm: NodeId
     to: NodeId
@@ -66,7 +70,7 @@ class Hop:
     remaining_timelock: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaymentPath:
     hops: tuple[Hop, ...]
 
@@ -198,47 +202,6 @@ _TOWARD_DEST = TraversalRules("toward-anchor")
 
 
 # ---------------------------------------------------------------------------
-# path construction
-
-
-def _forward_amounts(policies: list[DirectedPolicy], amount_msat: int) -> list[int]:
-    """f_i per hop from the recursion f_last = amount, f_{i-1} = f_i + fee(e_i, f_i),
-    where policies[i] is the forwarding policy of hop i."""
-    amounts = [0] * len(policies)
-    f = amount_msat
-    for i in range(len(policies) - 1, -1, -1):
-        amounts[i] = f
-        if i > 0:
-            f = f + policies[i].fee_msat(f)
-    return amounts
-
-
-def _build_path(
-    rows: list[tuple[ChannelId, NodeId, NodeId, int, int]],
-    final_cltv_delta: int,
-) -> PaymentPath:
-    """Hops from (channel, frm, to, forward amount, delta) rows in payment order.
-
-    The remaining timelock counts down by each hop's delta from the budget,
-    the summed deltas plus the final delta.
-    """
-    remaining = sum(r[4] for r in rows) + final_cltv_delta
-    hops = []
-    for cid, frm, to, amount, delta in rows:
-        hops.append(
-            Hop(
-                channel=cid,
-                frm=frm,
-                to=to,
-                forward_amount_msat=amount,
-                remaining_timelock=remaining,
-            )
-        )
-        remaining -= delta
-    return PaymentPath(hops=tuple(hops))
-
-
-# ---------------------------------------------------------------------------
 # route search
 
 
@@ -312,8 +275,7 @@ def find_route(
     Follows the route tree of the payment's (destination, amount, params),
     built by `_route_tree` on first use and kept on the graph, oldest
     trees dropped first past `_ROUTE_TREE_CELLS`.  `path_from_channels`
-    then rebuilds the hops, by the fee recursion and delta sum the search
-    used.
+    then builds the hops, by the fee recursion the search used.
     """
     params = params or RoutingParams()
     source, dest, amount = payment.source, payment.dest, payment.amount_msat
@@ -348,27 +310,28 @@ def path_from_channels(
 ) -> PaymentPath:
     """Build a concrete payment path along the given channels.
 
-    Forward amounts follow the fee recursion anchored at `amount_msat`
-    delivered to the last node; the lock budget is the route's summed
-    deltas plus the final delta.  Used for crafted probe payments
-    and fixtures, where the path is chosen rather than searched.
+    One backward pass from the last hop, which carries `amount_msat` and
+    holds the final delta plus its own: each earlier hop carries the next
+    hop's amount plus the fee of that hop's forwarder, and holds the next
+    hop's time lock plus its own delta.  Route search, crafted probe
+    payments and fixtures all build their hops here.
     """
     params = params or RoutingParams()
-    ends: list[tuple[ChannelId, NodeId, NodeId]] = []
-    policies: list[DirectedPolicy] = []
+    ends: list[tuple[ChannelId, NodeId, NodeId, DirectedPolicy]] = []
     node = start
     for cid in channel_ids:
         ch = g.channels[cid]
         nxt = ch.other_end(node)
-        ends.append((cid, node, nxt))
-        policies.append(ch.policy_from(node))
+        ends.append((cid, node, nxt, ch.policy_from(node)))
         node = nxt
-    amounts = _forward_amounts(policies, amount_msat)
-    rows = [
-        (cid, frm, to, amount, policy.timelock_delta)
-        for (cid, frm, to), amount, policy in zip(ends, amounts, policies)
-    ]
-    return _build_path(rows, params.final_cltv_delta)
+    hops: list[Hop] = []
+    amount, timelock = amount_msat, params.final_cltv_delta
+    for cid, frm, to, policy in reversed(ends):
+        timelock += policy.timelock_delta
+        hops.append(Hop(cid, frm, to, amount, timelock))
+        amount += policy.fee_msat(amount)
+    hops.reverse()
+    return PaymentPath(tuple(hops))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ of the script, runs the step that follows: the receiving node's decision
 after a forward hop, the relay upstream (and settlement) after a back one.
 
 The engine runs one `NodeBehavior` for every node, with two hooks.
-`on_commit` sees each committed add and returns the receiving node's
-decision to reject it; the node also rejects when it cannot forward.
-`on_fulfill` sees each fulfill delivered.
+`on_commit` sees each committed add as a `HopView`, the path's incoming and
+outgoing `Hop` at the receiving node, and returns that node's decision to
+reject it; the node also rejects when it cannot forward.  `on_fulfill`
+sees each fulfill delivered.
 
 The engine reads the graph's public data and keeps a run's private state in
 the two maps it is given: the balances, which settlement moves, and the
@@ -119,23 +120,28 @@ def sample_latency(latency: Gaussian, rng) -> int:
     return max(LATENCY_FLOOR_NS, int(round(ms * NS_PER_MS)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopView:
-    """Everything a node legitimately learns about one payment it handles.
+    """Everything a node legitimately learns about one payment it handles:
+    the hop that reached it and, unless it is the final node, the hop it is
+    asked to forward.
 
-    Downstream hop payloads stay inside the engine; behaviors only ever see
-    this view (onion semantics without the cryptography).
+    The incoming hop's `frm` and the outgoing hop's `to` are the node's own
+    channel peers, so the view shows nothing past the next hop (onion
+    semantics without the cryptography).
     """
 
     payment_id: str
-    node: NodeId
-    in_channel: str | None
-    amount_msat: int
-    remaining_timelock: int
-    is_final: bool
-    next_channel: str | None = None
-    forward_amount_msat: int | None = None
-    forward_timelock: int | None = None
+    incoming: Hop
+    outgoing: Hop | None
+
+    @property
+    def node(self) -> NodeId:
+        return self.incoming.to
+
+    @property
+    def is_final(self) -> bool:
+        return self.outgoing is None
 
 
 class NodeBehavior:
@@ -231,9 +237,9 @@ class PaymentEngine:
                     send(phase, i, j + 1)
                 elif phase is FORWARD:
                     # the add is committed at `to`, which decides what happens next
-                    view = self._view(path, payment_id, i)
+                    view = HopView(payment_id, hop, hops[i + 1] if i + 1 < len(hops) else None)
                     if (behavior.on_commit(now, view)
-                            or not (view.is_final or _can_forward(balances, to, hops[i + 1]))):
+                            or not (view.is_final or _can_forward(balances, to, view.outgoing))):
                         # the first edge not added: the rejecting node's would-be
                         # outgoing hop (== len(hops) when the final node rejects)
                         outcome.failed_at_hop = i + 1
@@ -259,23 +265,6 @@ class PaymentEngine:
             queue.clear()
         assert outcome.status is not None, "payment did not complete"
         return outcome
-
-    def _view(self, path: PaymentPath, payment_id: str, hop_index: int) -> HopView:
-        """What the receiver of hop `hop_index`'s add learns."""
-        hops = path.hops
-        hop = hops[hop_index]
-        nxt = hops[hop_index + 1] if hop_index + 1 < len(hops) else None
-        return HopView(
-            payment_id=payment_id,
-            node=hop.to,
-            in_channel=hop.channel,
-            amount_msat=hop.forward_amount_msat,
-            remaining_timelock=hop.remaining_timelock,
-            is_final=nxt is None,
-            next_channel=nxt.channel if nxt else None,
-            forward_amount_msat=nxt.forward_amount_msat if nxt else None,
-            forward_timelock=nxt.remaining_timelock if nxt else None,
-        )
 
     def _settle(self, hop: Hop) -> None:
         """Move the hop's amount from its sender's side to its receiver's."""

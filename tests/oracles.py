@@ -46,7 +46,6 @@ from pcnsim.routing import (
     Hop,
     PaymentPath,
     RoutingParams,
-    _build_path,
     edge_weight,
 )
 from pcnsim.sim import (
@@ -210,7 +209,13 @@ def reference_route(g, payment, params=None) -> PaymentPath | None:
         cid, nxt, amount, delta = succ[node]
         rows.append((cid, node, nxt, amount, delta))
         node = nxt
-    return _build_path(rows, params.final_cltv_delta)
+    # the time lock counts down from the summed deltas plus the final delta
+    remaining = sum(row[4] for row in rows) + params.final_cltv_delta
+    hops = []
+    for cid, frm, to, amount, delta in rows:
+        hops.append(Hop(cid, frm, to, amount, remaining))
+        remaining -= delta
+    return PaymentPath(tuple(hops))
 
 
 def _inverted_amount(policy, incoming):
@@ -465,8 +470,6 @@ def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
             if ll_n > best_ll.get(nb, -math.inf):
                 best_ll[nb] = ll_n
             queue.append((nb, mean_n, var_n, step[0], step[1], on_path | {nb}, ll_n))
-    if not best_ll:
-        raise EstimationError(f"no candidates for payment {obs.payment_id}")
     ranked = tuple(
         sorted(best_ll.items(), key=lambda item: (-item[1], item[0]))
     )
@@ -565,19 +568,8 @@ class ReferenceEngine:
     def _view(self, run: _PaymentRun, hop_index: int) -> HopView:
         """What the receiver of hop `hop_index`'s add learns."""
         hops = run.path.hops
-        hop = hops[hop_index]
         nxt = hops[hop_index + 1] if hop_index + 1 < len(hops) else None
-        return HopView(
-            payment_id=run.payment_id,
-            node=hop.to,
-            in_channel=hop.channel,
-            amount_msat=hop.forward_amount_msat,
-            remaining_timelock=hop.remaining_timelock,
-            is_final=nxt is None,
-            next_channel=nxt.channel if nxt else None,
-            forward_amount_msat=nxt.forward_amount_msat if nxt else None,
-            forward_timelock=nxt.remaining_timelock if nxt else None,
-        )
+        return HopView(run.payment_id, hops[hop_index], nxt)
 
     def _start_hop(self, run: _PaymentRun, hop_index: int) -> None:
         hop = run.path.hops[hop_index]

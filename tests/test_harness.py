@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from pcnsim.harness import (
     run_experiment,
     run_single,
 )
-from pcnsim import cli
+from pcnsim import cli, harness
 from pcnsim.adversary import TOWARD_DESTINATION
 from pcnsim.graph import RegionLatencyTable, assign_latencies
 from pcnsim.latency import aggregate_models
@@ -473,6 +474,10 @@ class TestCli:
         (SMALL_RUN, ["--seed", "-1"]),
         ({**SMALL_RUN, "amounts_sat": [True]}, []),
         ({**SMALL_RUN, "workload_mode": "per-amount"}, []),
+        ({**SMALL_RUN, "scenario": "list", "node_list": []}, []),
+        ({**SMALL_RUN, "scenario": "list", "node_list": ["nope"]}, []),
+        ({**SMALL_RUN, "m": 50}, []),
+        ({**SMALL_RUN, "scenario": "random", "m": 5}, []),
     ], ids=[
         "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
         "zero-traversal-weight", "negative-probes", "zero-payments",
@@ -480,6 +485,7 @@ class TestCli:
         "infinite-risk-factor", "fractional-repetitions", "string-seed", "boolean-m",
         "fractional-payments", "string-retry-attack", "negative-seed",
         "negative-seed-option", "boolean-amount", "unknown-field",
+        "empty-node-list", "unknown-node", "m-exceeds-nodes", "random-m-exceeds-nodes",
     ])
     def test_malformed_config_clean_error(self, tmp_path, capsys, document, options):
         cfg_file = tmp_path / "cfg.json"
@@ -587,20 +593,45 @@ class TestCli:
     def test_sweep_out_is_a_file_clean_error(self, tmp_path):
         (tmp_path / "taken").write_text("not a directory")
         proc = self.run_script(tmp_path, "sweep_adversary_size.py", "--synthetic", "path:4",
-                               "--seeds", "1", "--payments", "2", "--out", "taken")
+                               "--m", "1", "--seeds", "1", "--payments", "2", "--out", "taken")
         assert proc.returncode == 2
         assert "error: " in proc.stderr and "taken" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert (tmp_path / "taken").read_text() == "not a directory"
 
     @pytest.mark.parametrize("script, extra", [
+        ("sweep_adversary_size.py", ["--out", "unused"]),
+        ("ablation_shadow_routes.py", []),
+    ])
+    def test_scripts_reject_graph_dependent_config(self, tmp_path, script, extra):
+        # checked once against the graph, before any run
+        proc = self.run_script(tmp_path, script, "--synthetic", "path:3", "--m", "5", *extra)
+        assert proc.returncode == 2
+        assert "error: m=5 exceeds 3 nodes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("script, extra", [
         ("sweep_adversary_size.py", ["--out", "out", "--scenarios", "central"]),
         ("ablation_shadow_routes.py", []),
     ])
-    def test_scripts_fail_when_every_repetition_aborts(self, tmp_path, script, extra):
-        proc = self.run_script(tmp_path, script, "--synthetic", "path:3", "--m", "5",
-                               "--seeds", "2", *extra)
-        assert proc.returncode == 1
-        failed = [line for line in proc.stderr.splitlines() if line.startswith("FAILED: ")]
-        assert len(failed) == 2 and all("m=5 exceeds 3 nodes" in line for line in failed)
-        assert "Traceback" not in proc.stderr
+    def test_scripts_fail_when_every_repetition_aborts(self, tmp_path, monkeypatch, capsys,
+                                                       script, extra):
+        # every run raises: the script runs in this process, whose
+        # `run_single` is patched
+        def abort(*args):
+            raise RuntimeError("run aborted on purpose")
+
+        monkeypatch.setattr(harness, "run_single", abort)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(sys, "argv", [script, "--synthetic", "path:3", "--m", "1",
+                                          "--seeds", "2", *extra])
+        monkeypatch.chdir(tmp_path)
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(path), run_name="__main__")
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        failed = [line for line in err.splitlines() if line.startswith("FAILED: ")]
+        assert len(failed) == 2 and all("run aborted on purpose" in line for line in failed)
+        assert "Traceback" not in err

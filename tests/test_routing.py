@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -219,14 +220,14 @@ PARAMS_CHOICES = (
 
 
 @st.composite
-def route_cases(draw):
-    """A multigraph and a sequence of (destination, amount, params) keys."""
+def multigraphs(draw, fee_kinds=("uniform", "mixed", "free")):
+    """A multigraph of up to 8 nodes, some directions disabled."""
     names = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1]),
         min_size=1, max_size=14,
     ))  # a repeated pair is a parallel channel; a name in no pair is unreachable
-    fees = draw(st.sampled_from(("uniform", "mixed", "free")))
+    fees = draw(st.sampled_from(fee_kinds))
     rows = []
     for i, (u, v) in enumerate(pairs):
         over = {"capacity_sat": draw(st.sampled_from(CAPACITIES_SAT))}
@@ -239,7 +240,14 @@ def route_cases(draw):
             elif fees == "free":  # under a zero risk factor every route ties on weight
                 over[f"base_fee_{side}"] = over[f"rate_ppm_{side}"] = 0
         rows.append((f"c{i}", u, v, over))
-    g, _ = make_graph(names, rows)
+    return make_graph(names, rows)[0]
+
+
+@st.composite
+def route_cases(draw):
+    """A multigraph and a sequence of (destination, amount, params) keys."""
+    g = draw(multigraphs())
+    names = sorted(g.nodes)
     keys = draw(st.lists(
         st.tuples(st.sampled_from(names), st.sampled_from((1_000, 40_000, 900_000)),
                   st.sampled_from(PARAMS_CHOICES)),
@@ -257,10 +265,45 @@ def check_routes(g, keys):
                 assert find_route(g, payment, params) == reference_route(g, payment, params)
 
 
+@st.composite
+def channel_walks(draw):
+    """A multigraph with mixed fees and deltas and a walk over its channels,
+    disabled directions included, as a probe or fixture path may take."""
+    g = draw(multigraphs(fee_kinds=("mixed",)))
+    node = start = draw(st.sampled_from(sorted(n for n in g.nodes if g.channels_at(n))))
+    channels = []
+    for _ in range(draw(st.integers(1, 6))):
+        ch = draw(st.sampled_from(sorted(g.channels_at(node), key=lambda c: c.id)))
+        channels.append(ch.id)
+        node = ch.other_end(node)
+    return g, start, channels
+
+
+class TestPathFromChannels:
+    @given(walk=channel_walks(), amount=st.integers(1, 10**9),
+           params=st.sampled_from(PARAMS_CHOICES))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, walk, amount, params):
+        # amounts by the oracle's fee recursion; each hop's time lock is the
+        # final delta plus the deltas of that hop and every later one
+        g, start, channels = walk
+        seq, node = [], start
+        for cid in channels:
+            seq.append((g.channels[cid], node))
+            node = g.channels[cid].other_end(node)
+        deltas = [ch.policy_from(frm).timelock_delta for ch, frm in seq]
+        path = path_from_channels(g, start, channels, amount, params)
+        assert [(h.channel, h.frm, h.to) for h in path.hops] == [
+            (ch.id, frm, ch.other_end(frm)) for ch, frm in seq]
+        assert [h.forward_amount_msat for h in path.hops] == path_amounts(g, seq, amount)
+        assert [h.remaining_timelock for h in path.hops] == [
+            params.final_cltv_delta + sum(deltas[i:]) for i in range(len(seq))]
+
+
 def fresh_probe_paths(g, vantage, depth, params):
     """`probe_paths` built anew from `probe_plan` and `path_from_channels`."""
     return tuple(
-        (cid, tuple(channels), path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
+        (cid, path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
         for cid, channels in probe_plan(g, vantage, depth)
     )
 
@@ -354,6 +397,32 @@ class TestRouteCache:
         for vantage in names[:3]:
             assert probe_paths(g, vantage, 3, PARAMS) == fresh_probe_paths(g, vantage, 3, PARAMS)
         assert list(g.derived("probe paths", dict)) == [(names[2], 3, PARAMS)]
+
+    def test_probe_paths_kept_past_cap(self, monkeypatch):
+        # a cap below one vantage's plan still keeps the plan just built
+        g = random_graph(3, n=8, p=0.5)
+        monkeypatch.setattr(harness, "_PROBE_PATHS_KEPT", 1)
+        names = sorted(g.nodes)
+        for vantage in names[:2]:
+            paths = probe_paths(g, vantage, 3, PARAMS)
+            assert len(paths) > 1
+            assert list(g.derived("probe paths", dict)) == [(vantage, 3, PARAMS)]
+            assert probe_paths(g, vantage, 3, PARAMS) is paths
+
+    def test_pickle_round_trip(self):
+        # a graph holding kept probe paths and route trees pickles whole,
+        # and its copy reads the same kept results
+        g = random_graph(5)
+        names = sorted(g.nodes)
+        check_routes(g, [(names[0], 1_000, PARAMS)])
+        kept = probe_paths(g, names[1], 3, PARAMS)
+        copy = pickle.loads(pickle.dumps(g))
+        for key in ("probe paths", "route trees"):
+            assert copy.derived(key, dict) == g.derived(key, dict)
+        assert probe_paths(copy, names[1], 3, PARAMS) == kept
+        for source in names[1:]:
+            payment = Payment(source, names[0], 1_000)
+            assert find_route(copy, payment, PARAMS) == find_route(g, payment, PARAMS)
 
     def test_policies_frozen(self):
         g, _ = make_graph(["a", "b"], [("ab", "a", "b")])

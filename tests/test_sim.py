@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcnsim.adversary import AdversaryConfig, AdversaryObserver
 from pcnsim.graph import check_conservation
-from pcnsim.routing import Payment, find_route, path_from_channels
+from pcnsim.routing import Hop, Payment, find_route, path_from_channels
 from pcnsim.sim import (
     ADD,
     COMMIT,
@@ -250,19 +250,26 @@ class TestOnionOpacity:
         by_node = {v.node: v for v in rec.views}
         b = by_node["b"]
         path = path_from_channels(line_graph[0], "a", ["e0", "e1", "e2"], 100_000)
-        assert b.in_channel == "e0"
-        assert b.next_channel == "e1"
-        assert b.forward_amount_msat == path.hops[1].forward_amount_msat
+        assert (b.incoming, b.outgoing) == path.hops[:2]
         assert not b.is_final
-        # the view's full field set carries nothing about hops beyond the next
-        field_names = {f.name for f in dataclasses.fields(HopView)}
-        assert field_names == {
-            "payment_id", "node", "in_channel", "amount_msat", "remaining_timelock",
-            "is_final", "next_channel", "forward_amount_msat", "forward_timelock",
-        }
+        # the view's full field set carries nothing about hops beyond the
+        # next: each hop names only the channel and its two ends, so the
+        # nodes it shows are the viewing node's own channel peers
+        assert {f.name for f in dataclasses.fields(HopView)} == {
+            "payment_id", "incoming", "outgoing"}
+        assert {f.name for f in dataclasses.fields(Hop)} == {
+            "channel", "frm", "to", "forward_amount_msat", "remaining_timelock"}
+        graph = line_graph[0]
+        for view in rec.views:
+            hops = [view.incoming] + ([view.outgoing] if view.outgoing else [])
+            for hop in hops:
+                assert {hop.frm, hop.to} == {view.node,
+                                             graph.channels[hop.channel].other_end(view.node)}
         c = by_node["c"]
-        assert c.next_channel == "e2"
-        assert b.forward_amount_msat != c.forward_amount_msat
+        assert c.outgoing.channel == "e2"
+        assert b.outgoing.forward_amount_msat != c.outgoing.forward_amount_msat
+        assert by_node["d"].is_final and by_node["d"].outgoing is None
+        assert not any(hasattr(x, "__dict__") for x in (b, b.incoming, path))  # slotted
 
 
 class TestConservationProperty:
