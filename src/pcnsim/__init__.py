@@ -32,7 +32,6 @@ from .harness import (
     run_single,
 )
 from .latency import (
-    EdgeLatencyEstimate,
     Gaussian,
     LatencyModel,
     aggregate_models,

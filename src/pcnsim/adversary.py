@@ -201,9 +201,12 @@ def _walk_setup(obs: Observation, g: ChannelGraph, cfg: AdversaryConfig):
     downstream deltas by exactly that much (40 blocks by default); whether
     to subtract it is an open modelling question.  Source leg: the far endpoint
     forwarded the observed amount, so the walk grows it by the observed
-    edge's fee first; the lock budget is unbounded from below.
+    edge's fee first; the lock budget is unbounded from below.  An observed
+    edge the graph lacks raises EstimationError.
     """
-    channel = g.channels[obs.edge_observed]
+    channel = g.channels.get(obs.edge_observed)
+    if channel is None:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     anchor = channel.other_end(obs.observer)
     if obs.direction == TOWARD_DESTINATION:
         budget = None
@@ -220,7 +223,7 @@ def reduce_anonymity_set(
     obs: Observation,
     g: ChannelGraph,
     cfg: AdversaryConfig,
-    params: RoutingParams | None = None,
+    params: RoutingParams = RoutingParams(),
 ) -> frozenset[NodeId]:
     """Candidate endpoints compatible with the observed amount and lock time.
 
@@ -236,9 +239,6 @@ def reduce_anonymity_set(
     on 200-node scale-free graphs each of 20 sampled source-leg walks ran
     past 5 s.  Call this with destination observations.
     """
-    params = params or RoutingParams()
-    if obs.edge_observed not in g.channels:
-        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     anchor, seed, rules = _walk_setup(obs, g, cfg)
     return feasible_endpoints(g, anchor, seed, rules, params, frozenset({obs.observer}))
 
@@ -252,7 +252,7 @@ def estimate_endpoint(
     g: ChannelGraph,
     model: LatencyModel,
     cfg: AdversaryConfig,
-    params: RoutingParams | None = None,
+    params: RoutingParams = RoutingParams(),
 ) -> EstimationResult:
     """Rank candidate endpoints by the likelihood of the observed delta-t.
 
@@ -264,13 +264,10 @@ def estimate_endpoint(
     best over the chains that reached it.  All visited candidates are
     returned ranked, ties broken by node id.
     """
-    params = params or RoutingParams()
-    if obs.edge_observed not in g.channels:
-        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
+    anchor, seed, rules = _walk_setup(obs, g, cfg)
     t_weight = model.traversal_weight
     delta_ms = obs.delta_t_ms
     floor = SIGMA_FLOOR_MS
-    anchor, seed, rules = _walk_setup(obs, g, cfg)
 
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean

@@ -47,7 +47,6 @@ from .graph import (
     init_balances,
 )
 from .latency import (
-    EdgeLatencyEstimate,
     Gaussian,
     InsufficientSamples,
     LatencyModel,
@@ -62,6 +61,8 @@ from .metrics import (
     report,
 )
 from .routing import (
+    DEFAULT_FINAL_CLTV_DELTA,
+    DEFAULT_RISK_FACTOR,
     Payment,
     PaymentPath,
     RoutingParams,
@@ -106,8 +107,8 @@ class ScenarioConfig:
     max_estimates_per_channel: int = 3
     report_ablation: bool = False
     export_timeline: bool = False
-    final_cltv_delta: int = 40
-    risk_factor: float = 1.5e-8
+    final_cltv_delta: int = DEFAULT_FINAL_CLTV_DELTA
+    risk_factor: float = DEFAULT_RISK_FACTOR
 
     def __post_init__(self):
         for name in (
@@ -196,11 +197,14 @@ class ExperimentResult:
 
 
 def check_scenario(g: ChannelGraph, cfg: ScenarioConfig) -> None:
-    """Raise ConfigError if `cfg`'s adversary placement does not fit `g`.
+    """Raise ConfigError if `g` has too few nodes for a workload or `cfg`'s
+    adversary placement does not fit it.
 
     `build_scenario` checks this in every run; `pcnsim run` and the
     experiment scripts check it once before any run.
     """
+    if len(g.nodes) < 2:
+        raise ConfigError("workload needs at least two nodes")
     if cfg.scenario == "list":
         unknown = [n for n in cfg.node_list if n not in g.nodes]
         if unknown:
@@ -377,16 +381,17 @@ def build_latency_model(
     malicious: frozenset[NodeId],
     cfg: ScenarioConfig,
     rng_seed_seq,
-) -> tuple[LatencyModel, list[EdgeLatencyEstimate]]:
+) -> tuple[LatencyModel, dict[str, list[tuple[int, str, Gaussian]]]]:
     """Run the probing campaign from every malicious vantage and aggregate.
 
     Probes run against the run's true balances and latencies but only ever
     fail at their crafted hop, so balances are untouched; each probed
-    path's probes are evaluated at once by `probe_batch`.  Per channel only
-    the closest few vantage estimates are kept; farther ones add little
-    beyond their noise.
+    path's probes are evaluated at once by `probe_batch`.  Returns the
+    model and every estimate the campaign made, as the (hop distance,
+    vantage, Gaussian) triples of each channel; `aggregate_models` keeps
+    the nearest `cfg.max_estimates_per_channel` of them.
     """
-    estimates: list[EdgeLatencyEstimate] = []
+    estimates: dict[str, list[tuple[int, str, Gaussian]]] = {}
     children = rng_seed_seq.spawn(len(malicious))
     params = cfg.routing_params()
     for vantage, child in zip(sorted(malicious), children):
@@ -407,23 +412,9 @@ def build_latency_model(
             except InsufficientSamples:
                 continue
             per_edge[cid] = est
-            estimates.append(
-                EdgeLatencyEstimate(
-                    channel=cid,
-                    estimate=est,
-                    sample_count=len(samples),
-                    source_vantage=vantage,
-                    hop_distance=len(path.hops),
-                )
-            )
-    kept: list[EdgeLatencyEstimate] = []
-    by_channel: dict[str, list[EdgeLatencyEstimate]] = {}
-    for est in estimates:
-        by_channel.setdefault(est.channel, []).append(est)
-    for cid in sorted(by_channel):
-        group = sorted(by_channel[cid], key=lambda e: (e.hop_distance, e.source_vantage))
-        kept.extend(group[: cfg.max_estimates_per_channel])
-    return aggregate_models(kept, traversal_weight=cfg.traversal_weight), kept
+            estimates.setdefault(cid, []).append((len(path.hops), vantage, est))
+    model = aggregate_models(estimates, cfg.max_estimates_per_channel, cfg.traversal_weight)
+    return model, estimates
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Edge latencies are modelled as Gaussians in milliseconds.  An attacker node
 measures round trips of payments that are crafted to fail at a chosen hop,
 turns the samples into per-edge estimates (iteratively, subtracting the
-already-estimated prefix of the probing path), and merges estimates from
-several vantage points into one model, weighting by reciprocal hop distance.
+already-estimated prefix of the probing path), and merges each channel's
+nearest estimates from several vantage points into one model, weighting by
+reciprocal hop distance.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graph import Gaussian, RegionLatencyTable
 from .sim import LATENCY_FLOOR_NS, NS_PER_MS, TRAVERSALS_PER_EDGE
@@ -35,23 +37,6 @@ def normal_logpdf(x: float, mean: float, std: float, sigma_floor: float = 0.0) -
         raise ValueError("degenerate Gaussian needs a sigma floor")
     z = (x - mean) / s
     return -0.5 * z * z - math.log(s) - _HALF_LOG_2PI
-
-
-@dataclass(frozen=True)
-class EdgeLatencyEstimate:
-    """One vantage point's Gaussian estimate for one channel."""
-
-    channel: str
-    estimate: Gaussian
-    sample_count: int
-    source_vantage: str
-    hop_distance: int
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.hop_distance < 1:
-            raise ValueError("hop_distance must be >= 1")
 
 
 @dataclass
@@ -101,37 +86,41 @@ def estimate_next_hop(
 
 
 def aggregate_models(
-    estimates: list[EdgeLatencyEstimate],
+    estimates: dict[str, list[tuple[int, str, Gaussian]]],
+    keep: int,
     traversal_weight: int = TRAVERSALS_PER_EDGE,
 ) -> LatencyModel:
     """Merge per-vantage estimates into one model.
 
-    Per channel the estimates are combined by an arithmetic mean weighted
-    with the reciprocal hop distance of the measuring vantage; the merged
-    sigma is the weighted spread of the per-vantage means.  That spread is
-    zero whenever a channel was probed from a single vantage, which would
-    collapse density ranking to nearest-mean; the probes did measure the
-    per-traversal spread, so a zero spread is replaced by the same weighted
-    mean of the estimates' sigmas.
+    `estimates` maps a channel to its (hop distance, vantage, Gaussian)
+    triples.  Per channel only the `keep` nearest triples, by (hop distance,
+    vantage), are merged; farther ones add little beyond their noise.  They
+    are combined by an arithmetic mean weighted with the reciprocal hop
+    distance; the merged sigma is the weighted spread of the per-vantage
+    means.  That spread is zero whenever a channel keeps a single estimate,
+    which would collapse density ranking to nearest-mean; the probes did
+    measure the per-traversal spread, so a zero spread is replaced by the
+    same weighted mean of the estimates' sigmas.  A channel left with no
+    estimate (`keep` 0) gets no edge.
     """
-    by_channel: dict[str, list[EdgeLatencyEstimate]] = {}
-    for est in estimates:
-        by_channel.setdefault(est.channel, []).append(est)
     edges: dict[str, Gaussian] = {}
-    for cid in sorted(by_channel):
-        group = by_channel[cid]
-        weights = [1.0 / e.hop_distance for e in group]
+    for cid in sorted(estimates):
+        group = sorted(estimates[cid], key=itemgetter(0, 1))[:keep]
+        if not group:
+            continue
+        hops, _, gaussians = zip(*group)
+        weights = [1.0 / h for h in hops]
         wsum = sum(weights)
         if len(group) == 1:
             # weighting by w/w would only round the mean; its spread over
             # one mean is zero
-            mu, sigma = group[0].estimate.mean, 0.0
+            mu, sigma = gaussians[0].mean, 0.0
         else:
-            mu = sum(w * e.estimate.mean for w, e in zip(weights, group)) / wsum
-            var = sum(w * (e.estimate.mean - mu) ** 2 for w, e in zip(weights, group)) / wsum
+            mu = sum(w * g.mean for w, g in zip(weights, gaussians)) / wsum
+            var = sum(w * (g.mean - mu) ** 2 for w, g in zip(weights, gaussians)) / wsum
             sigma = math.sqrt(var)
         if sigma == 0.0:
-            sigma = sum(w * e.estimate.std for w, e in zip(weights, group)) / wsum
+            sigma = sum(w * g.std for w, g in zip(weights, gaussians)) / wsum
         edges[cid] = Gaussian(mu, sigma)
     return LatencyModel(edges=edges, traversal_weight=traversal_weight)
 

@@ -268,7 +268,7 @@ def _route_tree(g: ChannelGraph, dest: NodeId, amount_msat: int,
 def find_route(
     g: ChannelGraph,
     payment: Payment,
-    params: RoutingParams | None = None,
+    params: RoutingParams = RoutingParams(),
 ) -> PaymentPath | None:
     """Cheapest capacity-valid route, or None.
 
@@ -277,7 +277,6 @@ def find_route(
     trees dropped first past `_ROUTE_TREE_CELLS`.  `path_from_channels`
     then builds the hops, by the fee recursion the search used.
     """
-    params = params or RoutingParams()
     source, dest, amount = payment.source, payment.dest, payment.amount_msat
     if source not in g.nodes or dest not in g.nodes:
         raise KeyError("payment endpoints missing from graph")
@@ -306,7 +305,7 @@ def path_from_channels(
     start: NodeId,
     channel_ids: list[ChannelId],
     amount_msat: int,
-    params: RoutingParams | None = None,
+    params: RoutingParams = RoutingParams(),
 ) -> PaymentPath:
     """Build a concrete payment path along the given channels.
 
@@ -316,7 +315,6 @@ def path_from_channels(
     hop's time lock plus its own delta.  Route search, crafted probe
     payments and fixtures all build their hops here.
     """
-    params = params or RoutingParams()
     ends: list[tuple[ChannelId, NodeId, NodeId, DirectedPolicy]] = []
     node = start
     for cid in channel_ids:

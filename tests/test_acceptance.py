@@ -22,7 +22,7 @@ from pcnsim.harness import (
     run_experiment,
     run_single,
 )
-from pcnsim.latency import Gaussian, LatencyModel, aggregate_models, EdgeLatencyEstimate, path_distribution
+from pcnsim.latency import Gaussian, LatencyModel, aggregate_models, path_distribution
 from pcnsim.routing import Payment, find_route, path_from_channels
 from pcnsim.sim import ADD, FULFILL, PaymentEngine
 from conftest import make_graph, split_balances
@@ -159,10 +159,7 @@ def test_criterion_4_gaussian_arithmetic():
         and abs(total.variance - 13.0) <= 1e-9 * 13.0
     )
     agg = aggregate_models(
-        [
-            EdgeLatencyEstimate("c", Gaussian(10.0, 0.0), 10, "m0", 1),
-            EdgeLatencyEstimate("c", Gaussian(16.0, 0.0), 10, "m1", 2),
-        ]
+        {"c": [(1, "m0", Gaussian(10.0, 0.0)), (2, "m1", Gaussian(16.0, 0.0))]}, 2
     )
     agg_ok = abs(agg.edges["c"].mean - 12.0) <= 1e-9 * 12.0
     _report(4, sum_ok and agg_ok, "N(1,4)+N(2,9)=N(3,13) and 1/d-weighted mean = 12")

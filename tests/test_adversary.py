@@ -225,6 +225,8 @@ class TestEstimateEndpoint:
         obs = mk_obs(observer="m", edge="ghost")
         with pytest.raises(EstimationError):
             estimate_endpoint(obs, pub, model, AdversaryConfig(frozenset({"m"})))
+        with pytest.raises(EstimationError):
+            reduce_anonymity_set(obs, pub, AdversaryConfig(frozenset({"m"})))
 
 
 class TestFirstSpy:

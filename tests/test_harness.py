@@ -177,27 +177,25 @@ class TestBuildLatencyModel:
             g, split_balances(g), latencies, frozenset({"n000", "n003"}), cfg,
             np.random.SeedSequence(1),
         )
-        vantages = {e.source_vantage for e in estimates}
+        vantages = {vantage for group in estimates.values() for _, vantage, _ in group}
         assert vantages == {"n000", "n003"}
         assert len(model.edges) == 6
 
     def test_model_is_aggregate_of_kept_estimates(self):
         # one definition: the campaign's model is exactly aggregate_models of
-        # the estimates it keeps, single-vantage channels included
+        # the estimates it made, single-vantage channels included
         g = generate_synthetic_graph("ring", 6)
         latencies = assign_latencies(g, RegionLatencyTable(), rng_seed=0)
         cfg = tiny_cfg(probes_per_path=5, probe_max_depth=2, traversal_weight=4)
-        model, kept = build_latency_model(
+        model, estimates = build_latency_model(
             g, split_balances(g), latencies, frozenset({"n000", "n003"}), cfg,
             np.random.SeedSequence(3),
         )
-        vantages_per_channel = {}
-        for est in kept:
-            vantages_per_channel.setdefault(est.channel, set()).add(est.source_vantage)
-        single = [cid for cid, vs in vantages_per_channel.items() if len(vs) == 1]
-        assert single and len(single) < len(vantages_per_channel)
+        single = [cid for cid, group in estimates.items() if len(group) == 1]
+        assert single and len(single) < len(estimates)
         assert all(model.edges[cid].std > 0 for cid in single)
-        assert model == aggregate_models(kept, traversal_weight=cfg.traversal_weight)
+        assert model == aggregate_models(estimates, cfg.max_estimates_per_channel,
+                                         cfg.traversal_weight)
 
     def test_noisy_sigma_retained(self):
         g, latencies = make_graph(
@@ -444,7 +442,9 @@ class TestCli:
         ({"nodes": [{"pub_key": "A", "region": "EU"}, {"pub_key": "A", "region": "NA"}],
           "edges": []},
          "nodes[1]: duplicate pub_key A"),
-    ], ids=["node-without-pub-key", "top-level-list", "negative-capacity", "duplicate-pub-key"])
+        ({"nodes": [{"pub_key": "A"}], "edges": []}, "workload needs at least two nodes"),
+    ], ids=["node-without-pub-key", "top-level-list", "negative-capacity", "duplicate-pub-key",
+            "one-node"])
     def test_malformed_snapshot_clean_error(self, tmp_path, capsys, document, message):
         snap = tmp_path / "snapshot.json"
         snap.write_text(json.dumps(document))
@@ -452,6 +452,7 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("document, options", [
         ([1, 2], []),

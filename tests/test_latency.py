@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcnsim.latency import (
-    EdgeLatencyEstimate,
     Gaussian,
     InsufficientSamples,
     LatencyModel,
@@ -80,37 +79,47 @@ class TestNextHop:
 class TestAggregation:
     def test_single_estimate_keeps_mean_zero_spread(self):
         # a lone estimate has no cross-vantage spread, so its probe sigma stays
-        est = EdgeLatencyEstimate("c0", Gaussian(12.0, 3.0), 10, "m0", 2)
-        model = aggregate_models([est])
+        model = aggregate_models({"c0": [(2, "m0", Gaussian(12.0, 3.0))]}, 3)
         assert model.edges["c0"] == Gaussian(12.0, 3.0)
 
     def test_reciprocal_distance_weighting(self):
-        ests = [
-            EdgeLatencyEstimate("c0", Gaussian(10.0, 0.0), 10, "m0", 1),
-            EdgeLatencyEstimate("c0", Gaussian(16.0, 0.0), 10, "m1", 2),
-        ]
-        model = aggregate_models(ests)
+        ests = {"c0": [(1, "m0", Gaussian(10.0, 0.0)), (2, "m1", Gaussian(16.0, 0.0))]}
+        model = aggregate_models(ests, 3)
         assert model.edges["c0"].mean == pytest.approx(12.0, rel=1e-12)
 
     def test_identical_estimates_any_distance(self):
-        ests = [
-            EdgeLatencyEstimate("c0", Gaussian(9.0, 1.0), 10, "m0", d) for d in (1, 2, 3)
-        ]
-        model = aggregate_models(ests)
+        ests = {"c0": [(d, "m0", Gaussian(9.0, 1.0)) for d in (1, 2, 3)]}
+        model = aggregate_models(ests, 3)
         assert model.edges["c0"].mean == pytest.approx(9.0)
         assert model.edges["c0"].std == 1.0  # no spread: the probes' weighted sigma
 
     @given(perm=st.permutations(range(4)))
     @settings(max_examples=20, deadline=None)
     def test_permutation_invariant(self, perm):
-        base = [
-            EdgeLatencyEstimate("c0", Gaussian(10.0 + i, 0.5), 10, f"m{i}", i + 1)
-            for i in range(4)
-        ]
-        reference = aggregate_models(base).edges["c0"]
-        shuffled = aggregate_models([base[i] for i in perm]).edges["c0"]
-        assert shuffled.mean == pytest.approx(reference.mean, rel=1e-12)
-        assert shuffled.std == pytest.approx(reference.std, rel=1e-12)
+        # ranking happens inside: any order keeps and sums the same three
+        base = [(i + 1, f"m{i}", Gaussian(10.0 + i, 0.5)) for i in range(4)]
+        reference = aggregate_models({"c0": base}, 3)
+        assert aggregate_models({"c0": [base[i] for i in perm]}, 3) == reference
+
+    def test_keeps_nearest_by_distance_then_vantage(self):
+        ests = {
+            "c0": [
+                (2, "m3", Gaussian(40.0, 1.0)),
+                (1, "m9", Gaussian(10.0, 1.0)),
+                (2, "m1", Gaussian(16.0, 1.0)),
+                (3, "m0", Gaussian(90.0, 1.0)),
+            ],
+            "c1": [(1, "m0", Gaussian(5.0, 2.0))],
+        }
+        kept = [(1, "m9", Gaussian(10.0, 1.0)), (2, "m1", Gaussian(16.0, 1.0))]
+        model = aggregate_models(ests, 2)
+        assert model.edges["c0"] == aggregate_models({"c0": kept}, 4).edges["c0"]
+        assert model.edges["c0"].mean == pytest.approx(12.0, rel=1e-12)  # m1 wins the tie
+        assert model.edges["c1"] == Gaussian(5.0, 2.0)
+
+    def test_keep_zero_models_no_edge(self):
+        model = aggregate_models({"c0": [(1, "m0", Gaussian(10.0, 1.0))]}, 0)
+        assert model.edges == {}
 
 
 class TestPathDistribution:
