@@ -7,10 +7,11 @@ attempt and time the gap until the retried attempt is committed at them.
 Either time difference grows with the observer's distance from the
 respective endpoint, so ranking candidate endpoints by the likelihood of
 the observed difference under per-edge Gaussian latency models yields a
-maximum-likelihood guess.  A First-Spy estimator (guess the adjacent node)
-serves as the baseline.  `AdversaryObserver` is the engine's behaviour:
-each malicious node makes its choice, to fail or to forward and time, when
-an add is committed at it.
+maximum-likelihood guess.  A best-first search finds that guess without
+walking the candidate chains that cannot beat it.  A First-Spy estimator
+(guess the adjacent node) serves as the baseline.  `AdversaryObserver` is
+the engine's behaviour: each malicious node makes its choice, to fail or to
+forward and time, when an add is committed at it.
 
 Both candidate-path walks, the anonymity-set reduction and the estimator,
 cross to a neighbour over each channel the victim's route search could have
@@ -24,12 +25,13 @@ a node's channels per neighbour.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .graph import ChannelGraph, NodeId
-from .latency import LatencyModel, normal_logpdf
+from .graph import Channel, ChannelGraph, NodeId
+from .latency import LatencyModel, logpdf_bound, normal_logpdf
 from .routing import Hop, RoutingParams, TraversalRules, feasible_endpoints
 from .sim import HopView, NodeBehavior
 
@@ -37,6 +39,8 @@ TOWARD_SOURCE = "toward-source"
 TOWARD_DESTINATION = "toward-destination"
 
 SIGMA_FLOOR_MS = 0.1
+# Relative slack on the search bound; see `estimate_endpoint`.
+_PRUNE_MARGIN = 1e-9
 
 
 class EstimationError(RuntimeError):
@@ -84,9 +88,16 @@ class Observation:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """An estimator's guess for one payment's source or destination.
+
+    `candidates` is the 1-tuple `((node, loglik),)` of the guessed
+    endpoint: the likeliest one for `estimate_endpoint`, the anchor with
+    0.0 for `first_spy_estimate`.
+    """
+
     payment_id: str
     target: str  # "source" | "destination"
-    candidates: tuple[tuple[NodeId, float], ...]  # sorted by descending loglik
+    candidates: tuple[tuple[NodeId, float], ...]
 
     @property
     def top(self) -> NodeId:
@@ -186,8 +197,11 @@ class AdversaryObserver(NodeBehavior):
 # anonymity-set reduction
 
 
-def _anchor_of(obs: Observation, g: ChannelGraph) -> NodeId:
-    return g.channels[obs.edge_observed].other_end(obs.observer)
+def _observed_channel(obs: Observation, g: ChannelGraph) -> Channel:
+    channel = g.channels.get(obs.edge_observed)
+    if channel is None:
+        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
+    return channel
 
 
 def _walk_setup(obs: Observation, g: ChannelGraph, cfg: AdversaryConfig):
@@ -204,9 +218,7 @@ def _walk_setup(obs: Observation, g: ChannelGraph, cfg: AdversaryConfig):
     edge's fee first; the lock budget is unbounded from below.  An observed
     edge the graph lacks raises EstimationError.
     """
-    channel = g.channels.get(obs.edge_observed)
-    if channel is None:
-        raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
+    channel = _observed_channel(obs, g)
     anchor = channel.other_end(obs.observer)
     if obs.direction == TOWARD_DESTINATION:
         budget = None
@@ -254,31 +266,59 @@ def estimate_endpoint(
     cfg: AdversaryConfig,
     params: RoutingParams = RoutingParams(),
 ) -> EstimationResult:
-    """Rank candidate endpoints by the likelihood of the observed delta-t.
+    """The likeliest endpoint under the observed delta-t.
 
-    Iterative traversal seeded with the known first hop across the observed
-    edge.  A candidate path is extended to a neighbor only while the
-    extension strictly increases the log-density of delta-t along that
-    chain (the only-increasing-likelihood rule) and stays feasible for the
-    observed amount and lock budget; each node's reported likelihood is the
-    best over the chains that reached it.  All visited candidates are
-    returned ranked, ties broken by node id.
+    A candidate chain starts with the known first hop across the observed
+    edge and is extended to a neighbour only while the extension strictly
+    increases the log-density of delta-t along it (the only-increasing-
+    likelihood rule) and stays feasible for the observed amount and lock
+    budget.  The endpoint is the node that some chain reaches with the
+    highest log-likelihood, ties going to the least node id; the result
+    holds that one (node, log-likelihood) pair.
+
+    Chains are extended best-first by `logpdf_bound`, the most any of their
+    extensions can reach: every edge mean is non-negative, as every model
+    the probing campaign builds has, so an extension's mean and variance are
+    at least its prefix's.  A chain whose bound, plus a margin of
+    `_PRUNE_MARGIN` times one more than the bound's magnitude, falls below
+    the best log-likelihood found is not extended, and the search stops
+    when the best chain left is such a chain.  Ties survive: a chain whose
+    bound equals the best is still extended.
+
+    Why the stop is exact in floating point: the rounded sums of
+    non-negative terms never fall below their prefix's under
+    round-to-nearest, so a longer chain's float mean and variance are at
+    least its prefix's, and `sqrt` and `log` are monotone to within an
+    ulp.  The computed log-density and bound each lie within
+    a few ulps of their terms (z^2 / 2, |log sigma|, log(2 pi) / 2) of the
+    exact values for those floats.  Where an extension's log-density comes
+    near the bound, z is at most about 1 and, with sigma at least
+    `SIGMA_FLOOR_MS`, every term is a small multiple of 1 + |bound|; the
+    margin, 1e-9 of that, is millions of ulps wide.  So no pruned chain
+    had an extension that ties or beats the best, and the result is the
+    one the full walk gives (`tests/oracles.py` `reference_estimate`).
     """
     anchor, seed, rules = _walk_setup(obs, g, cfg)
     t_weight = model.traversal_weight
     delta_ms = obs.delta_t_ms
     floor = SIGMA_FLOOR_MS
 
+    def reach(mean: float, var: float) -> float:
+        bound = logpdf_bound(delta_ms, mean, var, floor)
+        return bound + _PRUNE_MARGIN * (1.0 + abs(bound))
+
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean
     var0 = t_weight * g0.variance
-    ll0 = normal_logpdf(delta_ms, mean0, math.sqrt(var0), floor)
-    best_ll: dict[NodeId, float] = {anchor: ll0}
-    queue: deque[tuple[NodeId, float, float, int, int, frozenset[NodeId], float]] = deque(
-        [(anchor, mean0, var0, seed, 0, frozenset({obs.observer, anchor}), ll0)]
-    )
-    while queue:
-        cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = queue.popleft()
+    best_ll = normal_logpdf(delta_ms, mean0, math.sqrt(var0), floor)
+    best_node = anchor
+    order = itertools.count()  # breaks ties in reach before the states compare
+    heap = [(-reach(mean0, var0), next(order), anchor, mean0, var0, seed, 0,
+             frozenset({obs.observer, anchor}), best_ll)]
+    while heap:
+        neg_reach, _, cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = heapq.heappop(heap)
+        if -neg_reach < best_ll:
+            break  # no chain left can reach the best guess
         for nb, sides in g.neighbour_groups(cur):
             if nb in on_path:
                 continue  # before choosing its channel: that choice would be dropped
@@ -289,22 +329,22 @@ def estimate_endpoint(
                 ll_n = normal_logpdf(delta_ms, mean_n, math.sqrt(var_n), floor)
                 if ll_n <= ll_cur:
                     continue  # only increasing likelihood
-                if ll_n > best_ll.get(nb, -math.inf):
-                    best_ll[nb] = ll_n
-                queue.append((nb, mean_n, var_n, step[0], step[1], on_path | {nb}, ll_n))
-    ranked = tuple(
-        sorted(best_ll.items(), key=lambda item: (-item[1], item[0]))
-    )
+                if ll_n > best_ll or (ll_n == best_ll and nb < best_node):
+                    best_ll, best_node = ll_n, nb
+                r = reach(mean_n, var_n)
+                if r >= best_ll:
+                    heapq.heappush(heap, (-r, next(order), nb, mean_n, var_n, step[0], step[1],
+                                          on_path | {nb}, ll_n))
     return EstimationResult(
         payment_id=obs.payment_id,
         target="destination" if obs.direction == TOWARD_DESTINATION else "source",
-        candidates=ranked,
+        candidates=((best_node, best_ll),),
     )
 
 
 def first_spy_estimate(obs: Observation, g: ChannelGraph) -> EstimationResult:
     """Baseline: the node adjacent across the observed edge is the endpoint."""
-    anchor = _anchor_of(obs, g)
+    anchor = _observed_channel(obs, g).other_end(obs.observer)
     return EstimationResult(
         payment_id=obs.payment_id,
         target="destination" if obs.direction == TOWARD_DESTINATION else "source",

@@ -156,6 +156,11 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if self.probes_per_path == 1:
+            raise ConfigError(
+                "probes_per_path must be 0 (no probing) or >= 2, since an edge "
+                "estimate needs two probes; got 1"
+            )
         try:
             self.routing_params()
         except ValueError as exc:

@@ -39,6 +39,26 @@ def normal_logpdf(x: float, mean: float, std: float, sigma_floor: float = 0.0) -
     return -0.5 * z * z - math.log(s) - _HALF_LOG_2PI
 
 
+def logpdf_bound(x: float, mean: float, var: float, sigma_floor: float) -> float:
+    """Upper bound on `normal_logpdf(x, m, sqrt(v), sigma_floor)` over every
+    m >= mean and v >= var.
+
+    With s = max(sqrt(var), sigma_floor): at or below x the best mean is x
+    itself, with the least sigma s; above it the mean can only move away
+    from x, and for a distance d = mean - x the density in sigma peaks at
+    sigma d, so the bound takes sigma max(s, d).
+
+    Both branches evaluate `normal_logpdf`, so the bound rounds as the
+    densities it covers do; `adversary.estimate_endpoint` states the
+    margin, relative to the bound's magnitude, that makes pruning on it
+    exact in floating point.
+    """
+    s = max(math.sqrt(var), sigma_floor)
+    if mean <= x:
+        return normal_logpdf(x, x, s)
+    return normal_logpdf(x, mean, max(s, mean - x))
+
+
 @dataclass
 class LatencyModel:
     """Per-channel Gaussian latency map used by the timing estimators."""

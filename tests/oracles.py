@@ -15,6 +15,9 @@ its source settles.
 walks as they were written before they read the graph's neighbour groups:
 every choice of channel rescans all channels at the node.  They
 share `_walk_setup` and `TraversalRules.step` with the walks under test.
+`reference_estimate` is also the full breadth-first walk that ranks every
+node it reaches; the best-first `estimate_endpoint` returns its first
+candidate.
 
 Every walk here picks a node pair's channels by the rule route search
 uses: a channel the payment could cross (`_can_cross`) is taken when it is
@@ -434,7 +437,8 @@ def reference_anonymity_set(obs, g, cfg, params=None) -> frozenset[NodeId]:
 
 
 def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
-    """`adversary.estimate_endpoint` over `_reference_edges`."""
+    """Every node an increasing chain reaches, ranked by its best
+    log-likelihood, ties by node id, over `_reference_edges`."""
     params = params or RoutingParams()
     if obs.edge_observed not in g.channels:
         raise EstimationError(f"observed edge {obs.edge_observed} not in graph")

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,7 @@ from oracles import (
     reference_estimate,
 )
 from pipeline import simulate_observations, true_latency_model
+from test_routing import multigraphs
 
 MS = 1_000_000
 
@@ -217,8 +221,7 @@ class TestEstimateEndpoint:
         cfg = AdversaryConfig(frozenset({"m"}))
         runs = [estimate_endpoint(obs, pub, model, cfg) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
-        lls = [ll for _, ll in runs[0].candidates]
-        assert lls == sorted(lls, reverse=True)
+        assert runs[0].candidates == reference_estimate(obs, pub, model, cfg).candidates[:1]
 
     def test_unknown_edge_raises(self):
         pub, model = line_model_fixture()
@@ -227,6 +230,20 @@ class TestEstimateEndpoint:
             estimate_endpoint(obs, pub, model, AdversaryConfig(frozenset({"m"})))
         with pytest.raises(EstimationError):
             reduce_anonymity_set(obs, pub, AdversaryConfig(frozenset({"m"})))
+        with pytest.raises(EstimationError):
+            first_spy_estimate(obs, pub)
+
+    def test_benchmark_note_reads_result(self):
+        # the benchmark's traced runs note every estimate through this hook
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        pub, model = line_model_fixture()
+        obs = mk_obs(observer="m", edge="e1", amount=100_000, timelock=120, t1=119 * MS)
+        args = (obs, pub, model, AdversaryConfig(frozenset({"m"})), RoutingParams())
+        note = tracing.NOTES["adversary.estimate"]
+        assert note(args, {}, estimate_endpoint(*args)) == (1, False)
 
 
 class TestFirstSpy:
@@ -332,7 +349,7 @@ def walk_cases(draw):
     rates = st.sampled_from([0, 1, 10, 5000])
     deltas = st.sampled_from([0, 9, 40, 144])
     enabled = st.sampled_from([True, True, True, True, False])
-    rows, edges = [], {}
+    rows = []
     for i, j in pairs:
         for _ in range(draw(st.integers(1, 3))):
             cid = f"c{len(rows):02d}"
@@ -342,10 +359,19 @@ def walk_cases(draw):
                 over |= {f"base_fee_{side}": draw(fees), f"rate_ppm_{side}": draw(rates),
                          f"delta_{side}": draw(deltas), f"enabled_{side}": draw(enabled)}
             rows.append((cid, names[i], names[j], over))
-            if draw(st.booleans()):  # otherwise the model falls back to its default
-                edges[cid] = Gaussian(draw(st.floats(1.0, 80.0)), draw(st.floats(0.0, 20.0)))
     pub, _ = make_graph(names, rows)
-    observer = names[draw(st.integers(0, n - 1))]
+    return (pub, *draw(observed_on(pub, amount)))
+
+
+@st.composite
+def observed_on(draw, pub, amount):
+    """Latency-model entries for some of `pub`'s channels and one observation
+    of `amount` at a node with channels: (edges, obs, cfg, params)."""
+    edges = {}
+    for cid in sorted(pub.channels):
+        if draw(st.booleans()):  # otherwise the model falls back to its default
+            edges[cid] = Gaussian(draw(st.floats(1.0, 80.0)), draw(st.floats(0.0, 20.0)))
+    observer = draw(st.sampled_from(sorted(n for n in pub.nodes if pub.channels_at(n))))
     obs = Observation(
         payment_id="p0",
         observer=observer,
@@ -360,22 +386,32 @@ def walk_cases(draw):
         frozenset({observer}), timelock_reduction_enabled=draw(st.booleans())
     )
     params = RoutingParams(risk_factor=draw(st.sampled_from([0.0, 1.5e-8, 1e-5])))
-    return pub, edges, obs, cfg, params
+    return edges, obs, cfg, params
 
 
 class TestReferenceWalk:
-    """The walks over neighbour groups give what the rescanning walks gave."""
+    """The walks over neighbour groups give what the rescanning walks gave:
+    the estimate is the full walk's first candidate."""
 
     @given(case=walk_cases())
     @settings(max_examples=250, deadline=None)
     def test_matches_reference(self, case):
-        pub, edges, obs, cfg, params = case
+        self.check(*case)
+
+    @given(g=multigraphs(fee_kinds=("mixed",)), amount=st.integers(500, 2_000_000),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_mixed_fee_multigraphs(self, g, amount, data):
+        self.check(g, *data.draw(observed_on(g, amount)))
+
+    @staticmethod
+    def check(pub, edges, obs, cfg, params):
         # channels without an entry take the default, which sits among the
         # drawn means so that the likelihood walks get past the anchor
         model, ref_model = (LatencyModel(dict(edges), default=Gaussian(40.0, 10.0)) for _ in range(2))
-        assert estimate_endpoint(obs, pub, model, cfg, params) == reference_estimate(
+        assert estimate_endpoint(obs, pub, model, cfg, params).candidates == reference_estimate(
             obs, pub, ref_model, cfg, params
-        )
+        ).candidates[:1]
         assert reduce_anonymity_set(obs, pub, cfg, params) == reference_anonymity_set(
             obs, pub, cfg, params
         )
@@ -493,9 +529,9 @@ class TestStarvedParallelChannel:
             seed_amount=seed_amt, direction=direction, budget=budget,
         )
         assert top == "b"
-        result = estimate_endpoint(obs, g, model, cfg)
-        assert result.top == top
-        assert {node for node, _ in result.candidates} == {"a", "b"}
+        assert estimate_endpoint(obs, g, model, cfg).top == top
+        reference = reference_estimate(obs, g, model, cfg)
+        assert {node for node, _ in reference.candidates} == {"a", "b"}
 
 
 def amount_dependent_channel_case():
@@ -544,9 +580,9 @@ class TestAmountDependentParallelChannel:
             seed_amount=seed_amt, direction=direction, budget=budget,
         )
         assert top == "c"
-        result = estimate_endpoint(obs, g, model, cfg)
-        assert result.top == top
-        assert {node for node, _ in result.candidates} == {"a", "b", "c"}
+        assert estimate_endpoint(obs, g, model, cfg).top == top
+        reference = reference_estimate(obs, g, model, cfg)
+        assert {node for node, _ in reference.candidates} == {"a", "b", "c"}
 
 
 class TestObservationExport:

@@ -461,6 +461,7 @@ class TestCli:
         ({**SMALL_RUN, "amounts_sat": ["10"]}, []),
         ({**SMALL_RUN, "traversal_weight": 0}, []),
         ({**SMALL_RUN, "probes_per_path": -1}, []),
+        ({**SMALL_RUN, "probes_per_path": 1}, []),
         ({**SMALL_RUN, "payments_per_run": 0}, []),
         ({**SMALL_RUN, "risk_factor": -1}, []),
         ({**SMALL_RUN, "final_cltv_delta": -3}, []),
@@ -481,7 +482,7 @@ class TestCli:
         ({**SMALL_RUN, "scenario": "random", "m": 5}, []),
     ], ids=[
         "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
-        "zero-traversal-weight", "negative-probes", "zero-payments",
+        "zero-traversal-weight", "negative-probes", "one-probe", "zero-payments",
         "negative-risk-factor", "negative-final-cltv-delta", "node-list-not-a-list",
         "infinite-risk-factor", "fractional-repetitions", "string-seed", "boolean-m",
         "fractional-payments", "string-retry-attack", "negative-seed",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcnsim.latency import (
     Gaussian,
@@ -10,9 +10,11 @@ from pcnsim.latency import (
     LatencyModel,
     aggregate_models,
     estimate_next_hop,
+    logpdf_bound,
     normal_logpdf,
     path_distribution,
 )
+from pcnsim.adversary import _PRUNE_MARGIN
 from pcnsim.graph import RegionLatencyTable
 from pcnsim.routing import path_from_channels
 from pcnsim.sim import probe_batch
@@ -36,6 +38,24 @@ class TestGaussian:
         with pytest.raises(ValueError):
             normal_logpdf(1.0, 1.0, 0.0)
         assert normal_logpdf(1.0, 1.0, 0.0, sigma_floor=0.1) > 0  # peak of a tight pdf
+
+    @given(
+        x=st.floats(0.0, 1e7),
+        mean=st.floats(0.0, 1e7),
+        more_mean=st.floats(0.0, 1e7),
+        var=st.floats(0.0, 1e10),
+        more_var=st.floats(0.0, 1e10),
+        floor=st.sampled_from([1e-300, 1e-9, 0.1, 25.0]),
+    )
+    @example(x=1e7, mean=0.0, more_mean=0.0, var=0.0, more_var=5e-324, floor=1e-300)  # huge z
+    @example(x=0.0, mean=1e7, more_mean=1e-9, var=1e-300, more_var=0.0, floor=1e-300)
+    @example(x=30.0, mean=20.0, more_mean=10.0, var=4.0, more_var=0.0, floor=0.1)  # attained
+    @settings(max_examples=500, deadline=None)
+    def test_bound_covers_every_extension(self, x, mean, more_mean, var, more_var, floor):
+        # an extension adds non-negative terms to its prefix's mean and variance
+        bound = logpdf_bound(x, mean, var, floor)
+        extended = normal_logpdf(x, mean + more_mean, math.sqrt(var + more_var), floor)
+        assert extended <= bound + _PRUNE_MARGIN * (1.0 + abs(bound))
 
 
 class TestFirstHop:
