@@ -18,9 +18,9 @@ cross to a neighbour over each channel the victim's route search could have
 picked (`TraversalRules.cross`): among the channels that can carry the
 amount in the payment's direction, the cheapest at that amount under the
 policy the payment crossed it by.  They pick inside the graph's neighbour
-groups (`ChannelGraph.neighbour_groups`), which hold each node's channels
-grouped by neighbour and are built once per graph, so a walk never rescans
-a node's channels per neighbour.
+groups (`ChannelGraph.neighbour_groups`), which hold every node's channels
+grouped by neighbour and are built in one pass once per graph; a walk
+fetches them once and never rescans a node's channels per neighbour.
 """
 
 from __future__ import annotations
@@ -315,11 +315,12 @@ def estimate_endpoint(
     order = itertools.count()  # breaks ties in reach before the states compare
     heap = [(-reach(mean0, var0), next(order), anchor, mean0, var0, seed, 0,
              frozenset({obs.observer, anchor}), best_ll)]
+    groups = g.neighbour_groups()
     while heap:
         neg_reach, _, cur, mean_c, var_c, amount_c, delta_c, on_path, ll_cur = heapq.heappop(heap)
         if -neg_reach < best_ll:
             break  # no chain left can reach the best guess
-        for nb, sides in g.neighbour_groups(cur):
+        for nb, sides in groups[cur]:
             if nb in on_path:
                 continue  # before choosing its channel: that choice would be dropped
             for side, step in rules.cross(sides, amount_c, delta_c, params):

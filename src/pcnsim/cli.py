@@ -102,6 +102,9 @@ def load_graph(args):
 
 
 _TABLE_COLUMNS = ("region_a", "region_b", "rtt_mean_ms", "rtt_std_ms")
+# A 1000 s round trip, thousands of times the slowest default; latency
+# draws in int64 nanoseconds keep millions of sigmas of room above it.
+_MAX_RTT_MS = 1e6
 
 
 def _load_table(path) -> RegionLatencyTable:
@@ -120,8 +123,9 @@ def _load_table(path) -> RegionLatencyTable:
                 mean, std = float(r["rtt_mean_ms"]), float(r["rtt_std_ms"])
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-            if not (mean >= 0 and std >= 0):
-                raise ConfigError(f"{where}: round-trip time must be non-negative")
+            if not (0 <= mean <= _MAX_RTT_MS and 0 <= std <= _MAX_RTT_MS):
+                raise ConfigError(
+                    f"{where}: round-trip time must be from 0 to {_MAX_RTT_MS:.0f} ms")
             rows.append((r["region_a"], r["region_b"], mean, std))
     return RegionLatencyTable.from_rows(rows)
 

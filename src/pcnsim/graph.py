@@ -125,12 +125,7 @@ class ChannelGraph:
 
     nodes: dict[NodeId, Node] = field(default_factory=dict)
     channels: dict[ChannelId, Channel] = field(default_factory=dict)
-    adjacency: dict[NodeId, list[ChannelId]] = field(default_factory=dict)
     rejections: list[str] = field(default_factory=list)
-    # node -> its neighbour groups; filled on first use, emptied by add_channel
-    _groups: dict[NodeId, tuple[NeighbourGroup, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
     # key -> a result derived from the graph alone (`derived`); filled on
     # first use, emptied by add_node and add_channel
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -139,7 +134,6 @@ class ChannelGraph:
         if not node.id:
             raise ValueError("node id must be non-empty")
         self.nodes[node.id] = node
-        self.adjacency.setdefault(node.id, [])
         self._derived.clear()
 
     def add_channel(self, channel: Channel) -> None:
@@ -148,20 +142,17 @@ class ChannelGraph:
         if channel.u not in self.nodes or channel.v not in self.nodes:
             raise KeyError(f"channel {channel.id} references unknown node")
         self.channels[channel.id] = channel
-        self.adjacency[channel.u].append(channel.id)
-        self.adjacency[channel.v].append(channel.id)
-        self._groups.clear()
         self._derived.clear()
 
     def derived(self, key, build):
         """`build()`, called once per `key` and kept until the graph changes.
 
         For work that depends only on the public graph and `key` (the
-        betweenness ranking, probe paths, route trees), so that every run
-        of an experiment shares it and a kept result is exactly what a
-        fresh `build()` would return.  Channels and their policies are
-        frozen, so no caller edits one under a kept result, and
-        `add_node` and `add_channel` drop every kept result.
+        neighbour groups, the betweenness ranking, probe paths, route
+        trees), so that every run of an experiment shares it and a kept
+        result is exactly what a fresh `build()` would return.  Channels
+        and their policies are frozen, so no caller edits one under a kept
+        result, and `add_node` and `add_channel` drop every kept result.
         """
         try:
             return self._derived[key]
@@ -169,25 +160,24 @@ class ChannelGraph:
             value = self._derived[key] = build()
             return value
 
-    def channels_at(self, node: NodeId) -> list[Channel]:
-        return [self.channels[cid] for cid in self.adjacency.get(node, [])]
+    def neighbour_groups(self) -> dict[NodeId, tuple[NeighbourGroup, ...]]:
+        """Every node's channels grouped by neighbour: the one per-node index.
 
-    def neighbour_groups(self, node: NodeId) -> tuple[NeighbourGroup, ...]:
-        """`node`'s channels grouped by neighbour, groups sorted by neighbour id.
-
-        Built once per node and kept until the next `add_channel`, so the
-        candidate-path walks of every run choose among a node pair's
-        channels without rescanning every channel at the node.
+        Maps each node to its groups, sorted by neighbour id, `()` for a
+        node with no channel; a group's channels keep the order the graph
+        added them.  Built in one pass over the channels and kept
+        (`derived`), so betweenness, the probing campaign, route search and
+        the candidate-path walks all read one index built once per graph.
         """
-        groups = self._groups.get(node)
-        if groups is None:
-            by_neighbour: dict[NodeId, list[ChannelSide]] = {}
-            for ch in self.channels_at(node):
-                nb = ch.other_end(node)
-                by_neighbour.setdefault(nb, []).append((ch, ch.policy_from(node), ch.policy_from(nb)))
-            groups = tuple((nb, tuple(by_neighbour[nb])) for nb in sorted(by_neighbour))
-            self._groups[node] = groups
-        return groups
+        def build():
+            by_node: dict[NodeId, dict[NodeId, list[ChannelSide]]] = {n: {} for n in self.nodes}
+            for ch in self.channels.values():
+                by_node[ch.u].setdefault(ch.v, []).append((ch, ch.policy_uv, ch.policy_vu))
+                by_node[ch.v].setdefault(ch.u, []).append((ch, ch.policy_vu, ch.policy_uv))
+            return {node: tuple((nb, tuple(sides[nb])) for nb in sorted(sides))
+                    for node, sides in by_node.items()}
+
+        return self.derived("neighbour groups", build)
 
 
 class ConservationError(AssertionError):
@@ -484,30 +474,27 @@ def betweenness_ranking(g: ChannelGraph) -> list[NodeId]:
 
 def _ranking(g: ChannelGraph) -> tuple[NodeId, ...]:
     ids = sorted(g.nodes)
-    scores = _betweenness_scores(ids, g.channels.values())
+    scores = _betweenness_scores(ids, g.neighbour_groups())
     rounded = [float(f"{s:.9e}") for s in scores]
     order = sorted(range(len(ids)), key=lambda i: (-rounded[i], ids[i]))
     return tuple(ids[i] for i in order)
 
 
-def _betweenness_scores(ids: list[NodeId], channels) -> np.ndarray:
+def _betweenness_scores(ids: list[NodeId], groups) -> np.ndarray:
     """Unnormalised betweenness of each node in `ids` (Brandes 2001).
 
-    All sources of a batch are searched at once, one BFS level at a time,
-    in (nodes, sources) arrays: a forward pass counts shortest paths
+    The edges are the neighbour groups (`ChannelGraph.neighbour_groups`):
+    one directed edge per node and neighbour, however many channels join
+    them.  All sources of a batch are searched at once, one BFS level at a
+    time, in (nodes, sources) arrays: a forward pass counts shortest paths
     (`sigma`) level by level, a backward pass accumulates dependencies with
     delta(v) += sigma(v) * sum over successors w of (1 + delta(w)) / sigma(w).
     Every unordered pair is counted from both ends, so the sum is halved.
     """
     n = len(ids)
     index = {node: i for i, node in enumerate(ids)}
-    pairs = {
-        (min(a, b), max(a, b))
-        for a, b in ((index[ch.u], index[ch.v]) for ch in channels)
-    }
-    ends = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    src = np.concatenate([ends[:, 0], ends[:, 1]])
-    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    edges = [(i, index[nb]) for i, node in enumerate(ids) for nb, _ in groups[node]]
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     degree = np.bincount(src, minlength=n)
     # Renumber rows by descending degree, so that the j-th neighbour slot
     # exists for a prefix of the rows: slot j lists, for rows 0..len-1, the

@@ -326,17 +326,18 @@ def probe_plan(
     tree: dict[NodeId, list[str]] = {vantage: []}
     frontier = [vantage]
     depth = 0
+    groups = g.neighbour_groups()
     while frontier and depth < max_depth:
         nxt = []
         for node in frontier:
-            for ch in sorted(g.channels_at(node), key=lambda c: c.id):
-                if not ch.policy_from(node).enabled:
-                    continue
-                other = ch.other_end(node)
-                if other in dist:
+            # channel ids are unique, so the sort never compares further
+            steps = sorted((ch.id, nb, policy_out)
+                           for nb, sides in groups[node] for ch, policy_out, _ in sides)
+            for cid, other, policy_out in steps:
+                if not policy_out.enabled or other in dist:
                     continue
                 dist[other] = depth + 1
-                tree[other] = tree[node] + [ch.id]
+                tree[other] = tree[node] + [cid]
                 nxt.append(other)
         frontier = nxt
         depth += 1
@@ -426,21 +427,6 @@ def build_latency_model(
 # single run
 
 
-def _route_workload(
-    g: ChannelGraph,
-    workload: list[tuple[NodeId, NodeId, int]],
-    params: RoutingParams,
-) -> list[PaymentPath | None]:
-    """`find_route` for every payment, in workload order.
-
-    Routes depend only on the graph, the destination, the amount and the
-    params, and no payment changes the graph, so every payment to one
-    destination and amount follows one route tree that the graph keeps
-    across the runs of an experiment.
-    """
-    return [find_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
-
-
 def run_single(
     base_graph: ChannelGraph,
     cfg: ScenarioConfig,
@@ -469,7 +455,7 @@ def run_single(
     truth: GroundTruth = {}
     unrouted = 0
     outcomes = []
-    paths = _route_workload(g, workload, params)
+    paths = [find_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
     for i, ((s, t, amount), path) in enumerate(zip(workload, paths)):
         pid = f"p{amount_sat}s{seed}n{i:05d}"
         if path is None:

@@ -237,13 +237,14 @@ def _route_tree(g: ChannelGraph, dest: NodeId, amount_msat: int,
     succ: dict[NodeId, ChannelId] = {}
     heap: list[tuple[float, int, NodeId]] = [(0.0, 0, dest)]
     settled: set[NodeId] = set()
+    groups = g.neighbour_groups()
     while heap:
         w_u, hops_u, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled.add(u)
         amount_over_edge = req_in[u]
-        for x, sides in g.neighbour_groups(u):
+        for x, sides in groups[u]:
             if x in settled:
                 continue
             # x would forward toward u: the walk from u crosses against
@@ -356,9 +357,10 @@ def feasible_endpoints(
     """
     members = {anchor}
     stack = [(anchor, amount_msat, 0, frozenset({anchor}) | forbidden)]
+    groups = g.neighbour_groups()
     while stack:
         node, amount, delta_used, visited = stack.pop()
-        for nxt_node, sides in g.neighbour_groups(node):
+        for nxt_node, sides in groups[node]:
             if nxt_node in visited:
                 continue
             for _, state in rules.cross(sides, amount, delta_used, params):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcnsim.graph import Channel, ChannelGraph, DirectedPolicy, Node
+from pcnsim.graph import Channel, ChannelGraph, DirectedPolicy, Node, init_balances
 from pcnsim.latency import Gaussian
 from pcnsim.sim import NodeBehavior
 
@@ -46,14 +46,10 @@ def make_graph(nodes, channels, capacity_sat=1_000_000, base_fee=1_000,
     return g, latencies
 
 
-def split_balances(g):
-    """Half of each channel's capacity to either end, the odd msat to u."""
-    balances = {}
-    for cid, ch in g.channels.items():
-        half = ch.capacity_msat // 2
-        balances[cid, ch.u] = ch.capacity_msat - half
-        balances[cid, ch.v] = half
-    return balances
+def channels_at(g, node):
+    """The channels at `node`, in the order the graph added them, found by
+    scanning every channel rather than through the graph's own index."""
+    return [ch for ch in g.channels.values() if node in (ch.u, ch.v)]
 
 
 @pytest.fixture
@@ -68,7 +64,7 @@ def line_graph():
         ["a", "b", "c", "d"],
         [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "d")],
     )
-    return g, split_balances(g), latencies
+    return g, init_balances(g), latencies
 
 
 class RejectAt(NodeBehavior):

@@ -3,8 +3,10 @@
 Everything here recomputes results from first principles (exhaustive
 enumeration over simple paths, direct formula evaluation) without calling
 the search code under test, so the two routes to each answer stay
-independent.  `ReferenceEngine` is the payment engine as it was written
-before `PaymentEngine` became one loop over message records: a chain of
+independent.  The brute-force oracles find a node's channels by scanning
+every channel (`conftest.channels_at`), not through the graph's own index.
+`ReferenceEngine` is the payment engine as it was written before
+`PaymentEngine` became one loop over message records: a chain of
 closures, one pair per message, that the loop must match draw for draw.
 It runs one behaviour through the same two hooks: `on_commit`, whose
 return rejects the add, and `on_fulfill`.
@@ -65,6 +67,7 @@ from pcnsim.sim import (
     _check_hops,
     sample_latency,
 )
+from conftest import channels_at
 
 
 def fee(policy, amount):
@@ -124,7 +127,7 @@ def _simple_paths(g, source, dest):
         if node == dest:
             out.append(list(channels))
             return
-        for ch in g.channels_at(node):
+        for ch in channels_at(g, node):
             other = ch.other_end(node)
             if other in visited:
                 continue
@@ -192,7 +195,7 @@ def reference_route(g, payment, params=None) -> PaymentPath | None:
             continue
         settled.add(u)
         amount_over_edge = req_in[u]
-        for x, sides in g.neighbour_groups(u):
+        for x, sides in g.neighbour_groups()[u]:
             if x in settled:
                 continue
             for (ch, _, policy), (amount_in, _) in _TOWARD_DEST.cross(
@@ -232,7 +235,7 @@ def _inverted_amount(policy, incoming):
 
 def _neighbours(g, node):
     """The nodes sharing at least one channel with `node`."""
-    return {ch.other_end(node) for ch in g.channels_at(node)}
+    return {ch.other_end(node) for ch in channels_at(g, node)}
 
 
 def _can_cross(ch, frm, amount, direction, used_delta=0, budget=None):
@@ -259,7 +262,7 @@ def _cheapest(g, frm, to, amount, risk_factor, direction, used_delta=0, budget=N
     channels frm -> to enabled from frm with capacity for that amount.
     From the anchor a channel carries what frm forwards over it, toward the
     anchor `amount`."""
-    pair = [ch for ch in g.channels_at(frm) if ch.other_end(frm) == to]
+    pair = [ch for ch in channels_at(g, frm) if ch.other_end(frm) == to]
 
     def key(ch, carried):
         policy = ch.policy_from(frm)

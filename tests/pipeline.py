@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from pcnsim.adversary import AdversaryConfig, AdversaryObserver
+from pcnsim.graph import init_balances
 from pcnsim.latency import Gaussian, LatencyModel
 from pcnsim.routing import Payment, find_route
 from pcnsim.sim import PaymentEngine
-from conftest import make_graph, split_balances
+from conftest import make_graph
 
 
 def mixed_topology_graph(idx: int):
@@ -46,7 +47,7 @@ def mixed_topology_graph(idx: int):
         if i != j:
             rows.append(row(f"x{k:02d}", names[int(i)], names[int(j)]))
     g, latencies = make_graph(names, rows)
-    return g, split_balances(g), latencies
+    return g, init_balances(g), latencies
 
 
 def true_latency_model(latencies, traversal_weight=6) -> LatencyModel:

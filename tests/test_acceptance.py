@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcnsim.adversary import AdversaryConfig, estimate_endpoint
-from pcnsim.graph import ConservationError, check_conservation
+from pcnsim.graph import ConservationError, check_conservation, init_balances
 from pcnsim.harness import (
     ScenarioConfig,
     build_latency_model,
@@ -25,7 +25,7 @@ from pcnsim.harness import (
 from pcnsim.latency import Gaussian, LatencyModel, aggregate_models, path_distribution
 from pcnsim.routing import Payment, find_route, path_from_channels
 from pcnsim.sim import ADD, FULFILL, PaymentEngine
-from conftest import make_graph, split_balances
+from conftest import channels_at, make_graph
 from oracles import brute_estimate, observation_walk_inputs
 from pipeline import mixed_topology_graph, simulate_observations, true_latency_model
 
@@ -74,7 +74,7 @@ def test_criterion_2_message_count_ground_truth():
     checks = []
     for hops in (1, 2, 3, 4):
         g, latencies = make_graph(names, rows)
-        engine = PaymentEngine(g, split_balances(g), latencies,  # fresh balances per run
+        engine = PaymentEngine(g, init_balances(g), latencies,  # fresh balances per run
                                np.random.default_rng(0))
         path = path_from_channels(g, "a", [f"e{i}" for i in range(hops)], 50_000)
         outcome = engine.execute_payment(path, f"L{hops}")
@@ -95,7 +95,7 @@ def _hop_distances(g, start):
     frontier = deque([start])
     while frontier:
         node = frontier.popleft()
-        for ch in g.channels_at(node):
+        for ch in channels_at(g, node):
             other = ch.other_end(node)
             if other not in dist:
                 dist[other] = dist[node] + 1
@@ -111,7 +111,7 @@ def _latency_test_graph(n, seed, relative_sigma):
     for cid in sorted(g.channels):
         mean = float(rng.integers(8, 80))
         latencies[cid] = Gaussian(mean, relative_sigma * mean)
-    return g, split_balances(g), latencies
+    return g, init_balances(g), latencies
 
 
 def test_criterion_3_latency_model_recovery():
@@ -281,7 +281,7 @@ def test_criterion_9_channel_conservation():
     clean = not result.failures and len(result.records) == 2
     # a violated channel must fail the run, not pass silently
     g2 = generate_synthetic_graph("path", 3)
-    balances = split_balances(g2)
+    balances = init_balances(g2)
     balances[next(iter(balances))] += 1
     try:
         check_conservation(g2, balances)

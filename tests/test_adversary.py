@@ -16,11 +16,12 @@ from pcnsim.adversary import (
     first_spy_estimate,
     reduce_anonymity_set,
 )
+from pcnsim.graph import init_balances
 from pcnsim.harness import ExperimentResult, RunRecord, emit_results
 from pcnsim.latency import Gaussian, LatencyModel
 from pcnsim.routing import Payment, RoutingParams, find_route
 from pcnsim.sim import PaymentEngine
-from conftest import make_graph, split_balances
+from conftest import channels_at, make_graph
 from oracles import (
     brute_estimate,
     brute_reduced_set,
@@ -57,7 +58,7 @@ def run_line_payment(retry, nodes=("a", "b", "c"), malicious=("b",), amount=100_
     g, latencies = make_graph(list(nodes), chans)
     cfg = AdversaryConfig(malicious_nodes=frozenset(malicious), source_attack_enabled=retry)
     observer = AdversaryObserver(cfg)
-    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0), observer)
+    engine = PaymentEngine(g, init_balances(g), latencies, np.random.default_rng(0), observer)
     path = find_route(g, Payment(nodes[0], nodes[-1], amount))
     outcome = engine.execute_payment(path, "p0")
     if outcome.status == "failed" and observer.adversarially_failed("p0"):
@@ -98,7 +99,7 @@ class TestObserverCapture:
         # b cannot forward, and with the source attack off it rejects for no
         # other reason: the fail is the network's, not the adversary's
         g, latencies = make_graph(["a", "b", "c"], [("e0", "a", "b"), ("e1", "b", "c")])
-        balances = split_balances(g)
+        balances = init_balances(g)
         balances["e1", "b"] = 0
         cfg = AdversaryConfig(frozenset({"b"}), source_attack_enabled=False)
         observer = AdversaryObserver(cfg)
@@ -263,7 +264,7 @@ class TestFirstSpy:
             AdversaryConfig(frozenset({"b"}), source_attack_enabled=False)
         )
         path = find_route(g, Payment("a", "d", 1000))
-        engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0),
+        engine = PaymentEngine(g, init_balances(g), latencies, np.random.default_rng(0),
                                observer)
         engine.execute_payment(path, "px")
         obs = observer.estimation_inputs()["px"]["destination"]
@@ -301,7 +302,7 @@ def random_attack_graph(seed, n=10, extra_edges=4, one_sided=0, starved=0):
             cid, _, _, over = row(f"s{j:02d}", a, b)
             rows.append((cid, a, b, over | {"capacity_sat": 1, "base_fee": 0, "rate_ppm": 0}))
     g, latencies = make_graph(names, rows)
-    return g, split_balances(g), latencies
+    return g, init_balances(g), latencies
 
 
 class TestEstimatorOracleEquivalence:
@@ -371,11 +372,11 @@ def observed_on(draw, pub, amount):
     for cid in sorted(pub.channels):
         if draw(st.booleans()):  # otherwise the model falls back to its default
             edges[cid] = Gaussian(draw(st.floats(1.0, 80.0)), draw(st.floats(0.0, 20.0)))
-    observer = draw(st.sampled_from(sorted(n for n in pub.nodes if pub.channels_at(n))))
+    observer = draw(st.sampled_from(sorted(n for n in pub.nodes if channels_at(pub, n))))
     obs = Observation(
         payment_id="p0",
         observer=observer,
-        edge_observed=draw(st.sampled_from([ch.id for ch in pub.channels_at(observer)])),
+        edge_observed=draw(st.sampled_from([ch.id for ch in channels_at(pub, observer)])),
         direction=draw(st.sampled_from([TOWARD_DESTINATION, TOWARD_SOURCE])),
         t0_ns=0,
         t1_ns=draw(st.integers(0, 1500)) * MS,
@@ -502,7 +503,7 @@ def starved_channel_case():
     assert [h.channel for h in path.hops] == ["c1", "c2", "q"]
     cfg = AdversaryConfig(frozenset({"m"}), source_attack_enabled=False)
     observer = AdversaryObserver(cfg)
-    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0), observer)
+    engine = PaymentEngine(g, init_balances(g), latencies, np.random.default_rng(0), observer)
     assert engine.execute_payment(path, "p0").status == "fulfilled"
     (obs,) = observer.observations
     assert obs.edge_observed == "c2"
@@ -552,7 +553,7 @@ def amount_dependent_channel_case():
     assert [h.channel for h in path.hops] == ["c1", "c2", "q", "e"]
     cfg = AdversaryConfig(frozenset({"m"}), source_attack_enabled=False)
     observer = AdversaryObserver(cfg)
-    engine = PaymentEngine(g, split_balances(g), latencies, np.random.default_rng(0), observer)
+    engine = PaymentEngine(g, init_balances(g), latencies, np.random.default_rng(0), observer)
     assert engine.execute_payment(path, "p0").status == "fulfilled"
     (obs,) = observer.observations
     assert obs.edge_observed == "c2"

@@ -19,8 +19,9 @@ from pcnsim.graph import (
     load_snapshot,
 )
 from pcnsim.harness import generate_synthetic_graph
-from conftest import make_graph
+from conftest import channels_at, make_graph
 from oracles import brute_betweenness
+from test_routing import multigraphs
 
 
 def snapshot_doc(nodes, edges):
@@ -328,7 +329,7 @@ class TestPublicView:
         rows = [("c2", "a", "c"), ("c0", "b", "a", {"base_fee_uv": 5, "base_fee_vu": 7}),
                 ("c1", "a", "b")]
         pub, _ = make_graph(["a", "b", "c"], rows)
-        groups = pub.neighbour_groups("a")
+        groups = pub.neighbour_groups()["a"]
         assert [(nb, [side[0].id for side in sides]) for nb, sides in groups] == [
             ("b", ["c0", "c1"]), ("c", ["c2"]),
         ]
@@ -336,11 +337,35 @@ class TestPublicView:
             for ch, policy_out, policy_in in sides:
                 assert policy_out is ch.policy_from("a") and policy_in is ch.policy_from(nb)
         assert groups[0][1][0][1].base_fee_msat == 5
-        assert pub.neighbour_groups("a") is groups
+        assert pub.neighbour_groups()["a"] is groups
         # built groups take no part in equality, and a new channel rebuilds them
         assert pub == make_graph(["a", "b", "c"], rows)[0]
         pub.add_channel(Channel("c3", "a", "b", 1000, DirectedPolicy(), DirectedPolicy()))
-        assert [side[0].id for side in pub.neighbour_groups("a")[0][1]] == ["c0", "c1", "c3"]
+        assert [side[0].id for side in pub.neighbour_groups()["a"][0][1]] == ["c0", "c1", "c3"]
+
+    @given(g=multigraphs())
+    @settings(max_examples=200, deadline=None)
+    # parallel channels whose insertion order is not their id order
+    @example(g=make_graph(["n0", "n1", "n2"], [
+        ("c2", "n0", "n1"), ("c10", "n1", "n2"), ("c1", "n1", "n0"), ("c0", "n0", "n1"),
+    ])[0])
+    def test_neighbour_groups_match_channel_scan(self, g):
+        # the one pass over the channels groups each node's channels as a
+        # scan of every channel at that node does
+        groups = g.neighbour_groups()
+        assert sorted(groups) == sorted(g.nodes)
+        for node in g.nodes:
+            by_neighbour = {}
+            for ch in channels_at(g, node):
+                nb = ch.other_end(node)
+                by_neighbour.setdefault(nb, []).append(
+                    (ch, ch.policy_from(node), ch.policy_from(nb)))
+            assert groups[node] == tuple((nb, tuple(by_neighbour[nb]))
+                                         for nb in sorted(by_neighbour))
+        assert g.neighbour_groups() is groups
+        new = f"n{len(g.nodes)}"
+        g.add_node(Node(new))
+        assert g.neighbour_groups()[new] == ()
 
 
 class TestBetweenness:
@@ -440,7 +465,7 @@ class TestBetweenness:
         # summation order differs, so scores agree to float64 rounding only
         ids = sorted(g.nodes)
         np.testing.assert_allclose(
-            _betweenness_scores(ids, g.channels.values()),
+            _betweenness_scores(ids, g.neighbour_groups()),
             [scores[x] for x in ids], rtol=1e-12, atol=1e-9,
         )
 

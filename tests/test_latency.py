@@ -15,10 +15,10 @@ from pcnsim.latency import (
     path_distribution,
 )
 from pcnsim.adversary import _PRUNE_MARGIN
-from pcnsim.graph import RegionLatencyTable
+from pcnsim.graph import RegionLatencyTable, init_balances
 from pcnsim.routing import path_from_channels
 from pcnsim.sim import probe_batch
-from conftest import make_graph, split_balances
+from conftest import make_graph
 
 
 class TestGaussian:
@@ -203,7 +203,7 @@ def probing_fixture():
          ("e1", "b", "c", {"latency_ms": 7.5}),
          ("e2", "c", "d", {"latency_ms": 30.0})],
     )
-    return g, split_balances(g), latencies
+    return g, init_balances(g), latencies
 
 
 class TestProbePath:

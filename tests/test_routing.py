@@ -20,7 +20,7 @@ from pcnsim.routing import (
     forwarded_amount,
     path_from_channels,
 )
-from conftest import make_graph
+from conftest import channels_at, make_graph
 from oracles import brute_reduced_set, brute_route, path_amounts, reference_route
 
 
@@ -270,10 +270,10 @@ def channel_walks(draw):
     """A multigraph with mixed fees and deltas and a walk over its channels,
     disabled directions included, as a probe or fixture path may take."""
     g = draw(multigraphs(fee_kinds=("mixed",)))
-    node = start = draw(st.sampled_from(sorted(n for n in g.nodes if g.channels_at(n))))
+    node = start = draw(st.sampled_from(sorted(n for n in g.nodes if channels_at(g, n))))
     channels = []
     for _ in range(draw(st.integers(1, 6))):
-        ch = draw(st.sampled_from(sorted(g.channels_at(node), key=lambda c: c.id)))
+        ch = draw(st.sampled_from(sorted(channels_at(g, node), key=lambda c: c.id)))
         channels.append(ch.id)
         node = ch.other_end(node)
     return g, start, channels

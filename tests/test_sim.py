@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcnsim.adversary import AdversaryConfig, AdversaryObserver
-from pcnsim.graph import check_conservation
+from pcnsim.graph import check_conservation, init_balances
 from pcnsim.routing import Hop, Payment, find_route, path_from_channels
 from pcnsim.sim import (
     ADD,
@@ -23,7 +23,7 @@ from pcnsim.sim import (
     sample_latency,
 )
 from pcnsim.latency import LatencyModel
-from conftest import RejectAt, make_graph, split_balances
+from conftest import RejectAt, channels_at, make_graph
 from oracles import ReferenceEngine
 
 MS = 1_000_000  # ns
@@ -166,7 +166,7 @@ class TestChoreography:
         for _ in range(2):
             g, latencies = make_graph(["a", "b", "c"], [("e0", "a", "b", {"sigma_ms": 4.0}),
                                                          ("e1", "b", "c", {"sigma_ms": 4.0})])
-            outcome, _ = run_payment((g, split_balances(g), latencies), ["e0", "e1"], "a", seed=77)
+            outcome, _ = run_payment((g, init_balances(g), latencies), ["e0", "e1"], "a", seed=77)
             results.append(repr(outcome))
         assert results[0] == results[1]
 
@@ -181,7 +181,7 @@ class TestChoreography:
             ["a", "b", "c"],
             [("e0", "a", "b", {"latency_ms": 5.0}), ("e1", "b", "c", {"latency_ms": 30.0})],
         )
-        net = (g, split_balances(g), latencies)
+        net = (g, init_balances(g), latencies)
         o1, engine = run_payment(net, ["e0", "e1"], "a")
         # forward: e0's five messages end at 25 ms, e1's at 175 ms
         assert [(m.channel, m.delivered_at) for m in o1.messages[:10]] == (
@@ -227,7 +227,7 @@ class TestAbortedPayment:
             ["a", "b"],
             [("e0", "a", "b", {"capacity_sat": 7}), ("e1", "a", "b", {"capacity_sat": 7})],
         )
-        balances = split_balances(g)
+        balances = init_balances(g)
         engine = PaymentEngine(g, balances, latencies, np.random.default_rng(0))
         aborted = path_from_channels(g, "a", ["e0", "e1", "e0"], 1000)
         with pytest.raises(RuntimeError, match="settling 3000 over e0 exceeds balance"):
@@ -284,7 +284,7 @@ class TestConservationProperty:
             [("e0", "a", "b", {"capacity_sat": 500}), ("e1", "b", "c", {"capacity_sat": 500}),
              ("e2", "c", "d", {"capacity_sat": 500}), ("e3", "a", "d", {"capacity_sat": 500})],
         )
-        balances = split_balances(g)
+        balances = init_balances(g)
         reject = RejectAt(None)
         engine = PaymentEngine(g, balances, latencies, np.random.default_rng(seed), reject)
         nodes = sorted(g.nodes)
@@ -349,7 +349,7 @@ def probed_graphs(draw):
     vantage = node = draw(st.sampled_from([e0.u, e0.v]))
     channels = []
     for _ in range(draw(st.integers(1, 5))):
-        ch = draw(st.sampled_from(sorted(g.channels_at(node), key=lambda c: c.id)))
+        ch = draw(st.sampled_from(sorted(channels_at(g, node), key=lambda c: c.id)))
         channels.append(ch.id)
         node = ch.other_end(node)
     return (g, balances, latencies), vantage, channels
@@ -367,7 +367,7 @@ class TestProbeBatch:
             [("e0", "a", "b", {"sigma_ms": 4.0}), ("e1", "b", "c", {"sigma_ms": 9.0}),
              ("e2", "c", "d", {"latency_ms": 80.0, "sigma_ms": 25.0})],
         )
-        batch = assert_probes_match_engine((g, split_balances(g), latencies), "a",
+        batch = assert_probes_match_engine((g, init_balances(g), latencies), "a",
                                            ["e0", "e1", "e2"], 20, seed=3)
         assert batch.failed_at_hop == 3 and batch.discarded == 0
         assert len(set(batch.samples_ms)) > 1
@@ -391,7 +391,7 @@ class TestProbeBatch:
             [("e0", "a", "b", {"latency_ms": 0.2, "sigma_ms": 0.5}),
              ("e1", "b", "c", {"latency_ms": 0.0})],
         )
-        batch = assert_probes_match_engine((g, split_balances(g), latencies), "a",
+        batch = assert_probes_match_engine((g, init_balances(g), latencies), "a",
                                            ["e0", "e1"], 10, seed=5)
         assert min(batch.samples_ms) >= 12.0  # every traversal at least 1 ms
         assert 12.0 in batch.samples_ms
@@ -452,7 +452,7 @@ def payment_sequences(draw):
         start = node = draw(st.sampled_from(starts))
         channels = []
         for _ in range(draw(st.integers(1, 4))):
-            ch = draw(st.sampled_from(sorted(g.channels_at(node), key=lambda c: c.id)))
+            ch = draw(st.sampled_from(sorted(channels_at(g, node), key=lambda c: c.id)))
             channels.append(ch.id)
             node = ch.other_end(node)
         amount = draw(st.sampled_from([1_000, 50_000]))
