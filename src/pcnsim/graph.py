@@ -29,6 +29,10 @@ MSAT_PER_SAT = 1000
 # Fallback round-trip entry when a region pair is missing from the table;
 # one-way latencies are half of these.
 GLOBAL_DEFAULT_RTT = (250.0, 50.0)
+# Largest round-trip mean or std a table accepts: a 1000 s round trip,
+# thousands of times the slowest default; latency draws in int64
+# nanoseconds keep millions of sigmas of room above it.
+MAX_RTT_MS = 1e6
 
 
 class SnapshotError(ValueError):
@@ -365,6 +369,11 @@ class RegionLatencyTable:
         return (a, b) if a <= b else (b, a)
 
     def add(self, region_a: str, region_b: str, rtt_mean_ms: float, rtt_std_ms: float) -> None:
+        """Set a region pair's round trip; a mean or std that is not a
+        number from 0 to `MAX_RTT_MS` raises ValueError."""
+        if not (0 <= rtt_mean_ms <= MAX_RTT_MS and 0 <= rtt_std_ms <= MAX_RTT_MS):
+            raise ValueError(f"round-trip time must be from 0 to {MAX_RTT_MS:.0f} ms, "
+                             f"got mean {rtt_mean_ms} and std {rtt_std_ms}")
         self.entries[self._key(region_a, region_b)] = (rtt_mean_ms, rtt_std_ms)
 
     def lookup_one_way(self, region_a: str | None, region_b: str | None) -> Gaussian:

@@ -15,9 +15,10 @@ records, one per message in flight: (phase, hop index, position in the
 phase's script, sender, receiver, sent_at).  A phase is the script the
 message belongs to: the hop messages going forward, the fulfill or fail
 going back, or the settlement handshake.  Delivering a record logs it as a
-`MessageRecord`, then sends the next message of its script or, at the end
-of the script, runs the step that follows: the receiving node's decision
-after a forward hop, the relay upstream (and settlement) after a back one.
+`MessageRecord` (a named tuple), then sends the next message of its script
+or, at the end of the script, runs the step that follows: the receiving
+node's decision after a forward hop, the relay upstream (and settlement)
+after a back one.
 
 The engine runs one `NodeBehavior` for every node, with two hooks.
 `on_commit` sees each committed add as a `HopView`, the path's incoming and
@@ -28,6 +29,16 @@ sees each fulfill delivered.
 The engine reads the graph's public data and keeps a run's private state in
 the two maps it is given: the balances, which settlement moves, and the
 true latencies, from which every message's traversal time is drawn.
+Traversal times are drawn one message phase at a time, as soon as the
+phase's messages are known: the five hop messages when a hop's add is
+sent, the whole fail relay when a node rejects, and the fulfill relay with
+every hop's settlement handshake when the final node fulfils.  Each draw is
+one `standard_normal(k)` call, and each message takes the next value in
+send order as `mean + std * z`, which is `rng.normal(mean, std)` bit for
+bit.  Every message drawn is sent, so an attempt leaves the random stream
+where one scalar draw per message would; only an attempt that raises
+part-way may leave it further ahead.  A traversal time below 1 ms is
+clamped to 1 ms rather than redrawn, which keeps one draw per message.
 
 Probes (payments crafted to fail at their last hop) are evaluated in closed
 form by `probe_batch` rather than on the engine: they move no balances and
@@ -42,10 +53,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Balances, ChannelGraph, Gaussian, Latencies, NodeId
+from .graph import Balances, ChannelGraph, Latencies, NodeId
 from .routing import Hop, PaymentPath
 
 NS_PER_MS = 1_000_000
@@ -110,16 +122,6 @@ class EventQueue:
         return event
 
 
-def sample_latency(latency: Gaussian, rng) -> int:
-    """One edge traversal time in ns, clamped below at 1 ms.
-
-    Clamping (rather than resampling) keeps the number of RNG draws per
-    message fixed, so seeded runs stay aligned.
-    """
-    ms = rng.normal(latency.mean, latency.std)
-    return max(LATENCY_FLOOR_NS, int(round(ms * NS_PER_MS)))
-
-
 @dataclass(frozen=True, slots=True)
 class HopView:
     """Everything a node legitimately learns about one payment it handles:
@@ -161,8 +163,7 @@ class NodeBehavior:
         """A fulfill for payment_id was delivered to node."""
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     sent_at: int
     delivered_at: int
     payment_id: str
@@ -203,28 +204,41 @@ class PaymentEngine:
     def execute_payment(self, path: PaymentPath, payment_id: str) -> PaymentOutcome:
         """Run one payment attempt to completion and drain the queue.
 
+        Each message phase's traversal times are drawn in one call when the
+        phase starts (see the module docstring), so a completed attempt
+        leaves `rng` exactly where one scalar draw per message would.
+
         If the attempt raises, its pending messages are dropped, so the next
-        payment on this engine starts from an empty queue.
+        payment on this engine starts from an empty queue.  Such an attempt
+        (say, a settlement that exceeds its balance) may leave `rng` ahead
+        of the scalar draws: the messages drawn for its phase are not all
+        sent.
         """
         hops = path.hops
         if not hops:
             raise ValueError("payment path must contain at least one hop")
         _check_hops(self.graph, path)
-        balances, queue, rng, behavior = self.balances, self.queue, self.rng, self.behavior
+        balances, queue, behavior = self.balances, self.queue, self.behavior
         outcome = PaymentOutcome(payment_id, None, None, queue.now, None)
         if not _can_forward(balances, hops[0].frm, hops[0]):
             outcome.status, outcome.failed_at_hop, outcome.completed_at = "failed", 0, queue.now
             return outcome
-        latencies = [self.latencies[hop.channel] for hop in hops]
+        latencies = [(lat.mean, lat.std) for lat in (self.latencies[hop.channel] for hop in hops)]
         messages = outcome.messages
+        draw = self.rng.standard_normal
 
         def send(phase, i: int, j: int) -> None:
-            """Put message j of `phase`'s script on hop i's channel."""
+            """Put message j of `phase`'s script on hop i's channel, taking
+            the next of the standard normals drawn for the messages to come."""
             hop, now = hops[i], queue.now
             opener, other = (hop.frm, hop.to) if phase is FORWARD else (hop.to, hop.frm)
             frm, to = (opener, other) if phase[j][1] else (other, opener)
-            queue.schedule(now + sample_latency(latencies[i], rng), (phase, i, j, frm, to, now))
+            mean, std = latencies[i]
+            # traversal time in ns, clamped below at 1 ms
+            ns = max(LATENCY_FLOOR_NS, int(round((mean + std * next(zs)) * NS_PER_MS)))
+            queue.schedule(now + ns, (phase, i, j, frm, to, now))
 
+        zs = iter(draw(len(FORWARD)).tolist())
         send(FORWARD, 0, 0)
         try:
             while (event := queue.next_event()) is not None:
@@ -243,10 +257,14 @@ class PaymentEngine:
                         # the first edge not added: the rejecting node's would-be
                         # outgoing hop (== len(hops) when the final node rejects)
                         outcome.failed_at_hop = i + 1
+                        zs = iter(draw(i + 1).tolist())  # one fail back per hop
                         send(FAIL_BACK, i, 0)
                     elif view.is_final:
+                        # per hop: its fulfill back and its settlement handshake
+                        zs = iter(draw(len(hops) * (len(FULFILL_BACK) + len(SETTLE))).tolist())
                         send(FULFILL_BACK, i, 0)
                     else:
+                        zs = iter(draw(len(FORWARD)).tolist())
                         send(FORWARD, i + 1, 0)
                 elif phase is not SETTLE:
                     # a fulfill or fail reached `to`, which relays it upstream at once
@@ -325,8 +343,8 @@ def probe_batch(graph: ChannelGraph, balances: Balances, latencies: Latencies,
     receiving node makes in order; its messages are strictly sequential: the hop messages on
     channels 0..k, then one fail back on each of channels k..0.  A normal
     draw with per-element parameters consumes the random stream exactly as
-    the engine's scalar draws do, and latencies are clamped as
-    `sample_latency` clamps them.
+    the engine's draws do, one standard normal per message in send order,
+    and latencies are clamped as the engine clamps them.
     """
     hops = path.hops
     if not hops:
@@ -345,6 +363,7 @@ def probe_batch(graph: ChannelGraph, balances: Balances, latencies: Latencies,
     mean = np.array([lat.mean for lat in sequence])
     std = np.array([lat.std for lat in sequence])
     ms = rng.normal(mean, std, size=(n, len(sequence)))
+    # the engine's clamp (`send` in `PaymentEngine.execute_payment`), elementwise
     ns = np.maximum(LATENCY_FLOOR_NS, np.rint(ms * NS_PER_MS)).astype(np.int64)
     durations = ns.sum(axis=1) / NS_PER_MS
     return ProbeBatch(len(hops), k + 1, durations.tolist())

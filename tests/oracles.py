@@ -7,7 +7,9 @@ independent.  The brute-force oracles find a node's channels by scanning
 every channel (`conftest.channels_at`), not through the graph's own index.
 `ReferenceEngine` is the payment engine as it was written before
 `PaymentEngine` became one loop over message records: a chain of
-closures, one pair per message, that the loop must match draw for draw.
+closures, one pair per message, each message drawing its traversal time
+with one scalar `rng.normal` (`sample_latency`), which the loop's
+per-phase draws must match draw for draw.
 It runs one behaviour through the same two hooks: `on_commit`, whose
 return rejects the add, and `on_fulfill`.
 `reference_route` is route search as it was written before `find_route`
@@ -44,7 +46,7 @@ from pcnsim.adversary import (
     EstimationResult,
     _walk_setup,
 )
-from pcnsim.graph import Balances, ChannelGraph, Latencies, NodeId
+from pcnsim.graph import Balances, ChannelGraph, Gaussian, Latencies, NodeId
 from pcnsim.latency import normal_logpdf
 from pcnsim.routing import (
     _TOWARD_DEST,
@@ -58,6 +60,8 @@ from pcnsim.sim import (
     FAIL,
     FULFILL,
     HANDSHAKE,
+    LATENCY_FLOOR_NS,
+    NS_PER_MS,
     EventQueue,
     HopView,
     MessageRecord,
@@ -65,7 +69,6 @@ from pcnsim.sim import (
     PaymentOutcome,
     _can_forward,
     _check_hops,
-    sample_latency,
 )
 from conftest import channels_at
 
@@ -489,6 +492,17 @@ def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
 
 # ---------------------------------------------------------------------------
 # reference payment engine: every message is a closure scheduled on the queue
+
+
+def sample_latency(latency: Gaussian, rng) -> int:
+    """One edge traversal time in ns, clamped below at 1 ms: one scalar
+    draw per message.
+
+    Clamping (rather than resampling) keeps the number of RNG draws per
+    message fixed, so seeded runs stay aligned.
+    """
+    ms = rng.normal(latency.mean, latency.std)
+    return max(LATENCY_FLOOR_NS, int(round(ms * NS_PER_MS)))
 
 
 class _PaymentRun:

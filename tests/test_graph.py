@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -312,6 +314,15 @@ class TestAssignLatencies:
         latencies = assign_latencies(g, RegionLatencyTable(), rng_seed=0)
         assert latencies["c0"].mean == 125.0
         assert latencies["c0"].std == 25.0
+
+    @pytest.mark.parametrize("mean, std", [
+        (math.inf, 1.0), (math.nan, 1.0), (-5.0, 1.0), (40.0, -1.0), (40.0, 1e308),
+    ], ids=["inf", "nan", "negative-mean", "negative-std", "1e308-std"])
+    def test_out_of_range_rtt_rejected(self, mean, std):
+        with pytest.raises(ValueError, match="round-trip time"):
+            RegionLatencyTable.from_rows([("EU", "EU", mean, std)])
+        with pytest.raises(ValueError, match="round-trip time"):
+            RegionLatencyTable().add("EU", "NA", mean, std)
 
     def test_equal_seeds_identical(self):
         runs = []

@@ -20,11 +20,10 @@ from pcnsim.sim import (
     PaymentEngine,
     SchedulingError,
     probe_batch,
-    sample_latency,
 )
 from pcnsim.latency import LatencyModel
 from conftest import RejectAt, channels_at, make_graph
-from oracles import ReferenceEngine
+from oracles import ReferenceEngine, sample_latency
 
 MS = 1_000_000  # ns
 
@@ -494,3 +493,72 @@ class TestReferenceEngine:
                 if not (states[0][0].status == "failed" and retry
                         and runs[0][0].adversarially_failed(f"p{k}")):
                     break
+
+
+def assert_one_draw_per_message(engine, path, payment_id):
+    """Run one attempt; the engine's generator must end where a same-seed
+    twin ends after one standard normal per message the attempt sent."""
+    twin = np.random.default_rng()
+    twin.bit_generator.state = engine.rng.bit_generator.state
+    outcome = engine.execute_payment(path, payment_id)
+    twin.standard_normal(len(outcome.messages))
+    assert engine.rng.bit_generator.state == twin.bit_generator.state
+    return outcome
+
+
+def eight_hop_line():
+    names = [f"n{k}" for k in range(9)]
+    g, latencies = make_graph(
+        names, [(f"e{k}", names[k], names[k + 1], {"sigma_ms": 3.0}) for k in range(8)])
+    return (g, init_balances(g), latencies), names
+
+
+class TestTraversalDraws:
+    """Each message the engine sends takes exactly one normal draw."""
+
+    def test_each_rejecting_node_in_turn(self):
+        net, names = eight_hop_line()
+        path = path_from_channels(net[0], "n0", [f"e{k}" for k in range(8)], 100_000)
+        reject = RejectAt(None)
+        engine = PaymentEngine(*net, np.random.default_rng(7), reject)
+        for k in range(1, 9):
+            reject.node = names[k]
+            outcome = assert_one_draw_per_message(engine, path, f"p{k}")
+            assert outcome.failed_at_hop == k
+            assert len(outcome.messages) == k * TRAVERSALS_PER_EDGE
+
+    def test_fulfilled_payment(self):
+        net, _ = eight_hop_line()
+        path = path_from_channels(net[0], "n0", [f"e{k}" for k in range(8)], 100_000)
+        engine = PaymentEngine(*net, np.random.default_rng(7))
+        outcome = assert_one_draw_per_message(engine, path, "p0")
+        assert outcome.status == "fulfilled"
+        assert len(outcome.messages) == 8 * 10  # six traversals and four settlement messages a hop
+
+    def test_sender_without_balance_draws_nothing(self, line_graph):
+        _, balances, _ = line_graph
+        balances["e0", "b"] += balances["e0", "a"]
+        balances["e0", "a"] = 0
+        path = path_from_channels(line_graph[0], "a", ["e0", "e1"], 100_000)
+        engine = PaymentEngine(*line_graph, np.random.default_rng(7))
+        outcome = assert_one_draw_per_message(engine, path, "p0")
+        assert outcome.failed_at_hop == 0 and not outcome.messages
+
+    @given(case=payment_sequences(), seed=st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_random_payment_sequences(self, case, seed):
+        g, balances, latencies, payments, _ = case
+        reject = RejectAt(None)
+        engine = PaymentEngine(g, dict(balances), latencies, np.random.default_rng(seed), reject)
+        for k, (start, channels, amount, reject_at) in enumerate(payments):
+            reject.node = reject_at
+            assert_one_draw_per_message(
+                engine, path_from_channels(g, start, channels, amount), f"p{k}")
+
+    def test_short_traversals_clamp_to_one_ms(self):
+        g, latencies = make_graph(["a", "b"], [("e0", "a", "b", {"latency_ms": 0.25})])
+        outcome, engine = run_payment((g, init_balances(g), latencies), ["e0"], "a")
+        assert outcome.status == "fulfilled"
+        assert [m.delivered_at - m.sent_at for m in outcome.messages] == [1 * MS] * 10
+        assert outcome.completed_at - outcome.started_at == 6 * MS
+        assert engine.queue.now == 10 * MS
