@@ -51,6 +51,6 @@ from .routing import (
     edge_weight,
     find_route,
 )
-from .sim import EventQueue, PaymentEngine, PaymentOutcome, probe_batch
+from .sim import PaymentEngine, PaymentOutcome, probe_batch
 
 __version__ = "0.1.0"

@@ -34,8 +34,11 @@ log = logging.getLogger(__name__)
 
 
 # What a malformed input file or option raises; `main` and the experiment
-# scripts turn these into an `error:` line and exit code 2.
-INPUT_ERRORS = (ConfigError, SnapshotError, OSError, json.JSONDecodeError, TypeError)
+# scripts turn these into an `error:` line and exit code 2.  A file that is
+# not UTF-8 raises UnicodeDecodeError, and JSON nested too deeply for the
+# decoder raises RecursionError.
+INPUT_ERRORS = (ConfigError, SnapshotError, OSError, json.JSONDecodeError, TypeError,
+                UnicodeDecodeError, RecursionError)
 
 
 def add_graph_options(parser: argparse.ArgumentParser) -> None:
@@ -105,22 +108,26 @@ _TABLE_COLUMNS = ("region_a", "region_b", "rtt_mean_ms", "rtt_std_ms")
 
 
 def _load_table(path) -> RegionLatencyTable:
-    """Region table from a CSV; a malformed row raises ConfigError naming it."""
+    """Region table from a CSV; a malformed row, or text that is not UTF-8,
+    raises ConfigError naming the file."""
     import csv
 
     table = RegionLatencyTable()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for r in reader:
-            where = f"{path} line {reader.line_num}"
-            missing = [col for col in _TABLE_COLUMNS if r.get(col) is None]
-            if missing:
-                raise ConfigError(f"{where}: missing {', '.join(missing)}")
-            try:
-                table.add(r["region_a"], r["region_b"],
-                          float(r["rtt_mean_ms"]), float(r["rtt_std_ms"]))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
+        try:
+            for r in reader:
+                where = f"{path} line {reader.line_num}"
+                missing = [col for col in _TABLE_COLUMNS if r.get(col) is None]
+                if missing:
+                    raise ConfigError(f"{where}: missing {', '.join(missing)}")
+                try:
+                    table.add(r["region_a"], r["region_b"],
+                              float(r["rtt_mean_ms"]), float(r["rtt_std_ms"]))
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return table
 
 
@@ -134,7 +141,7 @@ def main(argv=None) -> int:
                 snapshot = convert_describegraph(json.load(fh))
             with open(args.out, "w") as fh:
                 json.dump(snapshot, fh, indent=1)
-        except (SnapshotError, OSError, json.JSONDecodeError) as exc:
+        except INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {args.out}: {len(snapshot['nodes'])} nodes, {len(snapshot['edges'])} edges")

@@ -33,6 +33,9 @@ GLOBAL_DEFAULT_RTT = (250.0, 50.0)
 # thousands of times the slowest default; latency draws in int64
 # nanoseconds keep millions of sigmas of room above it.
 MAX_RTT_MS = 1e6
+# Largest base fee, fee rate or time-lock delta a policy accepts: BOLT 7's
+# channel_update carries the widest of them in 32 bits.
+MAX_POLICY_FIELD = 2**32 - 1
 
 
 class SnapshotError(ValueError):
@@ -65,8 +68,9 @@ class DirectedPolicy:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.base_fee_msat < 0 or self.fee_rate_ppm < 0 or self.timelock_delta < 0:
-            raise ValueError("policy fields must be non-negative")
+        for name in ("base_fee_msat", "fee_rate_ppm", "timelock_delta"):
+            if not 0 <= getattr(self, name) <= MAX_POLICY_FIELD:
+                raise ValueError(f"{name} must be in 0..{MAX_POLICY_FIELD}")
 
     def fee_msat(self, amount_msat: int) -> int:
         """Forwarding fee: base_fee + floor(amount * rate), exact in msat."""

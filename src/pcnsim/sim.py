@@ -10,15 +10,17 @@ nothing.  Each edge of a completed hop is therefore crossed exactly six
 times, which is the ground truth the adversarial timing model calibrates
 against.
 
-`PaymentEngine.execute_payment` is one loop over an `EventQueue` of plain
-records, one per message in flight: (phase, hop index, position in the
-phase's script, sender, receiver, sent_at).  A phase is the script the
-message belongs to: the hop messages going forward, the fulfill or fail
-going back, or the settlement handshake.  Delivering a record logs it as a
-`MessageRecord` (a named tuple), then sends the next message of its script
-or, at the end of the script, runs the step that follows: the receiving
-node's decision after a forward hop, the relay upstream (and settlement)
-after a back one.
+`PaymentEngine.execute_payment` is one loop over a heap that belongs to
+the attempt, one entry per message in flight: (deliver_at, seq, phase, hop
+index, position in the phase's script, sender, receiver, sent_at).  `seq`
+counts the attempt's sends, so messages due at the same nanosecond are
+delivered in send order.  A phase is the script the message belongs to:
+the hop messages going forward, the fulfill or fail going back, or the
+settlement handshake.  Delivering an entry logs it as a `MessageRecord` (a
+named tuple), then sends the next message of its script or, at the end of
+the script, runs the step that follows: the receiving node's decision
+after a forward hop, the relay upstream (and settlement) after a back one.
+Between attempts the engine keeps only its clock, `PaymentEngine.now`.
 
 The engine runs one `NodeBehavior` for every node, with two hooks.
 `on_commit` sees each committed add as a `HopView`, the path's incoming and
@@ -93,35 +95,6 @@ FAIL_BACK = ((FAIL, True),)
 SETTLE = HANDSHAKE
 
 
-class SchedulingError(RuntimeError):
-    """An event was scheduled before the current simulation time."""
-
-
-class EventQueue:
-    """Min-heap of (fire_at, insertion sequence, event) tuples."""
-
-    def __init__(self):
-        self.now = 0
-        self._heap: list[tuple[int, int, object]] = []
-        self._seq = itertools.count()
-
-    def schedule(self, fire_at: int, event) -> None:
-        if fire_at < self.now:
-            raise SchedulingError(f"cannot schedule at {fire_at} < now {self.now}")
-        heapq.heappush(self._heap, (fire_at, next(self._seq), event))
-
-    def clear(self) -> None:
-        """Drop every pending event; the clock stays where it is."""
-        self._heap.clear()
-
-    def next_event(self):
-        """The earliest event, or None; the clock moves to its time."""
-        if not self._heap:
-            return None
-        self.now, _, event = heapq.heappop(self._heap)
-        return event
-
-
 @dataclass(frozen=True, slots=True)
 class HopView:
     """Everything a node legitimately learns about one payment it handles:
@@ -186,10 +159,11 @@ class PaymentOutcome:
 class PaymentEngine:
     """Executes payments sequentially over one graph.
 
-    One engine instance is one logical timeline: the clock is monotone over
-    all payments it runs, which is what lets a fail-then-retry pair of
-    attempts yield meaningful time differences at an observer.  Settled
-    payments move amounts in `balances`, which the engine owns for its run.
+    One engine instance is one logical timeline: its clock `now` (ns) is
+    monotone over all payments it runs, which is what lets a fail-then-retry
+    pair of attempts yield meaningful time differences at an observer.
+    Settled payments move amounts in `balances`, which the engine owns for
+    its run.
     """
 
     def __init__(self, graph: ChannelGraph, balances: Balances, latencies: Latencies, rng,
@@ -199,88 +173,89 @@ class PaymentEngine:
         self.latencies = latencies
         self.rng = rng
         self.behavior = behavior or NodeBehavior()
-        self.queue = EventQueue()
+        self.now = 0
 
     def execute_payment(self, path: PaymentPath, payment_id: str) -> PaymentOutcome:
-        """Run one payment attempt to completion and drain the queue.
+        """Run one payment attempt until its last message is delivered.
+
+        The attempt's messages in flight live in its own heap (see the
+        module docstring), which goes with the call.  `now` moves to each
+        delivery, so after an attempt that raises it stays where the
+        attempt stopped.
 
         Each message phase's traversal times are drawn in one call when the
         phase starts (see the module docstring), so a completed attempt
-        leaves `rng` exactly where one scalar draw per message would.
-
-        If the attempt raises, its pending messages are dropped, so the next
-        payment on this engine starts from an empty queue.  Such an attempt
-        (say, a settlement that exceeds its balance) may leave `rng` ahead
-        of the scalar draws: the messages drawn for its phase are not all
-        sent.
+        leaves `rng` exactly where one scalar draw per message would.  An
+        attempt that raises (say, a settlement that exceeds its balance)
+        may leave `rng` ahead of the scalar draws: the messages drawn for
+        its phase are not all sent.
         """
         hops = path.hops
         if not hops:
             raise ValueError("payment path must contain at least one hop")
         _check_hops(self.graph, path)
-        balances, queue, behavior = self.balances, self.queue, self.behavior
-        outcome = PaymentOutcome(payment_id, None, None, queue.now, None)
+        balances, behavior, now = self.balances, self.behavior, self.now
+        outcome = PaymentOutcome(payment_id, None, None, now, None)
         if not _can_forward(balances, hops[0].frm, hops[0]):
-            outcome.status, outcome.failed_at_hop, outcome.completed_at = "failed", 0, queue.now
+            outcome.status, outcome.failed_at_hop, outcome.completed_at = "failed", 0, now
             return outcome
         latencies = [(lat.mean, lat.std) for lat in (self.latencies[hop.channel] for hop in hops)]
         messages = outcome.messages
         draw = self.rng.standard_normal
+        heap = []
+        seq = itertools.count()
 
         def send(phase, i: int, j: int) -> None:
-            """Put message j of `phase`'s script on hop i's channel, taking
-            the next of the standard normals drawn for the messages to come."""
-            hop, now = hops[i], queue.now
+            """Put message j of `phase`'s script on hop i's channel at `now`,
+            taking the next of the standard normals drawn for the messages
+            to come."""
+            hop = hops[i]
             opener, other = (hop.frm, hop.to) if phase is FORWARD else (hop.to, hop.frm)
             frm, to = (opener, other) if phase[j][1] else (other, opener)
             mean, std = latencies[i]
             # traversal time in ns, clamped below at 1 ms
             ns = max(LATENCY_FLOOR_NS, int(round((mean + std * next(zs)) * NS_PER_MS)))
-            queue.schedule(now + ns, (phase, i, j, frm, to, now))
+            heapq.heappush(heap, (now + ns, next(seq), phase, i, j, frm, to, now))
 
         zs = iter(draw(len(FORWARD)).tolist())
         send(FORWARD, 0, 0)
-        try:
-            while (event := queue.next_event()) is not None:
-                phase, i, j, frm, to, sent_at = event
-                hop, now = hops[i], queue.now
-                messages.append(
-                    MessageRecord(sent_at, now, payment_id, frm, to, hop.channel, phase[j][0])
-                )
-                if j + 1 < len(phase):
-                    send(phase, i, j + 1)
-                elif phase is FORWARD:
-                    # the add is committed at `to`, which decides what happens next
-                    view = HopView(payment_id, hop, hops[i + 1] if i + 1 < len(hops) else None)
-                    if (behavior.on_commit(now, view)
-                            or not (view.is_final or _can_forward(balances, to, view.outgoing))):
-                        # the first edge not added: the rejecting node's would-be
-                        # outgoing hop (== len(hops) when the final node rejects)
-                        outcome.failed_at_hop = i + 1
-                        zs = iter(draw(i + 1).tolist())  # one fail back per hop
-                        send(FAIL_BACK, i, 0)
-                    elif view.is_final:
-                        # per hop: its fulfill back and its settlement handshake
-                        zs = iter(draw(len(hops) * (len(FULFILL_BACK) + len(SETTLE))).tolist())
-                        send(FULFILL_BACK, i, 0)
-                    else:
-                        zs = iter(draw(len(FORWARD)).tolist())
-                        send(FORWARD, i + 1, 0)
-                elif phase is not SETTLE:
-                    # a fulfill or fail reached `to`, which relays it upstream at once
-                    if phase is FULFILL_BACK:
-                        self._settle(hop)
-                        send(SETTLE, i, 0)  # simulated, gates nothing
-                        behavior.on_fulfill(now, to, payment_id)
-                    if i == 0:
-                        outcome.status = "fulfilled" if phase is FULFILL_BACK else "failed"
-                        outcome.completed_at = now
-                    else:
-                        send(phase, i - 1, 0)
-        finally:
-            # a completed payment leaves the queue empty; an aborted one's
-            # messages must not reach the next payment
-            queue.clear()
+        while heap:
+            now, _, phase, i, j, frm, to, sent_at = heapq.heappop(heap)
+            self.now = now
+            hop = hops[i]
+            messages.append(
+                MessageRecord(sent_at, now, payment_id, frm, to, hop.channel, phase[j][0])
+            )
+            if j + 1 < len(phase):
+                send(phase, i, j + 1)
+            elif phase is FORWARD:
+                # the add is committed at `to`, which decides what happens next
+                view = HopView(payment_id, hop, hops[i + 1] if i + 1 < len(hops) else None)
+                if (behavior.on_commit(now, view)
+                        or not (view.is_final or _can_forward(balances, to, view.outgoing))):
+                    # the first edge not added: the rejecting node's would-be
+                    # outgoing hop (== len(hops) when the final node rejects)
+                    outcome.failed_at_hop = i + 1
+                    zs = iter(draw(i + 1).tolist())  # one fail back per hop
+                    send(FAIL_BACK, i, 0)
+                elif view.is_final:
+                    # per hop: its fulfill back and its settlement handshake
+                    zs = iter(draw(len(hops) * (len(FULFILL_BACK) + len(SETTLE))).tolist())
+                    send(FULFILL_BACK, i, 0)
+                else:
+                    zs = iter(draw(len(FORWARD)).tolist())
+                    send(FORWARD, i + 1, 0)
+            elif phase is not SETTLE:
+                # a fulfill or fail reached `to`, which relays it upstream at once
+                if phase is FULFILL_BACK:
+                    self._settle(hop)
+                    send(SETTLE, i, 0)  # simulated, gates nothing
+                    behavior.on_fulfill(now, to, payment_id)
+                if i == 0:
+                    outcome.status = "fulfilled" if phase is FULFILL_BACK else "failed"
+                    outcome.completed_at = now
+                else:
+                    send(phase, i - 1, 0)
         assert outcome.status is not None, "payment did not complete"
         return outcome
 

@@ -9,7 +9,11 @@ every channel (`conftest.channels_at`), not through the graph's own index.
 `PaymentEngine` became one loop over message records: a chain of
 closures, one pair per message, each message drawing its traversal time
 with one scalar `rng.normal` (`sample_latency`), which the loop's
-per-phase draws must match draw for draw.
+per-phase draws must match draw for draw.  Its closures wait on an
+`EventQueue` of its own that lives as long as the engine and carries its
+clock; the engine under test keeps each attempt's messages on a heap local
+to the attempt and only its clock between attempts, so the two share no
+queue code.
 It runs one behaviour through the same two hooks: `on_commit`, whose
 return rejects the add, and `on_fulfill`.
 `reference_route` is route search as it was written before `find_route`
@@ -36,6 +40,7 @@ pick.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 
@@ -62,7 +67,6 @@ from pcnsim.sim import (
     HANDSHAKE,
     LATENCY_FLOOR_NS,
     NS_PER_MS,
-    EventQueue,
     HopView,
     MessageRecord,
     NodeBehavior,
@@ -491,7 +495,7 @@ def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
 
 
 # ---------------------------------------------------------------------------
-# reference payment engine: every message is a closure scheduled on the queue
+# reference payment engine: every message is a closure scheduled on an EventQueue
 
 
 def sample_latency(latency: Gaussian, rng) -> int:
@@ -503,6 +507,31 @@ def sample_latency(latency: Gaussian, rng) -> int:
     """
     ms = rng.normal(latency.mean, latency.std)
     return max(LATENCY_FLOOR_NS, int(round(ms * NS_PER_MS)))
+
+
+class SchedulingError(RuntimeError):
+    """An event was scheduled before the current simulation time."""
+
+
+class EventQueue:
+    """Min-heap of (fire_at, insertion sequence, event) tuples."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap: list[tuple[int, int, object]] = []
+        self._seq = itertools.count()
+
+    def schedule(self, fire_at: int, event) -> None:
+        if fire_at < self.now:
+            raise SchedulingError(f"cannot schedule at {fire_at} < now {self.now}")
+        heapq.heappush(self._heap, (fire_at, next(self._seq), event))
+
+    def next_event(self):
+        """The earliest event, or None; the clock moves to its time."""
+        if not self._heap:
+            return None
+        self.now, _, event = heapq.heappop(self._heap)
+        return event
 
 
 class _PaymentRun:
@@ -534,6 +563,11 @@ class ReferenceEngine:
         self.rng = rng
         self.behavior = behavior or NodeBehavior()
         self.queue = EventQueue()
+
+    @property
+    def now(self) -> int:
+        """The engine's clock in ns, as `PaymentEngine.now` reads it."""
+        return self.queue.now
 
     # -- message plumbing ---------------------------------------------------
 

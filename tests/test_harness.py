@@ -422,6 +422,21 @@ SMALL_RUN = {
 }
 
 
+def policy_snapshot(**policy):
+    """Two nodes and one channel whose node1 policy has the given fields."""
+    return {"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
+            "edges": [{"channel_id": "c0", "node1_pub": "A", "node2_pub": "B",
+                       "capacity_sat": 1000, "node1_policy": policy}]}
+
+
+def write_input(path, document):
+    """Write bytes as they are and anything else as JSON."""
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(json.dumps(document))
+
+
 class TestCli:
     def test_convert_roundtrip(self, tmp_path, capsys):
         dump = {
@@ -484,11 +499,20 @@ class TestCli:
           "edges": []},
          "nodes[1]: duplicate pub_key A"),
         ({"nodes": [{"pub_key": "A"}], "edges": []}, "workload needs at least two nodes"),
+        (policy_snapshot(time_lock_delta=10**400),
+         "malformed policy in edges[0]: timelock_delta must be in 0..4294967295"),
+        (policy_snapshot(base_fee_msat=10**400),
+         "malformed policy in edges[0]: base_fee_msat must be in 0..4294967295"),
+        (policy_snapshot(fee_rate_ppm=2**32),
+         "malformed policy in edges[0]: fee_rate_ppm must be in 0..4294967295"),
+        (b"\xff{}", "can't decode byte 0xff"),
+        (b"[" * 200_000, "maximum recursion depth exceeded"),
     ], ids=["node-without-pub-key", "top-level-list", "negative-capacity", "duplicate-pub-key",
-            "one-node"])
+            "one-node", "huge-time-lock-delta", "huge-base-fee", "fee-rate-above-u32",
+            "not-utf-8", "nested-too-deeply"])
     def test_malformed_snapshot_clean_error(self, tmp_path, capsys, document, message):
         snap = tmp_path / "snapshot.json"
-        snap.write_text(json.dumps(document))
+        write_input(snap, document)
         code = cli.main(["run", "--snapshot", str(snap), "--out", str(tmp_path / "r")])
         assert code == 2
         err = capsys.readouterr().err
@@ -521,6 +545,8 @@ class TestCli:
         ({**SMALL_RUN, "scenario": "list", "node_list": ["nope"]}, []),
         ({**SMALL_RUN, "m": 50}, []),
         ({**SMALL_RUN, "scenario": "random", "m": 5}, []),
+        (b"\xff{}", []),
+        (b"[" * 200_000, []),
     ], ids=[
         "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
         "zero-traversal-weight", "negative-probes", "one-probe", "zero-payments",
@@ -529,10 +555,11 @@ class TestCli:
         "fractional-payments", "string-retry-attack", "negative-seed",
         "negative-seed-option", "boolean-amount", "unknown-field",
         "empty-node-list", "unknown-node", "m-exceeds-nodes", "random-m-exceeds-nodes",
+        "not-utf-8", "nested-too-deeply",
     ])
     def test_malformed_config_clean_error(self, tmp_path, capsys, document, options):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(document))
+        write_input(cfg_file, document)
         code = cli.main([
             "run", "--synthetic", "path:4", "--config", str(cfg_file),
             "--out", str(tmp_path / "r"), *options,
@@ -552,11 +579,17 @@ class TestCli:
 
     def test_convert_malformed_clean_error(self, tmp_path, capsys):
         src = tmp_path / "describegraph.json"
-        src.write_text(json.dumps([{"pub_key": "A"}]))
         out = tmp_path / "snapshot.json"
-        assert cli.main(["convert", str(src), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        for document, message in [
+            ([{"pub_key": "A"}], "must be a mapping"),
+            (b"\xff{}", "can't decode byte 0xff"),
+            (b"[" * 200_000, "maximum recursion depth exceeded"),
+        ]:
+            write_input(src, document)
+            assert cli.main(["convert", str(src), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("table, message", [
         ("region,rtt\nEU,40\n", "line 2: missing region_a"),
@@ -567,10 +600,14 @@ class TestCli:
         ("region_a,region_b,rtt_mean_ms,rtt_std_ms\nEU,EU,nan,1\n", "line 2: round-trip time"),
         ("region_a,region_b,rtt_mean_ms,rtt_std_ms\nEU,EU,inf,1\n", "line 2: round-trip time"),
         ("region_a,region_b,rtt_mean_ms,rtt_std_ms\nEU,EU,40,1e308\n", "line 2: round-trip time"),
-    ], ids=["missing-column", "non-numeric-rtt", "missing-file", "negative", "nan", "inf", "1e308"])
+        (b"\xffregion_a,region_b,rtt_mean_ms,rtt_std_ms\n", "can't decode byte 0xff"),
+    ], ids=["missing-column", "non-numeric-rtt", "missing-file", "negative", "nan", "inf", "1e308",
+            "not-utf-8"])
     def test_malformed_latency_table_clean_error(self, tmp_path, capsys, table, message):
         path = tmp_path / "rtt.csv"
-        if table is not None:
+        if isinstance(table, bytes):
+            path.write_bytes(table)
+        elif table is not None:
             path.write_text(table)
         code = cli.main([
             "run", "--synthetic", "path:3", "--latency-table", str(path),

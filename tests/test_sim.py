@@ -14,21 +14,21 @@ from pcnsim.sim import (
     FULFILL,
     REVOKE,
     TRAVERSALS_PER_EDGE,
-    EventQueue,
     HopView,
     NodeBehavior,
     PaymentEngine,
-    SchedulingError,
     probe_batch,
 )
 from pcnsim.latency import LatencyModel
 from conftest import RejectAt, channels_at, make_graph
-from oracles import ReferenceEngine, sample_latency
+from oracles import EventQueue, ReferenceEngine, SchedulingError, sample_latency
 
 MS = 1_000_000  # ns
 
 
 class TestEventQueue:
+    """The reference engine's queue."""
+
     def test_same_fire_at_pops_in_schedule_order(self):
         q = EventQueue()
         q.schedule(5, "second")  # scheduled first, same time
@@ -203,10 +203,40 @@ class TestChoreography:
             ("e1", REVOKE, "c", 325 * MS),
         ]
         assert o1.completed_at == 210 * MS
-        # the engine drains the queue: the next payment starts after e1's
-        # last settlement message, not when the first one completed
+        # an attempt runs until its last message is delivered: the next
+        # payment starts after e1's last settlement message, not when the
+        # first one completed
         o2, _ = run_payment(net, ["e0", "e1"], "a", engine=engine)
         assert o2.started_at == 325 * MS
+
+    def test_equal_time_deliveries_keep_send_order(self, line_graph):
+        # every traversal takes exactly 10 ms, so from the fulfill on each
+        # hop's settlement messages land at the same nanosecond as another
+        # hop's settlement message and the fulfill relayed upstream: the
+        # order they were sent in decides which is delivered first
+        g, balances, latencies = line_graph
+        path = path_from_channels(g, "a", ["e0", "e1", "e2"], 100_000)
+        reference = ReferenceEngine(g, dict(balances), latencies, np.random.default_rng(0))
+        expected = reference.execute_payment(path, "pay-0").messages
+        outcome, _ = run_payment(line_graph, ["e0", "e1", "e2"], "a")
+        assert outcome.status == "fulfilled" and outcome.messages == expected
+        assert [(m.delivered_at, m.channel, m.kind, m.frm) for m in outcome.messages[15:]] == [
+            (160 * MS, "e2", FULFILL, "d"),
+            (170 * MS, "e2", COMMIT, "d"),
+            (170 * MS, "e1", FULFILL, "c"),
+            (180 * MS, "e2", REVOKE, "c"),
+            (180 * MS, "e1", COMMIT, "c"),
+            (180 * MS, "e0", FULFILL, "b"),
+            (190 * MS, "e2", COMMIT, "c"),
+            (190 * MS, "e1", REVOKE, "b"),
+            (190 * MS, "e0", COMMIT, "b"),
+            (200 * MS, "e2", REVOKE, "d"),
+            (200 * MS, "e1", COMMIT, "b"),
+            (200 * MS, "e0", REVOKE, "a"),
+            (210 * MS, "e1", REVOKE, "c"),
+            (210 * MS, "e0", COMMIT, "a"),
+            (220 * MS, "e0", REVOKE, "b"),
+        ]
 
 
 class ViewRecorder(NodeBehavior):
@@ -231,7 +261,6 @@ class TestAbortedPayment:
         aborted = path_from_channels(g, "a", ["e0", "e1", "e0"], 1000)
         with pytest.raises(RuntimeError, match="settling 3000 over e0 exceeds balance"):
             engine.execute_payment(aborted, "p0")
-        assert engine.queue.next_event() is None
         outcome = engine.execute_payment(path_from_channels(g, "a", ["e1"], 1000), "p1")
         assert outcome.status == "fulfilled"
         assert outcome.completed_at - outcome.started_at == 60 * MS
@@ -463,7 +492,7 @@ def payment_sequences(draw):
 
 
 def engine_state(observer, engine, outcome):
-    return (outcome, list(observer.observations), engine.queue.now, dict(engine.balances),
+    return (outcome, list(observer.observations), engine.now, dict(engine.balances),
             engine.rng.bit_generator.state)
 
 
@@ -561,4 +590,4 @@ class TestTraversalDraws:
         assert outcome.status == "fulfilled"
         assert [m.delivered_at - m.sent_at for m in outcome.messages] == [1 * MS] * 10
         assert outcome.completed_at - outcome.started_at == 6 * MS
-        assert engine.queue.now == 10 * MS
+        assert engine.now == 10 * MS
