@@ -47,7 +47,6 @@ from .metrics import (
 from .routing import (
     Payment,
     PaymentPath,
-    RoutingParams,
     edge_weight,
     find_route,
 )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .graph import Channel, ChannelGraph, NodeId
 from .latency import LatencyModel, logpdf_bound, normal_logpdf
-from .routing import Hop, RoutingParams, TraversalRules, feasible_endpoints
+from .routing import Hop, TraversalRules, feasible_endpoints
 from .sim import HopView, NodeBehavior
 
 TOWARD_SOURCE = "toward-source"
@@ -211,12 +211,12 @@ def _walk_setup(obs: Observation, g: ChannelGraph, cfg: AdversaryConfig):
     observed edge and shrinks by fees beyond it; the observed remaining
     timelock, less the observed edge's own delta, bounds how many deltas
     the downstream hops may still consume.  That budget still holds the
-    route's final CLTV delta, which no hop consumes, so it exceeds the true
-    downstream deltas by exactly that much (40 blocks by default); whether
-    to subtract it is an open modelling question.  Source leg: the far endpoint
-    forwarded the observed amount, so the walk grows it by the observed
-    edge's fee first; the lock budget is unbounded from below.  An observed
-    edge the graph lacks raises EstimationError.
+    route's final CLTV delta (`routing.FINAL_CLTV_DELTA`), which no hop
+    consumes, so it exceeds the true downstream deltas by exactly that
+    much; whether to subtract it is an open modelling question.  Source
+    leg: the far endpoint forwarded the observed amount, so the walk grows
+    it by the observed edge's fee first; the lock budget is unbounded from
+    below.  An observed edge the graph lacks raises EstimationError.
     """
     channel = _observed_channel(obs, g)
     anchor = channel.other_end(obs.observer)
@@ -235,7 +235,6 @@ def reduce_anonymity_set(
     obs: Observation,
     g: ChannelGraph,
     cfg: AdversaryConfig,
-    params: RoutingParams = RoutingParams(),
 ) -> frozenset[NodeId]:
     """Candidate endpoints compatible with the observed amount and lock time.
 
@@ -252,7 +251,7 @@ def reduce_anonymity_set(
     past 5 s.  Call this with destination observations.
     """
     anchor, seed, rules = _walk_setup(obs, g, cfg)
-    return feasible_endpoints(g, anchor, seed, rules, params, frozenset({obs.observer}))
+    return feasible_endpoints(g, anchor, seed, rules, frozenset({obs.observer}))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,6 @@ def estimate_endpoint(
     g: ChannelGraph,
     model: LatencyModel,
     cfg: AdversaryConfig,
-    params: RoutingParams = RoutingParams(),
 ) -> EstimationResult:
     """The likeliest endpoint under the observed delta-t.
 
@@ -323,7 +321,7 @@ def estimate_endpoint(
         for nb, sides in groups[cur]:
             if nb in on_path:
                 continue  # before choosing its channel: that choice would be dropped
-            for side, step in rules.cross(sides, amount_c, delta_c, params):
+            for side, step in rules.cross(sides, amount_c, delta_c):
                 g_e = model.edge_gaussian(side[0].id)
                 mean_n = mean_c + t_weight * g_e.mean
                 var_n = var_c + t_weight * g_e.variance

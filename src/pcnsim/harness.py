@@ -60,15 +60,7 @@ from .metrics import (
     compromised_share,
     report,
 )
-from .routing import (
-    DEFAULT_FINAL_CLTV_DELTA,
-    DEFAULT_RISK_FACTOR,
-    Payment,
-    PaymentPath,
-    RoutingParams,
-    find_route,
-    path_from_channels,
-)
+from .routing import Payment, PaymentPath, find_route, path_from_channels
 from .sim import TRAVERSALS_PER_EDGE, PaymentEngine, probe_batch
 
 log = logging.getLogger(__name__)
@@ -84,6 +76,10 @@ _PROBE_PATHS_KEPT = 6_000
 # Every synthetic channel's capacity and, in both directions, its policy.
 SYNTHETIC_CAPACITY_SAT = 1_000_000
 SYNTHETIC_POLICY = dict(base_fee_msat=1_000, fee_rate_ppm=10, timelock_delta=40)
+# The most message traversals per hop a config may weigh: the engine's
+# choreography has six, the paper's alternative four.  Far larger weights
+# overflow the latency model's float arithmetic.
+MAX_TRAVERSAL_WEIGHT = 1_000
 
 
 class ConfigError(ValueError):
@@ -107,14 +103,11 @@ class ScenarioConfig:
     max_estimates_per_channel: int = 3
     report_ablation: bool = False
     export_timeline: bool = False
-    final_cltv_delta: int = DEFAULT_FINAL_CLTV_DELTA
-    risk_factor: float = DEFAULT_RISK_FACTOR
 
     def __post_init__(self):
         for name in (
             "m", "base_seed", "payments_per_run", "repetitions", "traversal_weight",
             "probes_per_path", "probe_max_depth", "max_estimates_per_channel",
-            "final_cltv_delta",
         ):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -156,23 +149,14 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if self.traversal_weight > MAX_TRAVERSAL_WEIGHT:
+            raise ConfigError(f"traversal_weight must be <= {MAX_TRAVERSAL_WEIGHT}, "
+                              f"got {self.traversal_weight!r}")
         if self.probes_per_path == 1:
             raise ConfigError(
                 "probes_per_path must be 0 (no probing) or >= 2, since an edge "
                 "estimate needs two probes; got 1"
             )
-        try:
-            self.routing_params()
-        except ValueError as exc:
-            raise ConfigError(
-                f"{exc}: risk_factor={self.risk_factor!r}, "
-                f"final_cltv_delta={self.final_cltv_delta!r}"
-            ) from exc
-
-    def routing_params(self) -> RoutingParams:
-        return RoutingParams(
-            risk_factor=self.risk_factor, final_cltv_delta=self.final_cltv_delta
-        )
 
 
 @dataclass
@@ -202,14 +186,21 @@ class ExperimentResult:
 
 
 def check_scenario(g: ChannelGraph, cfg: ScenarioConfig) -> None:
-    """Raise ConfigError if `g` has too few nodes for a workload or `cfg`'s
-    adversary placement does not fit it.
+    """Raise ConfigError if `g` has too few nodes for a workload, an amount
+    above its largest channel capacity, or `cfg`'s adversary placement does
+    not fit it.  A route's last hop carries the amount whole, so no route
+    can carry an amount above every capacity.
 
     `build_scenario` checks this in every run; `pcnsim run` and the
     experiment scripts check it once before any run.
     """
     if len(g.nodes) < 2:
         raise ConfigError("workload needs at least two nodes")
+    amount = max(cfg.amounts_sat)
+    largest = max((ch.capacity_msat for ch in g.channels.values()), default=0)
+    if amount * MSAT_PER_SAT > largest:
+        raise ConfigError(f"amounts_sat {amount} exceeds the largest channel capacity, "
+                          f"{largest // MSAT_PER_SAT} sat")
     if cfg.scenario == "list":
         unknown = [n for n in cfg.node_list if n not in g.nodes]
         if unknown:
@@ -250,7 +241,7 @@ def generate_workload(
             s, t = (ids[int(k)] for k in rng.integers(len(ids), size=2))
             if s != t:
                 break
-        out.append((s, t, amount_sat * 1000))
+        out.append((s, t, amount_sat * MSAT_PER_SAT))
     return out
 
 
@@ -357,22 +348,22 @@ def probe_plan(
 
 
 def probe_paths(
-    g: ChannelGraph, vantage: NodeId, max_depth: int, params: RoutingParams
+    g: ChannelGraph, vantage: NodeId, max_depth: int
 ) -> tuple[tuple[str, PaymentPath], ...]:
     """`probe_plan` with each probing path built by `path_from_channels`:
     (channel to estimate, probe payment path), whose last hop crosses that
     channel.
 
-    Built once per graph, vantage, depth and params and kept on the graph,
-    the oldest vantages' paths dropped first past `_PROBE_PATHS_KEPT`; the
+    Built once per graph, vantage and depth and kept on the graph, the
+    oldest vantages' paths dropped first past `_PROBE_PATHS_KEPT`; the
     paths just built are kept even when they alone exceed it.
     """
     kept = g.derived("probe paths", dict)
-    key = (vantage, max_depth, params)
+    key = (vantage, max_depth)
     paths = kept.get(key)
     if paths is None:
         paths = kept[key] = tuple(
-            (cid, path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
+            (cid, path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT))
             for cid, channels in probe_plan(g, vantage, max_depth)
         )
         while len(kept) > 1 and sum(map(len, kept.values())) > _PROBE_PATHS_KEPT:
@@ -399,11 +390,10 @@ def build_latency_model(
     """
     estimates: dict[str, list[tuple[int, str, Gaussian]]] = {}
     children = rng_seed_seq.spawn(len(malicious))
-    params = cfg.routing_params()
     for vantage, child in zip(sorted(malicious), children):
         rng = np.random.default_rng(child)
         per_edge: dict[str, Gaussian] = {}
-        for cid, path in probe_paths(graph, vantage, cfg.probe_max_depth, params):
+        for cid, path in probe_paths(graph, vantage, cfg.probe_max_depth):
             prefix = path.hops[:-1]
             if any(hop.channel not in per_edge for hop in prefix):
                 continue  # a prior estimate failed; cannot isolate this edge
@@ -445,7 +435,6 @@ def run_single(
     balances = init_balances(g)
     latencies = assign_latencies(g, latency_table, int(ss_latency.generate_state(1)[0]))
     adv_cfg = build_scenario(g, cfg, int(ss_scenario.generate_state(1)[0]))
-    params = cfg.routing_params()
     model, _ = build_latency_model(g, balances, latencies, adv_cfg.malicious_nodes, cfg, ss_probe)
 
     observer = AdversaryObserver(adv_cfg)
@@ -455,7 +444,7 @@ def run_single(
     truth: GroundTruth = {}
     unrouted = 0
     outcomes = []
-    paths = [find_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
+    paths = [find_route(g, Payment(s, t, amount)) for s, t, amount in workload]
     for i, ((s, t, amount), path) in enumerate(zip(workload, paths)):
         pid = f"p{amount_sat}s{seed}n{i:05d}"
         if path is None:
@@ -490,10 +479,10 @@ def run_single(
     for pid in sorted(inputs):
         for target in sorted(inputs[pid]):
             obs = inputs[pid][target]
-            guesses["timing", target][pid] = estimate_endpoint(obs, g, model, adv_cfg, params).top
+            guesses["timing", target][pid] = estimate_endpoint(obs, g, model, adv_cfg).top
             guesses["first_spy", target][pid] = first_spy_estimate(obs, g).top
             if cfg.report_ablation and target == "destination":
-                ablated_dst[pid] = estimate_endpoint(obs, g, model, ablated_cfg, params).top
+                ablated_dst[pid] = estimate_endpoint(obs, g, model, ablated_cfg).top
 
     reports: dict[tuple[str, str], MetricsReport] = {}
     for estimator in ("timing", "first_spy"):

@@ -3,8 +3,9 @@
 Route search runs backward from the destination so the per-hop forwarding
 amounts are exact: the last edge carries the payment amount and every edge
 before it adds the downstream forwarder's fee.  Edge selection minimizes
-fee(a) + a * timelock_delta * risk_factor, the weight most deployed client
-software uses.
+fee(a) + a * timelock_delta * RISK_FACTOR, the weight most deployed client
+software uses; the last hop's time lock holds `FINAL_CLTV_DELTA` on top of
+the route's deltas.  Both are fixed, as LND fixes its risk factor.
 
 Route search and the adversary's candidate-path walks pick a node pair's
 channel by one rule, `TraversalRules.cross`: the cheapest channel that can
@@ -12,9 +13,9 @@ carry the amount in the payment's direction, weighed at the amount it
 carries, ties by channel id.
 
 Route search never reads a balance, so one search per (destination,
-amount, params) serves every source: it settles the whole graph into a
-route tree, one channel per node, which the graph keeps for every later
-run (`ChannelGraph.derived`).  `find_route` follows the tree from the
+amount) serves every source: it settles the whole graph into a route
+tree, one channel per node, which the graph keeps for every later run
+(`ChannelGraph.derived`).  `find_route` follows the tree from the
 source and hands its channels to `path_from_channels`, which builds every
 `Hop`: the one record of what an HTLC carries over one channel.
 """
@@ -28,18 +29,10 @@ from dataclasses import dataclass
 
 from .graph import Channel, ChannelGraph, ChannelId, ChannelSide, DirectedPolicy, NodeId
 
-DEFAULT_RISK_FACTOR = 1.5e-8
-DEFAULT_FINAL_CLTV_DELTA = 40
-
-
-@dataclass(frozen=True)
-class RoutingParams:
-    risk_factor: float = DEFAULT_RISK_FACTOR
-    final_cltv_delta: int = DEFAULT_FINAL_CLTV_DELTA
-
-    def __post_init__(self):
-        if not (0 <= self.risk_factor < math.inf) or self.final_cltv_delta < 0:
-            raise ValueError("routing params must be non-negative and finite")
+# Weight per msat and block of time lock an edge holds (LND's 15 per billion).
+RISK_FACTOR = 1.5e-8
+# Blocks the last hop's time lock holds beyond the route's deltas.
+FINAL_CLTV_DELTA = 40
 
 
 @dataclass(frozen=True)
@@ -94,15 +87,16 @@ class PaymentPath:
         return [h.to for h in self.hops[:-1]]
 
 
-def edge_weight(amount_msat: int, policy: DirectedPolicy, params: RoutingParams) -> float:
-    """Routing weight of forwarding `amount_msat` under `policy`."""
+def edge_weight(amount_msat: int, policy: DirectedPolicy) -> float:
+    """Routing weight of forwarding `amount_msat` under `policy`: its fee
+    plus the amount times the policy's time-lock delta times `RISK_FACTOR`."""
     if amount_msat <= 0:
         raise ValueError("amount must be positive")
     if not policy.enabled:
         return math.inf
     return (
         policy.fee_msat(amount_msat)
-        + amount_msat * policy.timelock_delta * params.risk_factor
+        + amount_msat * policy.timelock_delta * RISK_FACTOR
     )
 
 
@@ -163,8 +157,8 @@ class TraversalRules:
             return None
         return amount + policy_in.fee_msat(amount), 0
 
-    def cross(self, sides: tuple[ChannelSide, ...], amount: int, delta_used: int,
-              params: RoutingParams) -> tuple[tuple[ChannelSide, tuple[int, int]], ...]:
+    def cross(self, sides: tuple[ChannelSide, ...], amount: int,
+              delta_used: int) -> tuple[tuple[ChannelSide, tuple[int, int]], ...]:
         """The channels of one neighbour group (`ChannelGraph.neighbour_groups`)
         the payment may have crossed, each with the `step` state after it.
 
@@ -189,7 +183,7 @@ class TraversalRules:
             if state is None:
                 continue
             carried = state[0] if from_anchor else amount
-            pick = min((edge_weight(carried, other[paid], params), other[0].id)
+            pick = min((edge_weight(carried, other[paid]), other[0].id)
                        for other in sides
                        if other[paid].enabled and other[0].capacity_msat >= carried)
             if pick[1] == side[0].id:
@@ -218,8 +212,7 @@ def _route_index(g: ChannelGraph) -> tuple[dict[NodeId, int], dict[ChannelId, in
             {ch.id: i for i, ch in enumerate(channels)}, channels)
 
 
-def _route_tree(g: ChannelGraph, dest: NodeId, amount_msat: int,
-                params: RoutingParams) -> array:
+def _route_tree(g: ChannelGraph, dest: NodeId, amount_msat: int) -> array:
     """Backward Dijkstra from `dest` for `amount_msat`, run until every node
     it reaches has settled.
 
@@ -251,8 +244,8 @@ def _route_tree(g: ChannelGraph, dest: NodeId, amount_msat: int,
             # the payment, as a source-leg walk toward its anchor does
             # at most one channel: every one carries the same amount
             for (ch, _, policy), (amount_in, _) in _TOWARD_DEST.cross(
-                    sides, amount_over_edge, 0, params):
-                cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
+                    sides, amount_over_edge, 0):
+                cand = (w_u + edge_weight(amount_over_edge, policy), hops_u + 1)
                 if x in best and best[x] <= cand:
                     continue
                 best[x] = cand
@@ -266,14 +259,10 @@ def _route_tree(g: ChannelGraph, dest: NodeId, amount_msat: int,
     return tree
 
 
-def find_route(
-    g: ChannelGraph,
-    payment: Payment,
-    params: RoutingParams = RoutingParams(),
-) -> PaymentPath | None:
+def find_route(g: ChannelGraph, payment: Payment) -> PaymentPath | None:
     """Cheapest capacity-valid route, or None.
 
-    Follows the route tree of the payment's (destination, amount, params),
+    Follows the route tree of the payment's (destination, amount),
     built by `_route_tree` on first use and kept on the graph, oldest
     trees dropped first past `_ROUTE_TREE_CELLS`.  `path_from_channels`
     then builds the hops, by the fee recursion the search used.
@@ -282,10 +271,10 @@ def find_route(
     if source not in g.nodes or dest not in g.nodes:
         raise KeyError("payment endpoints missing from graph")
     trees = g.derived("route trees", dict)
-    key = (dest, amount, params)
+    key = (dest, amount)
     tree = trees.get(key)
     if tree is None:
-        tree = trees[key] = _route_tree(g, dest, amount, params)
+        tree = trees[key] = _route_tree(g, dest, amount)
         while len(trees) * len(tree) > _ROUTE_TREE_CELLS:
             del trees[next(iter(trees))]
     node_index, _, channels = g.derived("route index", lambda: _route_index(g))
@@ -298,7 +287,7 @@ def find_route(
         channel = channels[entry]
         route.append(channel.id)
         node = channel.other_end(node)
-    return path_from_channels(g, source, route, amount, params)
+    return path_from_channels(g, source, route, amount)
 
 
 def path_from_channels(
@@ -306,12 +295,11 @@ def path_from_channels(
     start: NodeId,
     channel_ids: list[ChannelId],
     amount_msat: int,
-    params: RoutingParams = RoutingParams(),
 ) -> PaymentPath:
     """Build a concrete payment path along the given channels.
 
     One backward pass from the last hop, which carries `amount_msat` and
-    holds the final delta plus its own: each earlier hop carries the next
+    holds `FINAL_CLTV_DELTA` plus its own: each earlier hop carries the next
     hop's amount plus the fee of that hop's forwarder, and holds the next
     hop's time lock plus its own delta.  Route search, crafted probe
     payments and fixtures all build their hops here.
@@ -324,7 +312,7 @@ def path_from_channels(
         ends.append((cid, node, nxt, ch.policy_from(node)))
         node = nxt
     hops: list[Hop] = []
-    amount, timelock = amount_msat, params.final_cltv_delta
+    amount, timelock = amount_msat, FINAL_CLTV_DELTA
     for cid, frm, to, policy in reversed(ends):
         timelock += policy.timelock_delta
         hops.append(Hop(cid, frm, to, amount, timelock))
@@ -342,7 +330,6 @@ def feasible_endpoints(
     anchor: NodeId,
     amount_msat: int,
     rules: TraversalRules,
-    params: RoutingParams,
     forbidden: frozenset[NodeId] = frozenset(),
 ) -> frozenset[NodeId]:
     """Nodes reached by at least one feasible simple path from the anchor.
@@ -363,7 +350,7 @@ def feasible_endpoints(
         for nxt_node, sides in groups[node]:
             if nxt_node in visited:
                 continue
-            for _, state in rules.cross(sides, amount, delta_used, params):
+            for _, state in rules.cross(sides, amount, delta_used):
                 members.add(nxt_node)
                 stack.append((nxt_node, state[0], state[1], visited | {nxt_node}))
     return frozenset(members)

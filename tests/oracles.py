@@ -55,9 +55,10 @@ from pcnsim.graph import Balances, ChannelGraph, Gaussian, Latencies, NodeId
 from pcnsim.latency import normal_logpdf
 from pcnsim.routing import (
     _TOWARD_DEST,
+    FINAL_CLTV_DELTA,
+    RISK_FACTOR,
     Hop,
     PaymentPath,
-    RoutingParams,
     edge_weight,
 )
 from pcnsim.sim import (
@@ -161,7 +162,7 @@ def path_amounts(g, channel_seq, amount):
     return amounts
 
 
-def brute_route(g, source, dest, amount, risk_factor):
+def brute_route(g, source, dest, amount):
     """Minimum total weight over all capacity-valid simple paths, or None."""
     best = None
     for channel_seq in _simple_paths(g, source, dest):
@@ -173,7 +174,7 @@ def brute_route(g, source, dest, amount, risk_factor):
             if not policy.enabled or ch.capacity_msat < f:
                 ok = False
                 break
-            weight += fee(policy, f) + f * policy.timelock_delta * risk_factor
+            weight += fee(policy, f) + f * policy.timelock_delta * RISK_FACTOR
         if not ok:
             continue
         if best is None or weight < best:
@@ -181,7 +182,7 @@ def brute_route(g, source, dest, amount, risk_factor):
     return best
 
 
-def reference_route(g, payment, params=None) -> PaymentPath | None:
+def reference_route(g, payment) -> PaymentPath | None:
     """`find_route` as it was written before route trees: a backward
     Dijkstra from the destination that stops once the source settles and
     carries each hop's amount and delta along its successor pointers.
@@ -189,7 +190,6 @@ def reference_route(g, payment, params=None) -> PaymentPath | None:
     Tie-breaks on (weight, hop count, node id), then channel id within one
     node pair (`TraversalRules.cross`).
     """
-    params = params or RoutingParams()
     source, dest, amount_msat = payment.source, payment.dest, payment.amount_msat
     best = {dest: (0.0, 0)}
     req_in = {dest: amount_msat}
@@ -206,8 +206,8 @@ def reference_route(g, payment, params=None) -> PaymentPath | None:
             if x in settled:
                 continue
             for (ch, _, policy), (amount_in, _) in _TOWARD_DEST.cross(
-                    sides, amount_over_edge, 0, params):
-                cand = (w_u + edge_weight(amount_over_edge, policy, params), hops_u + 1)
+                    sides, amount_over_edge, 0):
+                cand = (w_u + edge_weight(amount_over_edge, policy), hops_u + 1)
                 if x in best and best[x] <= cand:
                     continue
                 best[x] = cand
@@ -223,7 +223,7 @@ def reference_route(g, payment, params=None) -> PaymentPath | None:
         rows.append((cid, node, nxt, amount, delta))
         node = nxt
     # the time lock counts down from the summed deltas plus the final delta
-    remaining = sum(row[4] for row in rows) + params.final_cltv_delta
+    remaining = sum(row[4] for row in rows) + FINAL_CLTV_DELTA
     hops = []
     for cid, frm, to, amount, delta in rows:
         hops.append(Hop(cid, frm, to, amount, remaining))
@@ -262,7 +262,7 @@ def _can_cross(ch, frm, amount, direction, used_delta=0, budget=None):
     return budget is None or used_delta + policy.timelock_delta <= budget
 
 
-def _cheapest(g, frm, to, amount, risk_factor, direction, used_delta=0, budget=None):
+def _cheapest(g, frm, to, amount, direction, used_delta=0, budget=None):
     """The channels frm -> to a walk at `amount` crosses: each that
     `_can_cross` accepts and that route search would pick at the amount it
     carries, the least (weight under frm's policy, channel id) among the
@@ -273,7 +273,7 @@ def _cheapest(g, frm, to, amount, risk_factor, direction, used_delta=0, budget=N
 
     def key(ch, carried):
         policy = ch.policy_from(frm)
-        return (fee(policy, carried) + carried * policy.timelock_delta * risk_factor, ch.id)
+        return (fee(policy, carried) + carried * policy.timelock_delta * RISK_FACTOR, ch.id)
 
     out = []
     for ch in pair:
@@ -295,7 +295,6 @@ def candidate_paths(
     seed_amount,
     direction,
     budget=None,
-    risk_factor=1.5e-8,
     forbidden=(),
 ):
     """All feasible simple candidate paths beyond the observed edge.
@@ -315,14 +314,13 @@ def candidate_paths(
         results.append((node, list(edges)))
         for nb in sorted(_neighbours(g, node) - visited):
             if direction == "from-anchor":
-                for ch in _cheapest(g, node, nb, amount, risk_factor, direction,
-                                    used_delta, budget):
+                for ch in _cheapest(g, node, nb, amount, direction, used_delta, budget):
                     policy = ch.policy_from(node)
                     nxt = _inverted_amount(policy, amount)
                     delta = used_delta + policy.timelock_delta
                     dfs(nb, nxt, delta, visited | {nb}, edges + [ch.id])
             else:
-                for ch in _cheapest(g, nb, node, amount, risk_factor, direction):
+                for ch in _cheapest(g, nb, node, amount, direction):
                     policy = ch.policy_from(nb)
                     nxt = amount + fee(policy, amount)
                     dfs(nb, nxt, used_delta, visited | {nb}, edges + [ch.id])
@@ -371,7 +369,6 @@ def brute_estimate(
     direction,
     budget=None,
     sigma_floor=0.1,
-    risk_factor=1.5e-8,
 ):
     """Argmax endpoint over exhaustive candidate-path enumeration.
 
@@ -384,7 +381,7 @@ def brute_estimate(
     base = model.edge_gaussian(obs_edge_id)
     best: dict[str, float] = {}
     for endpoint, edges in candidate_paths(
-        g, anchor, seed_amount, direction, budget, risk_factor, forbidden=(observer,)
+        g, anchor, seed_amount, direction, budget, forbidden=(observer,)
     ):
         mean = t * base.mean
         var = t * base.variance
@@ -403,7 +400,7 @@ def brute_estimate(
 # reference candidate-path walks: one rescan of the node's channels per neighbour
 
 
-def _reference_edges(params, rules):
+def _reference_edges(rules):
     """Edge chooser: per neighbor, the channels route search could have
     picked (`_cheapest`), weighed in the direction the payment crossed
     them."""
@@ -413,22 +410,20 @@ def _reference_edges(params, rules):
         out = []
         for nb in sorted(_neighbours(g, node)):
             if direction == "from-anchor":
-                out += _cheapest(g, node, nb, amount, params.risk_factor, direction,
-                                 used_delta, budget)
+                out += _cheapest(g, node, nb, amount, direction, used_delta, budget)
             else:
-                out += _cheapest(g, nb, node, amount, params.risk_factor, direction)
+                out += _cheapest(g, nb, node, amount, direction)
         return out
 
     return candidates
 
 
-def reference_anonymity_set(obs, g, cfg, params=None) -> frozenset[NodeId]:
+def reference_anonymity_set(obs, g, cfg) -> frozenset[NodeId]:
     """`adversary.reduce_anonymity_set` over `_reference_edges`."""
-    params = params or RoutingParams()
     if obs.edge_observed not in g.channels:
         raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     anchor, seed, rules = _walk_setup(obs, g, cfg)
-    edge_candidates = _reference_edges(params, rules)
+    edge_candidates = _reference_edges(rules)
     members = {anchor}
     stack = [(anchor, seed, 0, frozenset({anchor, obs.observer}))]
     while stack:
@@ -446,17 +441,16 @@ def reference_anonymity_set(obs, g, cfg, params=None) -> frozenset[NodeId]:
     return frozenset(members)
 
 
-def reference_estimate(obs, g, model, cfg, params=None) -> EstimationResult:
+def reference_estimate(obs, g, model, cfg) -> EstimationResult:
     """Every node an increasing chain reaches, ranked by its best
     log-likelihood, ties by node id, over `_reference_edges`."""
-    params = params or RoutingParams()
     if obs.edge_observed not in g.channels:
         raise EstimationError(f"observed edge {obs.edge_observed} not in graph")
     t_weight = model.traversal_weight
     delta_ms = obs.delta_t_ms
     floor = SIGMA_FLOOR_MS
     anchor, seed, rules = _walk_setup(obs, g, cfg)
-    edge_candidates = _reference_edges(params, rules)
+    edge_candidates = _reference_edges(rules)
 
     g0 = model.edge_gaussian(obs.edge_observed)
     mean0 = t_weight * g0.mean

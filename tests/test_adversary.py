@@ -19,7 +19,7 @@ from pcnsim.adversary import (
 from pcnsim.graph import init_balances
 from pcnsim.harness import ExperimentResult, RunRecord, emit_results
 from pcnsim.latency import Gaussian, LatencyModel
-from pcnsim.routing import Payment, RoutingParams, find_route
+from pcnsim.routing import Payment, find_route
 from pcnsim.sim import PaymentEngine
 from conftest import channels_at, make_graph
 from oracles import (
@@ -242,7 +242,7 @@ class TestEstimateEndpoint:
         spec.loader.exec_module(tracing)
         pub, model = line_model_fixture()
         obs = mk_obs(observer="m", edge="e1", amount=100_000, timelock=120, t1=119 * MS)
-        args = (obs, pub, model, AdversaryConfig(frozenset({"m"})), RoutingParams())
+        args = (obs, pub, model, AdversaryConfig(frozenset({"m"})))
         note = tracing.NOTES["adversary.estimate"]
         assert note(args, {}, estimate_endpoint(*args)) == (1, False)
 
@@ -367,7 +367,7 @@ def walk_cases(draw):
 @st.composite
 def observed_on(draw, pub, amount):
     """Latency-model entries for some of `pub`'s channels and one observation
-    of `amount` at a node with channels: (edges, obs, cfg, params)."""
+    of `amount` at a node with channels: (edges, obs, cfg)."""
     edges = {}
     for cid in sorted(pub.channels):
         if draw(st.booleans()):  # otherwise the model falls back to its default
@@ -386,8 +386,7 @@ def observed_on(draw, pub, amount):
     cfg = AdversaryConfig(
         frozenset({observer}), timelock_reduction_enabled=draw(st.booleans())
     )
-    params = RoutingParams(risk_factor=draw(st.sampled_from([0.0, 1.5e-8, 1e-5])))
-    return edges, obs, cfg, params
+    return edges, obs, cfg
 
 
 class TestReferenceWalk:
@@ -399,23 +398,21 @@ class TestReferenceWalk:
     def test_matches_reference(self, case):
         self.check(*case)
 
-    @given(g=multigraphs(fee_kinds=("mixed",)), amount=st.integers(500, 2_000_000),
-           data=st.data())
+    @given(g=multigraphs(fee_kinds=("mixed", "deltas-only")),
+           amount=st.integers(500, 2_000_000), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_on_mixed_fee_multigraphs(self, g, amount, data):
         self.check(g, *data.draw(observed_on(g, amount)))
 
     @staticmethod
-    def check(pub, edges, obs, cfg, params):
+    def check(pub, edges, obs, cfg):
         # channels without an entry take the default, which sits among the
         # drawn means so that the likelihood walks get past the anchor
         model, ref_model = (LatencyModel(dict(edges), default=Gaussian(40.0, 10.0)) for _ in range(2))
-        assert estimate_endpoint(obs, pub, model, cfg, params).candidates == reference_estimate(
-            obs, pub, ref_model, cfg, params
+        assert estimate_endpoint(obs, pub, model, cfg).candidates == reference_estimate(
+            obs, pub, ref_model, cfg
         ).candidates[:1]
-        assert reduce_anonymity_set(obs, pub, cfg, params) == reference_anonymity_set(
-            obs, pub, cfg, params
-        )
+        assert reduce_anonymity_set(obs, pub, cfg) == reference_anonymity_set(obs, pub, cfg)
 
 
 class TestAnonymitySetSoundness:

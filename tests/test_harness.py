@@ -20,6 +20,7 @@ from pcnsim.harness import (
     ScenarioConfig,
     build_latency_model,
     build_scenario,
+    check_scenario,
     emit_results,
     generate_synthetic_graph,
     generate_workload,
@@ -78,6 +79,21 @@ class TestBuildScenario:
         g, _ = make_graph(["a", "b"], [("e0", "a", "b")])
         with pytest.raises(ConfigError):
             build_scenario(g, tiny_cfg(m=5), seed=0)
+
+    def test_amount_above_largest_capacity_rejected(self):
+        # a route's last hop carries the amount whole: the largest channel
+        # takes 1,000,000 sat, and no route carries one more
+        g, _ = make_graph(["a", "b", "c"],
+                          [("e0", "a", "b", {"capacity_sat": 10}), ("e1", "b", "c")])
+        check_scenario(g, tiny_cfg(amounts_sat=(100, 1_000_000)))
+        with pytest.raises(ConfigError, match="amounts_sat 1000001 exceeds the largest "
+                                              "channel capacity, 1000000 sat"):
+            check_scenario(g, tiny_cfg(amounts_sat=(1_000_001, 100)))
+
+    def test_traversal_weight_bounded(self):
+        tiny_cfg(traversal_weight=1_000)  # the bound itself is allowed
+        with pytest.raises(ConfigError, match="traversal_weight must be <= 1000, got 1001"):
+            tiny_cfg(traversal_weight=1_001)
 
 
 class TestWorkload:
@@ -276,8 +292,7 @@ class TestWorkloadRouting:
         # the workload stream run_single draws from
         root = np.random.SeedSequence(entropy=(seed, amount_sat))
         workload = generate_workload(g, cfg, np.random.default_rng(root.spawn(5)[4]), amount_sat)
-        params = cfg.routing_params()
-        fresh = [reference_route(g, Payment(s, t, amount), params) for s, t, amount in workload]
+        fresh = [reference_route(g, Payment(s, t, amount)) for s, t, amount in workload]
         assert 0 < sum(p is None for p in fresh) < len(fresh)
         assert len({(t, amount) for _, t, amount in workload}) < len(workload)
         routed = {f"p{amount_sat}s{seed}n{i:05d}": p for i, p in enumerate(fresh) if p is not None}
@@ -547,6 +562,9 @@ class TestCli:
         ({**SMALL_RUN, "scenario": "random", "m": 5}, []),
         (b"\xff{}", []),
         (b"[" * 200_000, []),
+        ({**SMALL_RUN, "traversal_weight": 10**400}, []),
+        ({**SMALL_RUN, "traversal_weight": 1_001}, []),
+        ({**SMALL_RUN, "amounts_sat": [2_000_000]}, []),
     ], ids=[
         "top-level-list", "amounts-not-a-list", "zero-amount", "string-amount",
         "zero-traversal-weight", "negative-probes", "one-probe", "zero-payments",
@@ -555,7 +573,8 @@ class TestCli:
         "fractional-payments", "string-retry-attack", "negative-seed",
         "negative-seed-option", "boolean-amount", "unknown-field",
         "empty-node-list", "unknown-node", "m-exceeds-nodes", "random-m-exceeds-nodes",
-        "not-utf-8", "nested-too-deeply",
+        "not-utf-8", "nested-too-deeply", "huge-traversal-weight",
+        "traversal-weight-above-bound", "amount-above-capacity",
     ])
     def test_malformed_config_clean_error(self, tmp_path, capsys, document, options):
         cfg_file = tmp_path / "cfg.json"

@@ -11,8 +11,9 @@ from pcnsim.graph import Channel, ChannelGraph, DirectedPolicy, Node
 from pcnsim import harness, routing
 from pcnsim.harness import PROBE_AMOUNT_MSAT, probe_paths, probe_plan
 from pcnsim.routing import (
+    FINAL_CLTV_DELTA,
+    RISK_FACTOR,
     Payment,
-    RoutingParams,
     TraversalRules,
     edge_weight,
     feasible_endpoints,
@@ -24,22 +25,19 @@ from conftest import channels_at, make_graph
 from oracles import brute_reduced_set, brute_route, path_amounts, reference_route
 
 
-PARAMS = RoutingParams()
-
-
 class TestEdgeWeight:
     def test_worked_example(self):
         policy = DirectedPolicy(base_fee_msat=1000, fee_rate_ppm=10, timelock_delta=40)
-        w = edge_weight(1_000_000, policy, RoutingParams(risk_factor=1.5e-8))
+        w = edge_weight(1_000_000, policy)
         assert w == pytest.approx(1010.6, abs=1e-12)
 
     def test_all_zero(self):
-        policy = DirectedPolicy()
-        assert edge_weight(5, policy, RoutingParams(risk_factor=0.0)) == 0
+        policy = DirectedPolicy(timelock_delta=0)
+        assert edge_weight(5, policy) == 0
 
     def test_disabled_infinite(self):
         policy = DirectedPolicy(enabled=False)
-        assert math.isinf(edge_weight(5, policy, PARAMS))
+        assert math.isinf(edge_weight(5, policy))
 
 
 class TestForwardedAmount:
@@ -115,10 +113,10 @@ class TestFindRoute:
         remaining = [h.remaining_timelock for h in path.hops]
         assert remaining == sorted(remaining, reverse=True)
         deltas = [g.channels[h.channel].policy_from(h.frm).timelock_delta for h in path.hops]
-        assert remaining[0] == sum(deltas) + PARAMS.final_cltv_delta
+        assert remaining[0] == sum(deltas) + FINAL_CLTV_DELTA
         # after the last hop's delta, exactly the final delta remains
         last_delta = g.channels[path.hops[-1].channel].policy_from(path.hops[-1].frm).timelock_delta
-        assert remaining[-1] - last_delta == PARAMS.final_cltv_delta
+        assert remaining[-1] - last_delta == FINAL_CLTV_DELTA
 
     def test_parallel_channels_cheapest_wins(self):
         g, _ = make_graph(
@@ -175,8 +173,8 @@ class TestRouteOracle:
             if s == t:
                 continue
             amount = int(rng.integers(1, 10_000)) * 1000
-            oracle = brute_route(g, s, t, amount, PARAMS.risk_factor)
-            path = find_route(g, Payment(s, t, amount), PARAMS)
+            oracle = brute_route(g, s, t, amount)
+            path = find_route(g, Payment(s, t, amount))
             if oracle is None:
                 assert path is None
                 continue
@@ -184,7 +182,7 @@ class TestRouteOracle:
             for hop in path.hops:
                 policy = g.channels[hop.channel].policy_from(hop.frm)
                 got += policy.fee_msat(hop.forward_amount_msat) + (
-                    hop.forward_amount_msat * policy.timelock_delta * PARAMS.risk_factor
+                    hop.forward_amount_msat * policy.timelock_delta * RISK_FACTOR
                 )
             assert got == pytest.approx(oracle, rel=1e-12)
 
@@ -198,7 +196,7 @@ class TestRouteOracle:
             if s == t:
                 continue
             amount = int(rng.integers(1, 60)) * 1000
-            path = find_route(g, Payment(s, t, amount), PARAMS)
+            path = find_route(g, Payment(s, t, amount))
             if path is None:
                 continue
             seq = [(g.channels[h.channel], h.frm) for h in path.hops]
@@ -212,22 +210,21 @@ class TestRouteOracle:
 CAPACITIES_SAT = (1, 2, 45, 1_000, 10**6)
 
 
-PARAMS_CHOICES = (
-    PARAMS,
-    RoutingParams(risk_factor=0.0),
-    RoutingParams(risk_factor=1e-3, final_cltv_delta=9),
-)
-
-
 @st.composite
-def multigraphs(draw, fee_kinds=("uniform", "mixed", "free")):
-    """A multigraph of up to 8 nodes, some directions disabled."""
+def multigraphs(draw, fee_kinds=("uniform", "mixed", "free", "deltas-only")):
+    """A multigraph of up to 8 nodes, some directions disabled.
+
+    Mixed fees come with mixed time-lock deltas or with none, where weights
+    order by fee alone; "deltas-only" charges no fees, so weights order by
+    delta alone.
+    """
     names = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1]),
         min_size=1, max_size=14,
     ))  # a repeated pair is a parallel channel; a name in no pair is unreachable
     fees = draw(st.sampled_from(fee_kinds))
+    max_delta = draw(st.sampled_from((0, 144))) if fees == "mixed" else 144
     rows = []
     for i, (u, v) in enumerate(pairs):
         over = {"capacity_sat": draw(st.sampled_from(CAPACITIES_SAT))}
@@ -236,8 +233,11 @@ def multigraphs(draw, fee_kinds=("uniform", "mixed", "free")):
             if fees == "mixed":
                 over[f"base_fee_{side}"] = draw(st.integers(0, 3_000))
                 over[f"rate_ppm_{side}"] = draw(st.sampled_from((0, 10, 5_000)))
+                over[f"delta_{side}"] = draw(st.integers(0, max_delta))
+            elif fees == "deltas-only":
+                over[f"base_fee_{side}"] = over[f"rate_ppm_{side}"] = 0
                 over[f"delta_{side}"] = draw(st.integers(0, 144))
-            elif fees == "free":  # under a zero risk factor every route ties on weight
+            elif fees == "free":  # every edge weighs the same: routes tie by hop count
                 over[f"base_fee_{side}"] = over[f"rate_ppm_{side}"] = 0
         rows.append((f"c{i}", u, v, over))
     return make_graph(names, rows)[0]
@@ -245,12 +245,11 @@ def multigraphs(draw, fee_kinds=("uniform", "mixed", "free")):
 
 @st.composite
 def route_cases(draw):
-    """A multigraph and a sequence of (destination, amount, params) keys."""
+    """A multigraph and a sequence of (destination, amount) keys."""
     g = draw(multigraphs())
     names = sorted(g.nodes)
     keys = draw(st.lists(
-        st.tuples(st.sampled_from(names), st.sampled_from((1_000, 40_000, 900_000)),
-                  st.sampled_from(PARAMS_CHOICES)),
+        st.tuples(st.sampled_from(names), st.sampled_from((1_000, 40_000, 900_000))),
         min_size=1, max_size=6,
     ))  # a repeated key reads the tree its first use built
     return g, keys
@@ -258,11 +257,11 @@ def route_cases(draw):
 
 def check_routes(g, keys):
     """Every source's cached route equals the reference search's, hop for hop."""
-    for dest, amount, params in keys:
+    for dest, amount in keys:
         for source in sorted(g.nodes):
             if source != dest:
                 payment = Payment(source, dest, amount)
-                assert find_route(g, payment, params) == reference_route(g, payment, params)
+                assert find_route(g, payment) == reference_route(g, payment)
 
 
 @st.composite
@@ -280,10 +279,9 @@ def channel_walks(draw):
 
 
 class TestPathFromChannels:
-    @given(walk=channel_walks(), amount=st.integers(1, 10**9),
-           params=st.sampled_from(PARAMS_CHOICES))
+    @given(walk=channel_walks(), amount=st.integers(1, 10**9))
     @settings(max_examples=200, deadline=None)
-    def test_matches_oracle(self, walk, amount, params):
+    def test_matches_oracle(self, walk, amount):
         # amounts by the oracle's fee recursion; each hop's time lock is the
         # final delta plus the deltas of that hop and every later one
         g, start, channels = walk
@@ -292,18 +290,18 @@ class TestPathFromChannels:
             seq.append((g.channels[cid], node))
             node = g.channels[cid].other_end(node)
         deltas = [ch.policy_from(frm).timelock_delta for ch, frm in seq]
-        path = path_from_channels(g, start, channels, amount, params)
+        path = path_from_channels(g, start, channels, amount)
         assert [(h.channel, h.frm, h.to) for h in path.hops] == [
             (ch.id, frm, ch.other_end(frm)) for ch, frm in seq]
         assert [h.forward_amount_msat for h in path.hops] == path_amounts(g, seq, amount)
         assert [h.remaining_timelock for h in path.hops] == [
-            params.final_cltv_delta + sum(deltas[i:]) for i in range(len(seq))]
+            FINAL_CLTV_DELTA + sum(deltas[i:]) for i in range(len(seq))]
 
 
-def fresh_probe_paths(g, vantage, depth, params):
+def fresh_probe_paths(g, vantage, depth):
     """`probe_paths` built anew from `probe_plan` and `path_from_channels`."""
     return tuple(
-        (cid, path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT, params))
+        (cid, path_from_channels(g, vantage, channels, PROBE_AMOUNT_MSAT))
         for cid, channels in probe_plan(g, vantage, depth)
     )
 
@@ -315,13 +313,13 @@ class TestRouteTree:
     @settings(max_examples=300, deadline=None)
     @example(case=(
         make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c")])[0],
-        [("a", 1_000, PARAMS), ("c", 1_000, PARAMS), ("a", 1_000, PARAMS)],
+        [("a", 1_000), ("c", 1_000), ("a", 1_000)],
     ))
     @example(case=(  # weight ties: aa - c - d has fewer hops than aa - a - b - d
         make_graph(["aa", "a", "b", "c", "d"],
                    [("db", "b", "d"), ("ba", "a", "b"), ("aaa", "a", "aa"),
                     ("dc", "c", "d"), ("caa", "aa", "c")], base_fee=0, rate_ppm=0)[0],
-        [("d", 1_000, RoutingParams(risk_factor=0.0))],
+        [("d", 1_000)],
     ))
     def test_matches_reference(self, case):
         check_routes(*case)
@@ -331,12 +329,9 @@ class TestRouteTree:
     def test_probe_paths_match_fresh(self, case):
         g, keys = case
         check_routes(g, keys[:1])  # other kept results share the store
-        for _, _, params in keys:
-            for vantage, depth in itertools.product(sorted(g.nodes), range(4)):
-                assert probe_paths(g, vantage, depth, params) == fresh_probe_paths(
-                    g, vantage, depth, params)
-                assert probe_paths(g, vantage, depth, params) is probe_paths(
-                    g, vantage, depth, params)
+        for vantage, depth in itertools.product(sorted(g.nodes), range(4)):
+            assert probe_paths(g, vantage, depth) == fresh_probe_paths(g, vantage, depth)
+            assert probe_paths(g, vantage, depth) is probe_paths(g, vantage, depth)
 
     def test_source_relaxed_when_settled(self):
         # d - a - b is cheaper than d - c - b; a tree that stopped relaxing
@@ -346,9 +341,9 @@ class TestRouteTree:
             [("da", "a", "d", {"base_fee": 0}), ("ab", "a", "b", {"base_fee": 0}),
              ("dc", "c", "d", {"base_fee": 0}), ("cb", "b", "c", {"base_fee": 500})],
         )
-        assert find_route(g, Payment("a", "d", 1_000), PARAMS).nodes() == ["a", "d"]
-        assert find_route(g, Payment("b", "d", 1_000), PARAMS).nodes() == ["b", "a", "d"]
-        check_routes(g, [("d", 1_000, PARAMS)])
+        assert find_route(g, Payment("a", "d", 1_000)).nodes() == ["a", "d"]
+        assert find_route(g, Payment("b", "d", 1_000)).nodes() == ["b", "a", "d"]
+        check_routes(g, [("d", 1_000)])
 
 
 class TestRouteCache:
@@ -368,22 +363,22 @@ class TestRouteCache:
         assert find_route(g, Payment("a", "c", 1_000)).nodes() == ["a", "b", "c"]
 
     def test_tree_kept_per_key(self):
-        # the direct channel is cheap but holds 5 sat, and it charges a long
-        # time lock that only a positive risk factor weighs
+        # the direct channel charges no fee but holds 5 sat, and its time
+        # lock is so long that from 134 msat on the risk factor weighs it
+        # above the detour's 200 msat of fees
         g, _ = make_graph(
             ["s", "m", "t"],
-            [("st", "s", "t", {"capacity_sat": 5, "base_fee": 0, "rate_ppm": 0, "delta": 10**6}),
+            [("st", "s", "t", {"capacity_sat": 5, "base_fee": 0, "rate_ppm": 0, "delta": 10**8}),
              ("sm", "m", "s", {"base_fee": 100, "rate_ppm": 0, "delta": 0}),
              ("mt", "m", "t", {"base_fee": 100, "rate_ppm": 0, "delta": 0})],
         )
-        keys = [(1_000, RoutingParams(risk_factor=0.0)), (9_000, RoutingParams(risk_factor=0.0)),
-                (1_000, RoutingParams(risk_factor=1.0))]
+        amounts = [100, 9_000, 1_000]
         expected = [["s", "t"], ["s", "m", "t"], ["s", "m", "t"]]
         for _ in range(2):  # the second pass reads kept trees
-            for (amount, params), nodes in zip(keys, expected):
-                path = find_route(g, Payment("s", "t", amount), params)
+            for amount, nodes in zip(amounts, expected):
+                path = find_route(g, Payment("s", "t", amount))
                 assert path.nodes() == nodes
-                assert path == reference_route(g, Payment("s", "t", amount), params)
+                assert path == reference_route(g, Payment("s", "t", amount))
 
     def test_stores_stay_within_caps(self, monkeypatch):
         # caps of two trees and of one vantage's probe paths: every result is
@@ -392,11 +387,11 @@ class TestRouteCache:
         monkeypatch.setattr(routing, "_ROUTE_TREE_CELLS", 2 * len(g.nodes))
         monkeypatch.setattr(harness, "_PROBE_PATHS_KEPT", len(g.channels))
         names = sorted(g.nodes)
-        check_routes(g, [(dest, 1_000, PARAMS) for dest in names[:3]])
-        assert list(g.derived("route trees", dict)) == [(dest, 1_000, PARAMS) for dest in names[1:3]]
+        check_routes(g, [(dest, 1_000) for dest in names[:3]])
+        assert list(g.derived("route trees", dict)) == [(dest, 1_000) for dest in names[1:3]]
         for vantage in names[:3]:
-            assert probe_paths(g, vantage, 3, PARAMS) == fresh_probe_paths(g, vantage, 3, PARAMS)
-        assert list(g.derived("probe paths", dict)) == [(names[2], 3, PARAMS)]
+            assert probe_paths(g, vantage, 3) == fresh_probe_paths(g, vantage, 3)
+        assert list(g.derived("probe paths", dict)) == [(names[2], 3)]
 
     def test_probe_paths_kept_past_cap(self, monkeypatch):
         # a cap below one vantage's plan still keeps the plan just built
@@ -404,25 +399,25 @@ class TestRouteCache:
         monkeypatch.setattr(harness, "_PROBE_PATHS_KEPT", 1)
         names = sorted(g.nodes)
         for vantage in names[:2]:
-            paths = probe_paths(g, vantage, 3, PARAMS)
+            paths = probe_paths(g, vantage, 3)
             assert len(paths) > 1
-            assert list(g.derived("probe paths", dict)) == [(vantage, 3, PARAMS)]
-            assert probe_paths(g, vantage, 3, PARAMS) is paths
+            assert list(g.derived("probe paths", dict)) == [(vantage, 3)]
+            assert probe_paths(g, vantage, 3) is paths
 
     def test_pickle_round_trip(self):
         # a graph holding kept probe paths and route trees pickles whole,
         # and its copy reads the same kept results
         g = random_graph(5)
         names = sorted(g.nodes)
-        check_routes(g, [(names[0], 1_000, PARAMS)])
-        kept = probe_paths(g, names[1], 3, PARAMS)
+        check_routes(g, [(names[0], 1_000)])
+        kept = probe_paths(g, names[1], 3)
         copy = pickle.loads(pickle.dumps(g))
         for key in ("probe paths", "route trees"):
             assert copy.derived(key, dict) == g.derived(key, dict)
-        assert probe_paths(copy, names[1], 3, PARAMS) == kept
+        assert probe_paths(copy, names[1], 3) == kept
         for source in names[1:]:
             payment = Payment(source, names[0], 1_000)
-            assert find_route(copy, payment, PARAMS) == find_route(g, payment, PARAMS)
+            assert find_route(copy, payment) == find_route(g, payment)
 
     def test_policies_frozen(self):
         g, _ = make_graph(["a", "b"], [("ab", "a", "b")])
@@ -435,7 +430,7 @@ class TestRouteCache:
 
 def reachable(g, anchor, amount, direction="from-anchor", budget=None):
     """`feasible_endpoints` over graphs with one channel per node pair."""
-    return feasible_endpoints(g, anchor, amount, TraversalRules(direction, budget), PARAMS)
+    return feasible_endpoints(g, anchor, amount, TraversalRules(direction, budget))
 
 
 class TestReachability:
