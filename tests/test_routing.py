@@ -216,7 +216,8 @@ def multigraphs(draw, fee_kinds=("uniform", "mixed", "free", "deltas-only")):
 
     Mixed fees come with mixed time-lock deltas or with none, where weights
     order by fee alone; "deltas-only" charges no fees, so weights order by
-    delta alone.
+    delta alone; "free" charges no fees and gives every edge one delta, 0 or
+    40, so all weights are zero or all equal and routes tie by hop count.
     """
     names = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
     pairs = draw(st.lists(
@@ -225,6 +226,7 @@ def multigraphs(draw, fee_kinds=("uniform", "mixed", "free", "deltas-only")):
     ))  # a repeated pair is a parallel channel; a name in no pair is unreachable
     fees = draw(st.sampled_from(fee_kinds))
     max_delta = draw(st.sampled_from((0, 144))) if fees == "mixed" else 144
+    free_delta = draw(st.sampled_from((0, 40)))
     rows = []
     for i, (u, v) in enumerate(pairs):
         over = {"capacity_sat": draw(st.sampled_from(CAPACITIES_SAT))}
@@ -237,8 +239,9 @@ def multigraphs(draw, fee_kinds=("uniform", "mixed", "free", "deltas-only")):
             elif fees == "deltas-only":
                 over[f"base_fee_{side}"] = over[f"rate_ppm_{side}"] = 0
                 over[f"delta_{side}"] = draw(st.integers(0, 144))
-            elif fees == "free":  # every edge weighs the same: routes tie by hop count
+            elif fees == "free":
                 over[f"base_fee_{side}"] = over[f"rate_ppm_{side}"] = 0
+                over[f"delta_{side}"] = free_delta
         rows.append((f"c{i}", u, v, over))
     return make_graph(names, rows)[0]
 
@@ -318,7 +321,7 @@ class TestRouteTree:
     @example(case=(  # weight ties: aa - c - d has fewer hops than aa - a - b - d
         make_graph(["aa", "a", "b", "c", "d"],
                    [("db", "b", "d"), ("ba", "a", "b"), ("aaa", "a", "aa"),
-                    ("dc", "c", "d"), ("caa", "aa", "c")], base_fee=0, rate_ppm=0)[0],
+                    ("dc", "c", "d"), ("caa", "aa", "c")], base_fee=0, rate_ppm=0, delta=0)[0],
         [("d", 1_000)],
     ))
     def test_matches_reference(self, case):
