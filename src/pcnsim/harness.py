@@ -191,8 +191,8 @@ def check_scenario(g: ChannelGraph, cfg: ScenarioConfig) -> None:
     not fit it.  A route's last hop carries the amount whole, so no route
     can carry an amount above every capacity.
 
-    `build_scenario` checks this in every run; `pcnsim run` and the
-    experiment scripts check it once before any run.
+    `build_scenario` checks this in every run; `pcnsim run` and `pcnsim
+    sweep` check it, for every cell of a sweep, once before any run.
     """
     if len(g.nodes) < 2:
         raise ConfigError("workload needs at least two nodes")
@@ -617,9 +617,12 @@ def emit_results(result: ExperimentResult, out_dir) -> list[str]:
 
 def ablation_summary(result: ExperimentResult) -> tuple[float, float] | None:
     """Mean (precision, recall) change from disabling the time-lock
-    reduction for the destination estimator, if it was recorded."""
+    reduction for the destination estimator; None when it was not recorded
+    or no run estimated a destination, which leaves nothing to compare."""
     deltas = [r.ablation_delta for r in result.records if r.ablation_delta is not None]
-    if not deltas:
+    estimated = any(rep.classified for r in result.records for rep in r.reports
+                    if rep.target == "destination")
+    if not deltas or not estimated:
         return None
     n = len(deltas)
     return (sum(d[0] for d in deltas) / n, sum(d[1] for d in deltas) / n)
