@@ -95,8 +95,6 @@ class EstimationResult:
     0.0 for `first_spy_estimate`.
     """
 
-    payment_id: str
-    target: str  # "source" | "destination"
     candidates: tuple[tuple[NodeId, float], ...]
 
     @property
@@ -334,18 +332,10 @@ def estimate_endpoint(
                 if r >= best_ll:
                     heapq.heappush(heap, (-r, next(order), nb, mean_n, var_n, step[0], step[1],
                                           on_path | {nb}, ll_n))
-    return EstimationResult(
-        payment_id=obs.payment_id,
-        target="destination" if obs.direction == TOWARD_DESTINATION else "source",
-        candidates=((best_node, best_ll),),
-    )
+    return EstimationResult(candidates=((best_node, best_ll),))
 
 
 def first_spy_estimate(obs: Observation, g: ChannelGraph) -> EstimationResult:
     """Baseline: the node adjacent across the observed edge is the endpoint."""
     anchor = _observed_channel(obs, g).other_end(obs.observer)
-    return EstimationResult(
-        payment_id=obs.payment_id,
-        target="destination" if obs.direction == TOWARD_DESTINATION else "source",
-        candidates=((anchor, 0.0),),
-    )
+    return EstimationResult(candidates=((anchor, 0.0),))

@@ -28,7 +28,6 @@ from .harness import (
     ConfigError,
     ScenarioConfig,
     ablation_summary,
-    aggregate_rows,
     check_scenario,
     emit_results,
     generate_synthetic_graph,
@@ -193,17 +192,13 @@ def main(argv=None) -> int:
     else:
         paths = [os.path.join(args.out, "sweep.csv")]
         write_table(paths[0], AGGREGATE_CSV_FIELDS,
-                    aggregate_rows([row for result in results for row in result.aggregate]))
+                    [row for result in results for row in result.aggregate])
     for p in paths:
         print(f"wrote {p}")
     for result in results:
-        for row in result.aggregate:
-            print(
-                f"{row['scenario']} m={row['m']} amount={row['amount_sat']}sat "
-                f"{row['estimator']}/{row['target']}: "
-                f"D={row['precision_mean']:.3f} R={row['recall_mean']:.3f} "
-                f"F1={row['f1_mean']:.3f} compromised={row['compromised_mean']:.3f}"
-            )
+        for scenario, m, amount, estimator, target, _, d, r, f1, compromised in result.aggregate:
+            print(f"{scenario} m={m} amount={amount}sat {estimator}/{target}: "
+                  f"D={d:.3f} R={r:.3f} F1={f1:.3f} compromised={compromised:.3f}")
         if cfg.report_ablation:
             delta = ablation_summary(result)
             print("timelock-reduction ablation (destination): " + (

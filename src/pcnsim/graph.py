@@ -196,20 +196,41 @@ class ConservationError(AssertionError):
 # snapshot ingestion
 
 
+def _integer(raw: dict, key: str, default: int | None = None, digits: bool = False) -> int:
+    """`raw[key]`, or `default` if absent: a JSON integer (`true` and
+    `false` are none) or, with `digits`, a string of decimal digits too, as
+    LND writes its 64-bit fields.  Anything else raises SnapshotError
+    naming `key`; more digits than `int` parses raise ValueError."""
+    value = raw.get(key, default)
+    if digits and isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SnapshotError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(raw: dict, key: str) -> bool:
+    """`raw[key]`, false if absent; anything but a JSON boolean raises SnapshotError."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise SnapshotError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_policy(raw, record_name: str, known: dict[tuple, DirectedPolicy]) -> DirectedPolicy:
     """The record's policy: one shared frozen object per distinct policy in `known`."""
     try:
         # a missing policy is a one-sided channel: keep the edge, disable
         # the unknown direction
         fields = (0, 0, 0, False) if raw is None else (
-            int(raw.get("base_fee_msat", 0)),
-            int(raw.get("fee_rate_ppm", 0)),
-            int(raw.get("time_lock_delta", 0)),
-            not bool(raw.get("disabled", False)),
+            _integer(raw, "base_fee_msat", 0),
+            _integer(raw, "fee_rate_ppm", 0),
+            _integer(raw, "time_lock_delta", 0),
+            not _boolean(raw, "disabled"),
         )
         if fields not in known:
             known[fields] = DirectedPolicy(*fields)
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (ValueError, AttributeError) as exc:
         raise SnapshotError(f"malformed policy in {record_name}: {exc}") from exc
     return known[fields]
 
@@ -238,7 +259,8 @@ def load_snapshot(document: dict) -> ChannelGraph:
 
     Channels referencing unknown nodes (or forming self-loops) are skipped
     and reported in graph.rejections; structurally malformed records raise
-    SnapshotError naming the offending record.
+    SnapshotError naming the offending record.  `capacity_sat` and the
+    policy integers must be JSON integers, `disabled` a JSON boolean.
     """
     if not isinstance(document, dict):
         raise SnapshotError("snapshot document must be a mapping")
@@ -258,9 +280,9 @@ def load_snapshot(document: dict) -> ChannelGraph:
         cid = _text(raw, "channel_id", name)
         n1, n2 = _text(raw, "node1_pub", name), _text(raw, "node2_pub", name)
         try:
-            cap_sat = int(raw["capacity_sat"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SnapshotError(f"{name}: bad capacity_sat: {exc!r}") from exc
+            cap_sat = _integer(raw, "capacity_sat")
+        except SnapshotError as exc:
+            raise SnapshotError(f"{name}: {exc}") from exc
         if cap_sat < 0:
             raise SnapshotError(f"{name}: negative capacity_sat {cap_sat}")
         if cid in g.channels:
@@ -294,9 +316,11 @@ def load_snapshot(document: dict) -> ChannelGraph:
 def convert_describegraph(dump: dict) -> dict:
     """Map an LND `describegraph` dump onto the snapshot schema.
 
-    Field mapping: capacity (sat string) -> capacity_sat, fee_base_msat ->
+    Field mapping: capacity (sat) -> capacity_sat, fee_base_msat ->
     base_fee_msat, fee_rate_milli_msat (millionths) -> fee_rate_ppm,
-    time_lock_delta and disabled pass through.  Nodes carry no region in an
+    time_lock_delta and disabled pass through.  Each integer field may be a
+    JSON integer or a string of decimal digits, and is written as an
+    integer; `disabled` must be a JSON boolean.  Nodes carry no region in an
     LND dump, so regions are assigned later by assign_latencies.  A
     malformed record raises SnapshotError naming it; edge endpoints pass
     through, and load_snapshot checks them.
@@ -309,7 +333,9 @@ def convert_describegraph(dump: dict) -> dict:
     for i, e in enumerate(_records(dump, "edges")):
         try:
             edges.append(_convert_edge(e))
-        except (TypeError, KeyError, ValueError, AttributeError, OverflowError) as exc:
+        except SnapshotError as exc:
+            raise SnapshotError(f"edges[{i}]: {exc}") from exc
+        except (TypeError, KeyError, ValueError, AttributeError) as exc:
             raise SnapshotError(f"edges[{i}]: {exc!r}") from exc
     return {"nodes": nodes, "edges": edges}
 
@@ -319,7 +345,7 @@ def _convert_edge(e: dict) -> dict:
         "channel_id": str(e["channel_id"]),
         "node1_pub": e["node1_pub"],
         "node2_pub": e["node2_pub"],
-        "capacity_sat": int(e["capacity"]),
+        "capacity_sat": _integer(e, "capacity", digits=True),
     }
     for key in ("node1_policy", "node2_policy"):
         raw = e.get(key)
@@ -327,10 +353,10 @@ def _convert_edge(e: dict) -> dict:
             None
             if raw is None
             else {
-                "base_fee_msat": int(raw.get("fee_base_msat", 0)),
-                "fee_rate_ppm": int(raw.get("fee_rate_milli_msat", 0)),
-                "time_lock_delta": int(raw.get("time_lock_delta", 0)),
-                "disabled": bool(raw.get("disabled", False)),
+                "base_fee_msat": _integer(raw, "fee_base_msat", 0, digits=True),
+                "fee_rate_ppm": _integer(raw, "fee_rate_milli_msat", 0, digits=True),
+                "time_lock_delta": _integer(raw, "time_lock_delta", 0, digits=True),
+                "disabled": _boolean(raw, "disabled"),
             }
         )
     return rec

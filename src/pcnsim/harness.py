@@ -176,9 +176,22 @@ class RunRecord:
 
 @dataclass
 class ExperimentResult:
+    """An experiment's runs, each scored once: `metrics` holds their rows
+    of `METRICS_CSV_FIELDS` in record order, `aggregate` the rows of
+    `AGGREGATE_CSV_FIELDS` that `_aggregate` makes of them."""
+
     records: list[RunRecord]
-    aggregate: list[dict]
     failures: list[str] = field(default_factory=list)
+    metrics: list[list] = field(init=False)
+    aggregate: list[list] = field(init=False)
+
+    def __post_init__(self):
+        self.metrics = [
+            [rec.scenario, rep.estimator, rep.target, rec.m, rec.amount_sat, rec.seed,
+             rep.precision, rep.recall, rep.f1, rec.compromised]
+            for rec in self.records for rep in rec.reports
+        ]
+        self.aggregate = _aggregate(self.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +200,10 @@ class ExperimentResult:
 
 def check_scenario(g: ChannelGraph, cfg: ScenarioConfig) -> None:
     """Raise ConfigError if `g` has too few nodes for a workload, an amount
-    above its largest channel capacity, or `cfg`'s adversary placement does
-    not fit it.  A route's last hop carries the amount whole, so no route
-    can carry an amount above every capacity.
+    above the largest capacity of its channels with an enabled direction,
+    or `cfg`'s adversary placement does not fit it.  A route's last hop
+    carries the amount whole, so no route can carry an amount above every
+    such capacity.
 
     `build_scenario` checks this in every run; `pcnsim run` and `pcnsim
     sweep` check it, for every cell of a sweep, once before any run.
@@ -197,7 +211,8 @@ def check_scenario(g: ChannelGraph, cfg: ScenarioConfig) -> None:
     if len(g.nodes) < 2:
         raise ConfigError("workload needs at least two nodes")
     amount = max(cfg.amounts_sat)
-    largest = max((ch.capacity_msat for ch in g.channels.values()), default=0)
+    largest = max((ch.capacity_msat for ch in g.channels.values()
+                   if ch.policy_uv.enabled or ch.policy_vu.enabled), default=0)
     if amount * MSAT_PER_SAT > largest:
         raise ConfigError(f"amounts_sat {amount} exceeds the largest channel capacity, "
                           f"{largest // MSAT_PER_SAT} sat")
@@ -459,10 +474,8 @@ def run_single(
             if cfg.export_timeline:
                 outcomes.append(outcome)
         truth[pid] = PaymentTruth(
-            payment_id=pid,
             source=s,
             dest=t,
-            path_nodes=tuple(path.nodes()),
             observed_by=frozenset(adv_cfg.malicious_nodes & set(path.intermediaries())),
             status=outcome.status,
         )
@@ -534,7 +547,7 @@ def run_experiment(
                 msg = f"run amount={amount_sat} seed={seed} aborted: {exc!r}"
                 log.error(msg)
                 failures.append(msg)
-    return ExperimentResult(records=records, aggregate=_aggregate(records), failures=failures)
+    return ExperimentResult(records=records, failures=failures)
 
 
 # Every file a run writes, declared once each: its columns here, its rows
@@ -567,9 +580,15 @@ def write_table(path, fields: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def aggregate_rows(aggregate: list[dict]) -> list[list]:
-    """`ExperimentResult.aggregate` as rows of `AGGREGATE_CSV_FIELDS`."""
-    return [[row[name] for name in AGGREGATE_CSV_FIELDS] for row in aggregate]
+def _aggregate(metrics: list[list]) -> list[list]:
+    """Rows of `AGGREGATE_CSV_FIELDS` from rows of `METRICS_CSV_FIELDS`:
+    per (scenario, m, amount_sat, estimator, target) group, in key order,
+    its row count and the mean of each score column, summed in row order."""
+    groups: dict[tuple, list[list]] = {}
+    for scenario, estimator, target, m, amount_sat, _, *scores in metrics:
+        groups.setdefault((scenario, m, amount_sat, estimator, target), []).append(scores)
+    return [[*key, len(scores), *(sum(column) / len(scores) for column in zip(*scores))]
+            for key, scores in sorted(groups.items())]
 
 
 def emit_results(result: ExperimentResult, out_dir) -> list[str]:
@@ -581,19 +600,15 @@ def emit_results(result: ExperimentResult, out_dir) -> list[str]:
     produce byte-identical files.
     """
     records = result.records
-    metrics = [
-        [rec.scenario, rep.estimator, rep.target, rec.m, rec.amount_sat, rec.seed,
-         rep.precision, rep.recall, rep.f1, rec.compromised]
-        for rec in records for rep in rec.reports
-    ]
     observations = [
         [o.payment_id, o.observer, o.edge_observed, o.direction,
          o.t0_ns, o.t1_ns, o.amount_msat, o.timelock_blocks]
         for rec in records for o in rec.observations
     ]
     tables = [
-        ("metrics.csv", METRICS_CSV_FIELDS, sorted(metrics, key=itemgetter(0, 3, 4, 5, 1, 2))),
-        ("metrics_aggregate.csv", AGGREGATE_CSV_FIELDS, aggregate_rows(result.aggregate)),
+        ("metrics.csv", METRICS_CSV_FIELDS,
+         sorted(result.metrics, key=itemgetter(0, 3, 4, 5, 1, 2))),
+        ("metrics_aggregate.csv", AGGREGATE_CSV_FIELDS, result.aggregate),
         ("observations.csv", OBSERVATION_CSV_FIELDS,
          sorted(observations, key=itemgetter(4, 0, 1, 3))),
     ]
@@ -626,30 +641,3 @@ def ablation_summary(result: ExperimentResult) -> tuple[float, float] | None:
         return None
     n = len(deltas)
     return (sum(d[0] for d in deltas) / n, sum(d[1] for d in deltas) / n)
-
-
-def _aggregate(records: list[RunRecord]) -> list[dict]:
-    groups: dict[tuple, list[tuple[MetricsReport, float]]] = {}
-    for rec in records:
-        for rep in rec.reports:
-            key = (rec.scenario, rec.m, rec.amount_sat, rep.estimator, rep.target)
-            groups.setdefault(key, []).append((rep, rec.compromised))
-    out = []
-    for key in sorted(groups):
-        rows = groups[key]
-        n = len(rows)
-        out.append(
-            {
-                "scenario": key[0],
-                "m": key[1],
-                "amount_sat": key[2],
-                "estimator": key[3],
-                "target": key[4],
-                "runs": n,
-                "precision_mean": sum(r.precision for r, _ in rows) / n,
-                "recall_mean": sum(r.recall for r, _ in rows) / n,
-                "f1_mean": sum(r.f1 for r, _ in rows) / n,
-                "compromised_mean": sum(c for _, c in rows) / n,
-            }
-        )
-    return out

@@ -18,15 +18,13 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PaymentTruth:
-    payment_id: str
     source: NodeId
     dest: NodeId
-    path_nodes: tuple[NodeId, ...]
     observed_by: frozenset[NodeId]  # malicious intermediaries on the path
     status: str
 
 
-GroundTruth = dict[str, PaymentTruth]
+GroundTruth = dict[str, PaymentTruth]  # payment id -> its truth
 # a guessed endpoint, or for target "both" the guessed (source, destination)
 Guess = NodeId | tuple[NodeId, NodeId]
 

@@ -46,7 +46,6 @@ from collections import deque
 
 from pcnsim.adversary import (
     SIGMA_FLOOR_MS,
-    TOWARD_DESTINATION,
     EstimationError,
     EstimationResult,
     _walk_setup,
@@ -481,11 +480,7 @@ def reference_estimate(obs, g, model, cfg) -> EstimationResult:
     ranked = tuple(
         sorted(best_ll.items(), key=lambda item: (-item[1], item[0]))
     )
-    return EstimationResult(
-        payment_id=obs.payment_id,
-        target="destination" if obs.direction == TOWARD_DESTINATION else "source",
-        candidates=ranked,
-    )
+    return EstimationResult(candidates=ranked)
 
 
 # ---------------------------------------------------------------------------

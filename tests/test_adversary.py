@@ -205,7 +205,6 @@ class TestEstimateEndpoint:
         cfg = AdversaryConfig(frozenset({"m"}))
         result = estimate_endpoint(obs, pub, model, cfg)
         assert result.top == "y"
-        assert result.target == "destination"
 
     def test_one_edge_delta_picks_adjacent(self):
         pub, model = line_model_fixture()
@@ -589,7 +588,7 @@ class TestObservationExport:
             scenario="central", m=1, amount_sat=100, seed=0, truth={},
             observations=[mk_obs()], reports=[], compromised=0.0, unrouted=0,
         )
-        emit_results(ExperimentResult(records=[record], aggregate=[]), tmp_path)
+        emit_results(ExperimentResult(records=[record]), tmp_path)
         lines = (tmp_path / "observations.csv").read_text().strip().splitlines()
         assert lines[0] == "payment_id,observer,channel_id,direction,t0_ns,t1_ns,amount_msat,timelock_blocks"
         assert len(lines) == 2

@@ -3,8 +3,10 @@ import csv
 import hashlib
 import json
 import re
+import statistics
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from pcnsim.harness import (
     OBSERVATION_CSV_FIELDS,
     TIMELINE_CSV_FIELDS,
     ConfigError,
+    ExperimentResult,
     ScenarioConfig,
     build_latency_model,
     build_scenario,
@@ -31,7 +34,7 @@ from pcnsim import cli, harness
 from pcnsim.adversary import TOWARD_DESTINATION
 from pcnsim.graph import RegionLatencyTable, assign_latencies, init_balances
 from pcnsim.latency import aggregate_models
-from pcnsim.routing import Payment
+from pcnsim.routing import Payment, find_route
 from conftest import make_graph
 from oracles import reference_route
 
@@ -244,9 +247,9 @@ class TestRunSingle:
     def test_truth_covers_routed_payments(self):
         rec = run_single(self.graph(), tiny_cfg(payments_per_run=25), 100, seed=0)
         assert len(rec.truth) + rec.unrouted == 25
-        for pid, t in rec.truth.items():
+        for t in rec.truth.values():
             assert t.source != t.dest
-            assert t.path_nodes[0] == t.source and t.path_nodes[-1] == t.dest
+            assert t.status in ("fulfilled", "failed")
 
     def test_estimate_streams_share_payments(self):
         # both estimators classify every payment observed on a leg, and
@@ -283,10 +286,17 @@ class TestWorkloadRouting:
         rows += [("lx", "a", "c"), ("rx", "w", "z"), ("bridge", "e", "v", {"capacity_sat": 1})]
         return make_graph(left + right, rows)[0]
 
-    def test_routes_match_fresh_search(self):
+    def test_routes_match_fresh_search(self, monkeypatch):
         g = self.bridged_graph()
         cfg = tiny_cfg(scenario="random", payments_per_run=80, amounts_sat=(100, 1_000))
         seed, amount_sat = 4, 100
+        routes = []  # the route run_single finds for each workload payment
+
+        def record_route(graph, payment):
+            routes.append(find_route(graph, payment))
+            return routes[-1]
+
+        monkeypatch.setattr(harness, "find_route", record_route)
         rec = run_single(g, cfg, amount_sat, seed)
         # the workload stream run_single draws from
         root = np.random.SeedSequence(entropy=(seed, amount_sat))
@@ -294,10 +304,10 @@ class TestWorkloadRouting:
         fresh = [reference_route(g, Payment(s, t, amount)) for s, t, amount in workload]
         assert 0 < sum(p is None for p in fresh) < len(fresh)
         assert len({(t, amount) for _, t, amount in workload}) < len(workload)
-        routed = {f"p{amount_sat}s{seed}n{i:05d}": p for i, p in enumerate(fresh) if p is not None}
-        assert set(rec.truth) == set(routed)
-        for pid, path in routed.items():
-            assert rec.truth[pid].path_nodes == tuple(path.nodes())
+        assert [p if p is None else p.nodes() for p in routes] == [
+            p if p is None else p.nodes() for p in fresh]
+        routed = {f"p{amount_sat}s{seed}n{i:05d}" for i, p in enumerate(fresh) if p is not None}
+        assert set(rec.truth) == routed
         assert rec.unrouted == len(fresh) - len(routed)
 
 
@@ -387,9 +397,7 @@ def test_output_bytes_pinned(pinned_outputs, name):
 
 class TestEmitResults:
     def test_empty_records_header_only(self, tmp_path):
-        from pcnsim.harness import ExperimentResult
-
-        paths = emit_results(ExperimentResult(records=[], aggregate=[]), tmp_path)
+        paths = emit_results(ExperimentResult(records=[]), tmp_path)
         metrics = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert metrics == [
             "scenario,estimator,target,m,amount_sat,seed,precision,recall,f1,compromised_share"
@@ -407,6 +415,30 @@ class TestEmitResults:
         emit_results(result, tmp_path)
         assert (tmp_path / "metrics.csv").read_bytes() == first
         assert not (tmp_path / "timeline.csv").exists()
+
+    def test_aggregate_is_mean_of_metrics_rows(self, tmp_path):
+        # each metrics_aggregate.csv row is its group's metrics.csv rows:
+        # their count and each score column's mean
+        g = generate_synthetic_graph("scale-free", 10, seed=5)
+        emit_results(run_experiment(g, tiny_cfg(amounts_sat=(10, 100), repetitions=3)), tmp_path)
+        tables = {}
+        for name in ("metrics.csv", "metrics_aggregate.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                tables[name] = list(csv.DictReader(fh))
+        group_of = itemgetter("scenario", "m", "amount_sat", "estimator", "target")
+        groups = {}
+        for row in tables["metrics.csv"]:
+            groups.setdefault(group_of(row), []).append(row)
+        aggregate = tables["metrics_aggregate.csv"]
+        assert sorted(map(group_of, aggregate)) == sorted(groups) and len(groups) == 2 * 6
+        assert any(len({row["recall"] for row in rows}) > 1 for rows in groups.values())
+        for agg in aggregate:
+            rows = groups[group_of(agg)]
+            assert int(agg["runs"]) == len(rows) == 3
+            for mean, column in (("precision_mean", "precision"), ("recall_mean", "recall"),
+                                 ("f1_mean", "f1"), ("compromised_mean", "compromised_share")):
+                expected = statistics.fmean(float(row[column]) for row in rows)
+                assert abs(float(agg[mean]) - expected) <= 1e-12, (agg, column)
 
     def test_readme_quotes_the_headers(self):
         # the column constants are the one schema; the README quotes them
@@ -443,6 +475,14 @@ def policy_snapshot(**policy):
                        "capacity_sat": 1000, "node1_policy": policy}]}
 
 
+def lnd_dump(capacity="1000", **policy):
+    """A describegraph dump of two nodes and one channel whose node1 policy
+    has the given fields."""
+    return {"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
+            "edges": [{"channel_id": "7", "node1_pub": "A", "node2_pub": "B",
+                       "capacity": capacity, "node1_policy": policy, "node2_policy": None}]}
+
+
 def write_input(path, document):
     """Write bytes as they are and anything else as JSON."""
     if isinstance(document, bytes):
@@ -465,6 +505,7 @@ ablation_preset = pytest.mark.parametrize(
 
 class TestCli:
     def test_convert_roundtrip(self, tmp_path, capsys):
+        # LND writes its 64-bit fields as strings of decimal digits
         dump = {
             "nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
             "edges": [{
@@ -480,6 +521,9 @@ class TestCli:
         assert cli.main(["convert", str(src), "--out", str(out)]) == 0
         snap = json.loads(out.read_text())
         assert snap["edges"][0]["capacity_sat"] == 99
+        assert snap["edges"][0]["node1_policy"] == {
+            "base_fee_msat": 1, "fee_rate_ppm": 2, "time_lock_delta": 3, "disabled": False,
+        }
 
     def test_run_synthetic(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -497,18 +541,30 @@ class TestCli:
         assert (out / "metrics.csv").exists()
         assert (out / "observations.csv").exists()
 
-    def test_run_flags_map_to_config(self, tmp_path):
-        out = tmp_path / "r"
+    def test_run_flags_map_to_config(self, tmp_path, monkeypatch):
+        # each flag sets its config field, for `run` and for every sweep cell
+        configs = []
+
+        def record_config(graph, cfg, table):
+            configs.append(cfg)
+            return ExperimentResult(records=[])
+
+        monkeypatch.setattr(cli, "run_experiment", record_config)
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({
-            "amounts_sat": [100], "payments_per_run": 5, "repetitions": 1,
-            "probes_per_path": 3, "probe_max_depth": 1,
-        }))
-        code = cli.main([
-            "run", "--synthetic", "path:4", "--config", str(cfg_file),
-            "--out", str(out), "--paper-t4", "--no-timelock-reduction", "--no-source-attack",
-        ])
-        assert code == 0
+        cfg_file.write_text(json.dumps({**SMALL_RUN, "base_seed": 3}))
+        flags = ["--paper-t4", "--no-timelock-reduction", "--no-source-attack", "--seed", "7"]
+        for command, cells in (
+            (["run"], [("central", 1)]),
+            (["sweep", "--m", "1", "2"], [("central", 1), ("central", 2),
+                                          ("random", 1), ("random", 2)]),
+        ):
+            for options, fields in (([], (6, True, True, 3)), (flags, (4, False, False, 7))):
+                configs.clear()
+                assert cli.main([*command, "--synthetic", "path:4", "--config", str(cfg_file),
+                                 "--out", str(tmp_path / "out"), *options]) == 0
+                assert [(c.scenario, c.m) for c in configs] == cells
+                assert [(c.traversal_weight, c.timelock_reduction, c.retry_attack, c.base_seed)
+                        for c in configs] == [fields] * len(cells)
 
     def test_bad_synthetic_spec(self, tmp_path, capsys):
         code = cli.main(["run", "--synthetic", "wat", "--out", str(tmp_path)])
@@ -533,9 +589,25 @@ class TestCli:
          "malformed policy in edges[0]: fee_rate_ppm must be in 0..4294967295"),
         (b"\xff{}", "can't decode byte 0xff"),
         (b"[" * 200_000, "maximum recursion depth exceeded"),
+        ({"nodes": [{"pub_key": "A"}, {"pub_key": "B"}, {"pub_key": "C"}],
+          "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b,
+                     "capacity_sat": 1_000_000, "node1_policy": None, "node2_policy": None}
+                    for cid, a, b in (("c0", "A", "B"), ("c1", "B", "C"))]},
+         "amounts_sat 100000 exceeds the largest channel capacity, 0 sat"),
+        ({"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
+          "edges": [{"channel_id": "c0", "node1_pub": "A", "node2_pub": "B",
+                     "capacity_sat": 1.5}]},
+         "edges[0]: capacity_sat must be an integer, got 1.5"),
+        (policy_snapshot(fee_rate_ppm=True),
+         "malformed policy in edges[0]: fee_rate_ppm must be an integer, got True"),
+        (policy_snapshot(time_lock_delta="40"),
+         "malformed policy in edges[0]: time_lock_delta must be an integer, got '40'"),
+        (policy_snapshot(disabled="false"),
+         "malformed policy in edges[0]: disabled must be true or false, got 'false'"),
     ], ids=["node-without-pub-key", "top-level-list", "negative-capacity", "duplicate-pub-key",
             "one-node", "huge-time-lock-delta", "huge-base-fee", "fee-rate-above-u32",
-            "not-utf-8", "nested-too-deeply"])
+            "not-utf-8", "nested-too-deeply", "every-channel-disabled", "fractional-capacity",
+            "boolean-fee-rate", "string-time-lock-delta", "string-disabled"])
     def test_malformed_snapshot_clean_error(self, tmp_path, capsys, document, message):
         snap = tmp_path / "snapshot.json"
         write_input(snap, document)
@@ -614,6 +686,13 @@ class TestCli:
             ([{"pub_key": "A"}], "must be a mapping"),
             (b"\xff{}", "can't decode byte 0xff"),
             (b"[" * 200_000, "maximum recursion depth exceeded"),
+            (lnd_dump(capacity=1.5), "edges[0]: capacity must be an integer, got 1.5"),
+            (lnd_dump(capacity="1e3"), "edges[0]: capacity must be an integer, got '1e3'"),
+            (lnd_dump(time_lock_delta=40.9),
+             "edges[0]: time_lock_delta must be an integer, got 40.9"),
+            (lnd_dump(fee_rate_milli_msat=True),
+             "edges[0]: fee_rate_milli_msat must be an integer, got True"),
+            (lnd_dump(disabled="false"), "edges[0]: disabled must be true or false, got 'false'"),
         ]:
             write_input(src, document)
             assert cli.main(["convert", str(src), "--out", str(out)]) == 2

@@ -8,16 +8,13 @@ from pcnsim.metrics import PaymentTruth, compromised_share, f1, report
 NODES = ("a", "b", "c")
 
 
-def truth_entry(pid, source="s", dest="t", observed=("m",)):
-    return PaymentTruth(
-        payment_id=pid, source=source, dest=dest,
-        path_nodes=(source, "m", dest), observed_by=frozenset(observed),
-        status="fulfilled",
-    )
+def truth_entry(source="s", dest="t", observed=("m",)):
+    return PaymentTruth(source=source, dest=dest, observed_by=frozenset(observed),
+                        status="fulfilled")
 
 
 def make_case(correct, wrong, total):
-    truth = {f"p{i}": truth_entry(f"p{i}") for i in range(total)}
+    truth = {f"p{i}": truth_entry() for i in range(total)}
     guesses = {f"p{i}": "s" if i < correct else "x" for i in range(correct + wrong)}
     return guesses, truth
 
@@ -82,19 +79,19 @@ class TestF1:
 
 class TestCompromisedShare:
     def test_no_malicious(self):
-        truth = {f"p{i}": truth_entry(f"p{i}", observed=()) for i in range(4)}
+        truth = {f"p{i}": truth_entry(observed=()) for i in range(4)}
         assert compromised_share(truth) == 0.0
 
     def test_all_cross_hub(self):
-        truth = {f"p{i}": truth_entry(f"p{i}", observed=("hub",)) for i in range(4)}
+        truth = {f"p{i}": truth_entry(observed=("hub",)) for i in range(4)}
         assert compromised_share(truth) == 1.0
 
     def test_fixture_count(self):
         truth = {
-            "p0": truth_entry("p0", observed=("m",)),
-            "p1": truth_entry("p1", observed=()),
-            "p2": truth_entry("p2", observed=("m", "m2")),
-            "p3": truth_entry("p3", observed=()),
+            "p0": truth_entry(observed=("m",)),
+            "p1": truth_entry(observed=()),
+            "p2": truth_entry(observed=("m", "m2")),
+            "p3": truth_entry(observed=()),
         }
         assert compromised_share(truth) == 0.5
 
@@ -104,7 +101,7 @@ class TestFullDeanonymization:
     only if both endpoints match."""
 
     def truth(self):
-        return {f"p{i}": truth_entry(f"p{i}") for i in range(5)}
+        return {f"p{i}": truth_entry() for i in range(5)}
 
     def test_both_correct_counts(self):
         rep = score({"p0": ("s", "t")}, self.truth(), "both")
@@ -121,7 +118,7 @@ class TestFullDeanonymization:
         assert rep.classified == 0 and rep.precision == 0.0
 
     def test_matches_set_intersection_recount(self):
-        truth = {f"p{i}": truth_entry(f"p{i}") for i in range(20)}
+        truth = {f"p{i}": truth_entry() for i in range(20)}
         src = {f"p{i}": "s" if i % 2 == 0 else "x" for i in range(12)}
         dst = {f"p{i}": "t" if i % 3 == 0 else "y" for i in range(4, 16)}
         both = {pid: (src[pid], dst[pid]) for pid in src.keys() & dst.keys()}
@@ -151,7 +148,7 @@ def scoring_cases(draw):
     truth = {}
     for i in range(draw(st.integers(1, 12))):
         s, t = draw(st.lists(st.sampled_from(NODES), min_size=2, max_size=2, unique=True))
-        truth[f"p{i}"] = truth_entry(f"p{i}", source=s, dest=t)
+        truth[f"p{i}"] = truth_entry(source=s, dest=t)
     node = st.sampled_from(NODES)
     guess = st.tuples(node, node) if target == "both" else node
     guessed = draw(st.lists(st.sampled_from(sorted(truth)), unique=True))
