@@ -88,11 +88,10 @@ class Observation:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """An estimator's guess for one payment's source or destination.
+    """`estimate_endpoint`'s guess for one payment's source or destination.
 
-    `candidates` is the 1-tuple `((node, loglik),)` of the guessed
-    endpoint: the likeliest one for `estimate_endpoint`, the anchor with
-    0.0 for `first_spy_estimate`.
+    `candidates` is the 1-tuple `((node, loglik),)` of the likeliest
+    endpoint.
     """
 
     candidates: tuple[tuple[NodeId, float], ...]
@@ -335,7 +334,6 @@ def estimate_endpoint(
     return EstimationResult(candidates=((best_node, best_ll),))
 
 
-def first_spy_estimate(obs: Observation, g: ChannelGraph) -> EstimationResult:
+def first_spy_estimate(obs: Observation, g: ChannelGraph) -> NodeId:
     """Baseline: the node adjacent across the observed edge is the endpoint."""
-    anchor = _observed_channel(obs, g).other_end(obs.observer)
-    return EstimationResult(candidates=((anchor, 0.0),))
+    return _observed_channel(obs, g).other_end(obs.observer)

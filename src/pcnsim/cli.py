@@ -183,8 +183,6 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(graph.rejections) > 0:
-        print(f"snapshot: {len(graph.rejections)} channel records rejected")
 
     results = [run_experiment(graph, cell, table) for cell in cells]
     if args.command == "run":

@@ -320,10 +320,11 @@ def convert_describegraph(dump: dict) -> dict:
     base_fee_msat, fee_rate_milli_msat (millionths) -> fee_rate_ppm,
     time_lock_delta and disabled pass through.  Each integer field may be a
     JSON integer or a string of decimal digits, and is written as an
-    integer; `disabled` must be a JSON boolean.  Nodes carry no region in an
-    LND dump, so regions are assigned later by assign_latencies.  A
-    malformed record raises SnapshotError naming it; edge endpoints pass
-    through, and load_snapshot checks them.
+    integer; `disabled` must be a JSON boolean.  `channel_id` must be a
+    non-empty string or a non-negative JSON integer, written as its digits.
+    Nodes carry no region in an LND dump, so regions are assigned later by
+    assign_latencies.  A malformed record raises SnapshotError naming it;
+    edge endpoints pass through, and load_snapshot checks them.
     """
     if not isinstance(dump, dict):
         raise SnapshotError("describegraph dump must be a mapping")
@@ -341,8 +342,14 @@ def convert_describegraph(dump: dict) -> dict:
 
 
 def _convert_edge(e: dict) -> dict:
+    cid = e["channel_id"]
+    if isinstance(cid, int) and not isinstance(cid, bool) and cid >= 0:
+        cid = str(cid)
+    if not isinstance(cid, str) or not cid:
+        raise SnapshotError("channel_id must be a non-empty string or a non-negative "
+                            f"integer, got {cid!r}")
     rec = {
-        "channel_id": str(e["channel_id"]),
+        "channel_id": cid,
         "node1_pub": e["node1_pub"],
         "node2_pub": e["node2_pub"],
         "capacity_sat": _integer(e, "capacity", digits=True),

@@ -493,7 +493,7 @@ def run_single(
         for target in sorted(inputs[pid]):
             obs = inputs[pid][target]
             guesses["timing", target][pid] = estimate_endpoint(obs, g, model, adv_cfg).top
-            guesses["first_spy", target][pid] = first_spy_estimate(obs, g).top
+            guesses["first_spy", target][pid] = first_spy_estimate(obs, g)
             if cfg.report_ablation and target == "destination":
                 ablated_dst[pid] = estimate_endpoint(obs, g, model, ablated_cfg).top
 

@@ -37,7 +37,6 @@ class MetricsReport:
     recall: float
     f1: float
     classified: int
-    total: int
 
 
 def _true_endpoint(truth: PaymentTruth, target: str) -> Guess:
@@ -91,7 +90,6 @@ def report(
         recall=r,
         f1=f1(d, r),
         classified=len(guesses),
-        total=len(truth),
     )
 
 

@@ -72,14 +72,6 @@ class PaymentPath:
             if a.to != b.frm:
                 raise ValueError(f"hops do not chain at {a.to} -> {b.frm}")
 
-    @property
-    def source(self) -> NodeId:
-        return self.hops[0].frm
-
-    @property
-    def dest(self) -> NodeId:
-        return self.hops[-1].to
-
     def nodes(self) -> list[NodeId]:
         return [self.hops[0].frm] + [h.to for h in self.hops]
 

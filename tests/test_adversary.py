@@ -17,7 +17,13 @@ from pcnsim.adversary import (
     reduce_anonymity_set,
 )
 from pcnsim.graph import init_balances
-from pcnsim.harness import ExperimentResult, RunRecord, emit_results
+from pcnsim.harness import (
+    ExperimentResult,
+    RunRecord,
+    ScenarioConfig,
+    build_latency_model,
+    emit_results,
+)
 from pcnsim.latency import Gaussian, LatencyModel
 from pcnsim.routing import Payment, find_route
 from pcnsim.sim import PaymentEngine
@@ -212,8 +218,7 @@ class TestEstimateEndpoint:
         cfg = AdversaryConfig(frozenset({"m"}))
         result = estimate_endpoint(obs, pub, model, cfg)
         assert result.top == "x"
-        fs = first_spy_estimate(obs, pub)
-        assert fs.top == "x"  # agrees on the adjacent endpoint
+        assert first_spy_estimate(obs, pub) == "x"  # agrees on the adjacent endpoint
 
     def test_candidates_sorted_and_deterministic(self):
         pub, model = line_model_fixture()
@@ -234,23 +239,42 @@ class TestEstimateEndpoint:
             first_spy_estimate(obs, pub)
 
     def test_benchmark_note_reads_result(self):
-        # the benchmark's traced runs note every estimate through this hook
+        # the benchmark's traced runs note each wrapped call's result through
+        # these hooks, called as the tracer calls them, on real results
         spec = importlib.util.spec_from_file_location(
             "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        assert set(tracing.NOTES) == {"latency.campaign", "routing.find_route",
+                                      "adversary.estimate"}
         pub, model = line_model_fixture()
         obs = mk_obs(observer="m", edge="e1", amount=100_000, timelock=120, t1=119 * MS)
         args = (obs, pub, model, AdversaryConfig(frozenset({"m"})))
         note = tracing.NOTES["adversary.estimate"]
         assert note(args, {}, estimate_endpoint(*args)) == (1, False)
 
+        g, latencies = make_graph(["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "b", "c")])
+        args = (g, init_balances(g), latencies, frozenset({"a"}),
+                ScenarioConfig(probes_per_path=3, probe_max_depth=2), np.random.SeedSequence(0))
+        campaign = build_latency_model(*args)
+        assert tracing.NOTES["latency.campaign"](args, {}, campaign) == len(campaign[0].edges) == 2
+
+        note = tracing.NOTES["routing.find_route"]
+        for payment, unrouted in ((Payment("a", "c", 1000), False),
+                                  (Payment("a", "d", 1000), True)):
+            assert note((g, payment), {}, find_route(g, payment)) is unrouted
+
+        engine = PaymentEngine(g, init_balances(g), latencies, np.random.default_rng(0))
+        args = (engine, find_route(g, Payment("a", "c", 1000)), "p0")
+        outcome = PaymentEngine.execute_payment(*args)
+        assert tracing._note_payment(args, {}, outcome) == (False, len(outcome.messages), "p0")
+
 
 class TestFirstSpy:
     def test_adjacent_source(self):
         pub, _ = line_model_fixture()
         obs = mk_obs(observer="x", edge="e1", direction=TOWARD_SOURCE)
-        assert first_spy_estimate(obs, pub).top == "m"
+        assert first_spy_estimate(obs, pub) == "m"
 
     def test_known_failure_mode_far_destination(self):
         # observer right after the source of a 3-hop path: the successor it
@@ -267,7 +291,7 @@ class TestFirstSpy:
                                observer)
         engine.execute_payment(path, "px")
         obs = observer.estimation_inputs()["px"]["destination"]
-        assert first_spy_estimate(obs, g).top == "c" != "d"
+        assert first_spy_estimate(obs, g) == "c" != "d"
 
 
 def random_attack_graph(seed, n=10, extra_edges=4, one_sided=0, starved=0):

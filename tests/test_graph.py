@@ -150,14 +150,23 @@ class TestDescribegraphConverter:
         assert not ch.policy_vu.enabled
 
 
+def lnd_edge(channel_id):
+    """A describegraph dump of two nodes and one channel with the given id."""
+    return {"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
+            "edges": [{"channel_id": channel_id, "node1_pub": "A", "node2_pub": "B",
+                       "capacity": "10"}]}
+
+
 @pytest.mark.parametrize("load, document, record", [
     (load_snapshot, {"nodes": 5}, "nodes"),
     (load_snapshot, snapshot_doc([node(["A"])], []), "nodes[0]"),
     (load_snapshot, snapshot_doc([node("A"), node("B")], [edge(["c0"], "A", "B", 10)]), "edges[0]"),
     (load_snapshot, snapshot_doc([node("A"), node("B")], [edge("c0", ["A"], "B", 10)]), "edges[0]"),
     (convert_describegraph, {"edges": 3}, "edges"),
+    *[(convert_describegraph, lnd_edge(cid), "edges[0]") for cid in (None, 1.5, True, ["x"], "")],
 ], ids=["nodes-not-a-list", "list-pub-key", "list-channel-id", "list-node1-pub",
-        "edges-not-a-list"])
+        "edges-not-a-list", "null-lnd-channel-id", "fractional-lnd-channel-id",
+        "boolean-lnd-channel-id", "list-lnd-channel-id", "empty-lnd-channel-id"])
 def test_wrong_type_names_record(load, document, record):
     with pytest.raises(SnapshotError) as info:
         load(document)
@@ -206,7 +215,7 @@ LND_POLICY = st.none() | st.fixed_dictionaries({}, optional={
 DESCRIBEGRAPHS = maybe(st.fixed_dictionaries({}, optional={
     "nodes": records({"pub_key": PUBS}),
     "edges": records(
-        {"channel_id": CHANNEL_IDS, "node1_pub": PUBS, "node2_pub": PUBS,
+        {"channel_id": CHANNEL_IDS | st.integers(0, 1), "node1_pub": PUBS, "node2_pub": PUBS,
          "capacity": st.integers(0, 10**6).map(str)},
         {"node1_policy": LND_POLICY, "node2_policy": LND_POLICY},
     ),

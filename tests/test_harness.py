@@ -1,16 +1,22 @@
 import copy
 import csv
 import hashlib
+import io
 import json
+import math
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcnsim.harness import (
     AGGREGATE_CSV_FIELDS,
@@ -32,7 +38,13 @@ from pcnsim.harness import (
 )
 from pcnsim import cli, harness
 from pcnsim.adversary import TOWARD_DESTINATION
-from pcnsim.graph import RegionLatencyTable, assign_latencies, init_balances
+from pcnsim.graph import (
+    RegionLatencyTable,
+    SnapshotError,
+    assign_latencies,
+    init_balances,
+    load_snapshot,
+)
 from pcnsim.latency import aggregate_models
 from pcnsim.routing import Payment, find_route
 from conftest import make_graph
@@ -475,11 +487,11 @@ def policy_snapshot(**policy):
                        "capacity_sat": 1000, "node1_policy": policy}]}
 
 
-def lnd_dump(capacity="1000", **policy):
+def lnd_dump(capacity="1000", channel_id="7", **policy):
     """A describegraph dump of two nodes and one channel whose node1 policy
     has the given fields."""
     return {"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
-            "edges": [{"channel_id": "7", "node1_pub": "A", "node2_pub": "B",
+            "edges": [{"channel_id": channel_id, "node1_pub": "A", "node2_pub": "B",
                        "capacity": capacity, "node1_policy": policy, "node2_policy": None}]}
 
 
@@ -540,6 +552,18 @@ class TestCli:
         assert code == 0
         assert (out / "metrics.csv").exists()
         assert (out / "observations.csv").exists()
+
+    def test_rejected_records_reported_once(self, tmp_path, capsys, caplog):
+        snapshot = copy.deepcopy(FUZZ_SNAPSHOT)
+        snapshot["edges"].append({**snapshot["edges"][0], "channel_id": "c2", "node2_pub": "D"})
+        (tmp_path / "snapshot.json").write_text(json.dumps(snapshot))
+        (tmp_path / "cfg.json").write_text(json.dumps(SMALL_RUN))
+        assert cli.main(["run", "--snapshot", str(tmp_path / "snapshot.json"),
+                         "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "r")]) == 0
+        captured = capsys.readouterr()
+        output = captured.out + captured.err + caplog.text
+        assert output.count("1 channel records") == 1
+        assert "snapshot load rejected 1 channel records" in caplog.text
 
     def test_run_flags_map_to_config(self, tmp_path, monkeypatch):
         # each flag sets its config field, for `run` and for every sweep cell
@@ -693,6 +717,8 @@ class TestCli:
             (lnd_dump(fee_rate_milli_msat=True),
              "edges[0]: fee_rate_milli_msat must be an integer, got True"),
             (lnd_dump(disabled="false"), "edges[0]: disabled must be true or false, got 'false'"),
+            (lnd_dump(channel_id=None), "edges[0]: channel_id must be a non-empty string or a "
+                                        "non-negative integer, got None"),
         ]:
             write_input(src, document)
             assert cli.main(["convert", str(src), "--out", str(out)]) == 2
@@ -893,3 +919,153 @@ class TestCli:
         assert ablation == [
             "timelock-reduction ablation (destination): no destination observations collected"
         ]
+
+
+# What a fuzzed field becomes: a huge integer, a huge float, NaN, Infinity, a
+# string, a nested list or null.
+FUZZ_VALUES = (2**64, 10**400, 1e308, math.nan, math.inf, "x", [[1]], None)
+_DELETE = object()
+
+
+def _paths(document, prefix=()):
+    """Every path into `document`, the root first, then each key and index."""
+    yield prefix
+    if isinstance(document, dict):
+        items = document.items()
+    elif isinstance(document, list):
+        items = enumerate(document)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+def _mutated(document, path, value=_DELETE):
+    """A copy of `document` with the field at `path` replaced by `value`, or deleted."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    holder = document
+    for key in path[:-1]:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return document
+
+
+def mutated_texts(document, dumps=json.dumps):
+    """The text of `document` with one field replaced by a `FUZZ_VALUES`
+    entry or deleted, or the text truncated."""
+    paths = list(_paths(document))
+    text = dumps(document)
+    return st.one_of(
+        st.tuples(st.sampled_from(paths), st.sampled_from(FUZZ_VALUES)).map(
+            lambda change: dumps(_mutated(document, *change))),
+        st.sampled_from(paths[1:]).map(lambda path: dumps(_mutated(document, path))),
+        st.integers(0, len(text) - 1).map(lambda n: text[:n]),
+    )
+
+
+def table_text(rows) -> str:
+    """A latency table's CSV text: each cell as written if text, else as JSON."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows if isinstance(rows, list) else [rows]:
+        cells = row if isinstance(row, list) else [row]
+        writer.writerow([c if isinstance(c, str) else json.dumps(c) for c in cells])
+    return out.getvalue()
+
+
+FUZZ_CONFIG = {**SMALL_RUN, "scenario": "list", "m": 1, "node_list": ["n001"], "base_seed": 0,
+               "retry_attack": True, "timelock_reduction": True, "traversal_weight": 6,
+               "max_estimates_per_channel": 3, "report_ablation": False,
+               "export_timeline": False}
+FUZZ_POLICY = {"base_fee_msat": 1000, "fee_rate_ppm": 10, "time_lock_delta": 40,
+               "disabled": False}
+FUZZ_SNAPSHOT = {
+    "nodes": [{"pub_key": "A", "region": "EU"}, {"pub_key": "B", "region": "NA"},
+              {"pub_key": "C"}],
+    "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b, "capacity_sat": 1000,
+               "node1_policy": FUZZ_POLICY, "node2_policy": FUZZ_POLICY}
+              for cid, a, b in (("c0", "A", "B"), ("c1", "B", "C"))],
+}
+FUZZ_LND_POLICY = {"fee_base_msat": "1000", "fee_rate_milli_msat": "10", "time_lock_delta": 40,
+                   "disabled": False}
+FUZZ_DUMP = {
+    "nodes": [{"pub_key": "A"}, {"pub_key": "B"}, {"pub_key": "C"}],
+    "edges": [{"channel_id": cid, "node1_pub": a, "node2_pub": b, "capacity": "1000",
+               "node1_policy": FUZZ_LND_POLICY, "node2_policy": FUZZ_LND_POLICY}
+              for cid, a, b in (("7", "A", "B"), (8, "B", "C"))],
+}
+FUZZ_TABLE = [["region_a", "region_b", "rtt_mean_ms", "rtt_std_ms"], ["EU", "NA", "110", "25"],
+              ["EU", "EU", "40", "12"]]
+fuzz_settings = settings(max_examples=150, deadline=None)
+
+
+class TestCliFuzz:
+    """`cli.main` on a valid input of each kind with one field replaced or
+    deleted, or its text truncated: `run` reaches its experiment, stubbed
+    here, or exits 2, `convert` writes a snapshot that `load_snapshot`
+    loads or rejects, or exits 2, and exit 2 prints one `error:` line,
+    never a traceback, and writes nothing."""
+
+    @staticmethod
+    def main(argv, out):
+        calls = []
+
+        def stub(graph, cfg, table):
+            calls.append(cfg)
+            return ExperimentResult(records=[])
+
+        err = io.StringIO()
+        with mock.patch.object(cli, "run_experiment", stub), \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main([*argv, "--out", str(out)])
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
+            assert not out.exists()
+        return code, calls
+
+    def run(self, files, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, text in files.items():
+                (tmp / name).write_text(text)
+            code, calls = self.main([arg.format(tmp=tmp) for arg in argv], tmp / "out")
+        assert (code, len(calls)) in ((0, 1), (2, 0))
+
+    @given(text=mutated_texts(FUZZ_CONFIG))
+    @fuzz_settings
+    def test_config(self, text):
+        self.run({"cfg.json": text},
+                 ["run", "--synthetic", "path:4", "--config", "{tmp}/cfg.json"])
+
+    @given(text=mutated_texts(FUZZ_TABLE, table_text))
+    @fuzz_settings
+    def test_latency_table(self, text):
+        self.run({"cfg.json": json.dumps(SMALL_RUN), "rtt.csv": text},
+                 ["run", "--synthetic", "path:4", "--config", "{tmp}/cfg.json",
+                  "--latency-table", "{tmp}/rtt.csv"])
+
+    @given(text=mutated_texts(FUZZ_SNAPSHOT))
+    @fuzz_settings
+    def test_snapshot(self, text):
+        self.run({"cfg.json": json.dumps(SMALL_RUN), "snapshot.json": text},
+                 ["run", "--snapshot", "{tmp}/snapshot.json", "--config", "{tmp}/cfg.json"])
+
+    @given(text=mutated_texts(FUZZ_DUMP))
+    @fuzz_settings
+    def test_describegraph(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "describegraph.json", Path(tmp) / "snapshot.json"
+            src.write_text(text)
+            code, _ = self.main(["convert", str(src)], out)
+            if code == 0:
+                try:
+                    load_snapshot(json.loads(out.read_text()))
+                except SnapshotError:
+                    pass
+        assert code in (0, 2)
